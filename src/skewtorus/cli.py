@@ -365,11 +365,9 @@ def cmd_verify(args):
         record("spacing-law", 0.0, 0.0, f"no closed form for D={D}; skipped")
 
     sample_ls = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]
+    direct = {L: number_variance_direct(spec, L) for L in sample_ls}
     if D in (1, 2, 3, 6):
-        worst = max(
-            abs(number_variance_direct(spec, L) - number_variance_closed(D, L))
-            for L in sample_ls
-        )
+        worst = max(abs(direct[L] - number_variance_closed(D, L)) for L in sample_ls)
         record("numvar-direct-vs-closed", float(worst), 0.0, "exact rational equality")
     else:
         record(
@@ -380,7 +378,7 @@ def cmd_verify(args):
     bound = None
     for L in sample_ls:
         v, bound = number_variance_fourier(D, L, args.K)
-        worst = max(worst, abs(float(number_variance_direct(spec, L)) - v))
+        worst = max(worst, abs(float(direct[L]) - v))
     record("numvar-direct-vs-fourier", worst, bound, f"K={args.K}")
 
     ok = all(c["ok"] for c in checks)

@@ -14,11 +14,11 @@ period D, and its gap structure is that of the reduced spectrum
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .diophantine import Approximant
 
@@ -84,20 +84,18 @@ def degeneracy_profile(rs):
 def power_sums(spec, n_max):
     """Eigenvalue power sums sum_j e^(2 pi i n phi_j / N) for n = 1..n_max.
 
-    Each phase n*phi/N is reduced mod 1 as a Fraction before the exponential,
-    so nothing accumulates.  These must match the numeric traces of U^n.
+    Every phase has a denominator dividing 6, so t_j = 6 phi_j is an exact
+    integer in [0, 6N) and the sums are 6N times one inverse FFT of length
+    6N over the histogram of the t_j, read at n mod 6N.  The phase reduction
+    is exact integer arithmetic; only the FFT rounds.  These must match the
+    numeric traces of U^n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    N = spec.N
-    vals = spec.values
-    out = []
-    for n in range(1, n_max + 1):
-        s = 0j
-        for v in vals:
-            s += cmath.exp(2j * math.pi * float((n * v / N) % 1))
-        out.append(s)
-    return out
+    size = 6 * spec.N
+    t = [int(6 * ph.value) for ph in spec.phases]
+    sums = size * np.fft.ifft(np.bincount(t, minlength=size))
+    return sums[np.arange(1, n_max + 1) % size].tolist()
 
 
 def spectrum_to_csv(spec, out):

@@ -24,6 +24,8 @@ from skewtorus.propagator import (
 )
 from skewtorus.spectrum import eigenphases, power_sums
 
+from oracles import propagator_lsum, traces_running_product
+
 UNITARITY_SET = [
     (1, 1), (1, 2), (1, 3), (2, 4), (8, 5), (3, 9), (14, 10), (24, 15),
     (24, 16), (18, 12), (48, 30), (32, 20), (63, 39), (75, 50), (96, 60),
@@ -34,6 +36,9 @@ TRACE_SET = [
     (1, 2), (1, 3), (2, 4), (8, 5), (3, 9), (5, 10), (14, 10), (24, 15),
     (24, 16), (18, 12), (34, 21), (48, 30),
 ]
+
+# N = 1, a = 0 (so D = N), a >= N, huge a, and D = N with a = N
+EDGE_SET = [(1, 1), (0, 1), (0, 7), (25, 9), (10**30 + 7, 12), (12, 12), (36, 12)]
 
 
 def brute_matrix(a, N):
@@ -169,3 +174,20 @@ def test_csv_dump():
     k, j, re, im = lines[2].split(",")
     assert (k, j) == ("0", "1")
     assert abs(float(re) - 1.0) < 1e-15 and abs(float(im)) < 1e-15
+
+
+def test_circulant_build_matches_lsum_oracle():
+    for a, N in TRACE_SET + EDGE_SET:
+        U = build_propagator(Approximant(a, N))
+        assert U.a == a and U.N == N
+        assert np.max(np.abs(U.entries - propagator_lsum(a, N))) <= 1e-13, (a, N)
+
+
+def test_eigenvalue_traces_match_running_product():
+    for a, N in TRACE_SET + EDGE_SET:
+        U = build_propagator(Approximant(a, N))
+        fast = trace_powers(U, 2 * N)
+        slow = traces_running_product(U.entries, 2 * N)
+        assert len(fast) == 2 * N
+        gap = max(abs(x - y) for x, y in zip(fast, slow))
+        assert gap <= 1e-9 * N, (a, N, gap)

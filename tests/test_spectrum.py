@@ -21,6 +21,8 @@ from skewtorus.spectrum import (
     spectrum_to_csv,
 )
 
+from oracles import power_sums_fraction
+
 RANDOM_PAIRS = [(1, 1), (1, 2), (2, 4), (3, 9), (5, 10), (24, 15), (24, 16), (18, 12)]
 
 
@@ -124,6 +126,20 @@ def test_power_sums_validation():
     # n=3 turns each e^(2 pi i phi/3) into e^(2 pi i phi): 3 e^(2 pi i /3)
     assert abs(sums[2] - 3 * complex(-0.5, 3**0.5 / 2)) < 1e-12
     assert abs(sums[0]) < 1e-12
+
+
+def test_fft_power_sums_match_fraction_loop():
+    cases = [(a, N, N) for a, N in rnd_pairs(16)]
+    # n_max beyond the FFT length 6N wraps around n mod 6N
+    cases += [(1, 1, 20), (1, 3, 6 * 3 + 7), (10**30 + 7, 4, 60), (0, 5, 2 * 6 * 5 + 1)]
+    for a, N, n_max in cases:
+        spec = eigenphases(Approximant(a, N))
+        fast = power_sums(spec, n_max)
+        slow = power_sums_fraction(spec, n_max)
+        assert len(fast) == n_max
+        assert all(type(z) is complex for z in fast)
+        gap = max(abs(x - y) for x, y in zip(fast, slow))
+        assert gap <= 1e-12 * N, (a, N, n_max, gap)
 
 
 def test_spectrum_csv():
