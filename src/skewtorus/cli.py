@@ -1,9 +1,10 @@
 """Command-line surface: approximants, spectra, statistics, figure data.
 
-Every command emits machine-readable CSV (or JSON with --format json) and is
-deterministic: identical arguments produce byte-identical output.  Floating
-values always appear next to a method tag, and series values carry their
-truncation bound, so nothing approximate goes unlabeled.
+Commands emit CSV (JSON with --format json where offered; witness writes
+text, verify JSON) and are deterministic: identical arguments produce
+byte-identical output.  Floating values always appear next to a method tag,
+and series values carry their truncation bound, so nothing approximate goes
+unlabeled.
 
 Exit codes:
   0  success
@@ -19,6 +20,7 @@ single rational value such as "1", "0.25", or "7/3".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -84,12 +86,19 @@ def _parse_lgrid(text):
     return [lo + span * i / (steps - 1) for i in range(steps)]
 
 
-def _emit(args, write_fn):
-    if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            write_fn(handle)
-    else:
-        write_fn(sys.stdout)
+def _emit(args, write=None, payload=None):
+    """Write to --out or stdout: CSV through write(out), or JSON from payload().
+
+    payload is called only for --format json or a command without a write,
+    so a large CSV output never builds JSON rows.
+    """
+    as_json = write is None or getattr(args, "format", "csv") == "json"
+    target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    with target as out:
+        if as_json:
+            out.write(json.dumps(payload(), indent=2) + "\n")
+        else:
+            write(out)
 
 
 def _approximant(args):
@@ -111,54 +120,42 @@ def cmd_approx(args):
         apps = [nearest_approximant(alpha, args.N)]
     else:
         apps = approximants_with_gcd(alpha, args.D, args.count)
-
-    def write(out):
-        if args.format == "json":
-            rows = [{"a": x.a, "N": x.N, "D": x.D, "M": x.M} for x in apps]
-            out.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            out.write("a,N,D\n")
-            for x in apps:
-                out.write(f"{x.a},{x.N},{x.D}\n")
-
-    _emit(args, write)
+    _emit(
+        args,
+        lambda out: out.writelines(
+            ["a,N,D\n"] + [f"{x.a},{x.N},{x.D}\n" for x in apps]
+        ),
+        lambda: [{"a": x.a, "N": x.N, "D": x.D, "M": x.M} for x in apps],
+    )
     return 0
 
 
 def cmd_spectrum(args):
     spec = eigenphases(_approximant(args))
-
-    def write(out):
-        if args.format == "json":
-            rows = [
-                {
-                    "eta": ph.eta,
-                    "l": ph.l,
-                    "numerator": ph.value.numerator,
-                    "denominator": ph.value.denominator,
-                    "decimal": float(ph.value),
-                }
-                for ph in spec.phases
-            ]
-            out.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            spectrum_to_csv(spec, out)
-
-    _emit(args, write)
+    _emit(
+        args,
+        lambda out: spectrum_to_csv(spec, out),
+        lambda: [
+            {
+                "eta": ph.eta,
+                "l": ph.l,
+                "numerator": ph.value.numerator,
+                "denominator": ph.value.denominator,
+                "decimal": float(ph.value),
+            }
+            for ph in spec.phases
+        ],
+    )
     return 0
 
 
 def cmd_spacing(args):
     dist = spacings(eigenphases(_approximant(args)))
-
-    def write(out):
-        if args.format == "json":
-            rows = [{"s": str(s), "weight": str(w)} for s, w in dist.atoms]
-            out.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            spacing_to_csv(dist, out)
-
-    _emit(args, write)
+    _emit(
+        args,
+        lambda out: spacing_to_csv(dist, out),
+        lambda: [{"s": str(s), "weight": str(w)} for s, w in dist.atoms],
+    )
     return 0
 
 
@@ -185,24 +182,20 @@ def cmd_numvar(args):
     if args.poisson:
         for L in Ls:
             rows.append((L, L, "poisson", D, None))
-
-    def write(out):
-        if args.format == "json":
-            payload = [
-                {
-                    "L": float(L),
-                    "value": float(v),
-                    "method": m,
-                    "D": d,
-                    "truncation_bound": None if b is None else float(b),
-                }
-                for L, v, m, d, b in rows
-            ]
-            out.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            curve_to_csv(rows, out)
-
-    _emit(args, write)
+    _emit(
+        args,
+        lambda out: curve_to_csv(rows, out),
+        lambda: [
+            {
+                "L": float(L),
+                "value": float(v),
+                "method": m,
+                "D": d,
+                "truncation_bound": None if b is None else float(b),
+            }
+            for L, v, m, d, b in rows
+        ],
+    )
     return 0
 
 
@@ -254,38 +247,32 @@ def cmd_figure1(args):
         f"D9<={bounds[9]!r}; spot checks max |direct - fourier| = {spot_worst!r}"
     )
 
-    def write(out):
-        if args.format == "json":
-            payload = {
-                "meta": {
-                    "methods": {
-                        "D1": "closed-form",
-                        "D2": "closed-form",
-                        "D3": "closed-form",
-                        "D6": "closed-form",
-                        "D8": f"fourier(K={K})",
-                        "D9": f"fourier(K={K})",
-                    },
-                    "truncation_bounds": {"D8": bounds[8], "D9": bounds[9]},
-                    "spot_check_worst": spot_worst,
-                },
-                "rows": [
-                    {
-                        "L": float(L),
-                        **{f"D{D}": cols[D][i] for D in sorted(cols)},
-                    }
-                    for i, L in enumerate(Ls)
-                ],
-            }
-            out.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            out.write(f"# {meta}\n")
-            out.write("L,D1,D2,D3,D6,D8,D9\n")
-            for i, L in enumerate(Ls):
-                vals = ",".join(repr(cols[D][i]) for D in (1, 2, 3, 6, 8, 9))
-                out.write(f"{float(L)!r},{vals}\n")
+    def write_csv(out):
+        out.write(f"# {meta}\n")
+        out.write("L,D1,D2,D3,D6,D8,D9\n")
+        for i, L in enumerate(Ls):
+            vals = ",".join(repr(cols[D][i]) for D in (1, 2, 3, 6, 8, 9))
+            out.write(f"{float(L)!r},{vals}\n")
 
-    _emit(args, write)
+    _emit(
+        args,
+        write_csv,
+        lambda: {
+            "meta": {
+                "methods": {f"D{D}": "closed-form" for D in FIGURE_DS_CLOSED}
+                | {f"D{D}": f"fourier(K={K})" for D in FIGURE_DS_FOURIER},
+                "truncation_bounds": {f"D{D}": b for D, b in bounds.items()},
+                "spot_check_worst": spot_worst,
+            },
+            "rows": [
+                {
+                    "L": float(L),
+                    **{f"D{D}": cols[D][i] for D in sorted(cols)},
+                }
+                for i, L in enumerate(Ls)
+            ],
+        },
+    )
     return 0
 
 
@@ -297,22 +284,13 @@ def cmd_orbit(args):
         lo, hi = bracket(parse_alpha(args.alpha))
         alpha_val = float((lo + hi) / 2)
     pts = orbit(TorusPoint(args.p, args.q), alpha_val, args.T)
-
-    def write(out):
-        orbit_to_csv(pts, out)
-
-    _emit(args, write)
+    _emit(args, lambda out: orbit_to_csv(pts, out))
     return 0
 
 
 def cmd_witness(args):
     wit = divergence_witness(parse_alpha(args.alpha), args.count)
-
-    def write(out):
-        for line in wit.lines():
-            out.write(line + "\n")
-
-    _emit(args, write)
+    _emit(args, lambda out: out.writelines(line + "\n" for line in wit.lines()))
     if not (wit.all_rigid_match and wit.all_three_atom_match and wit.laws_distinct):
         print("FAIL: divergence witness inconsistent", file=sys.stderr)
         return 1
@@ -383,11 +361,7 @@ def cmd_verify(args):
 
     ok = all(c["ok"] for c in checks)
     report = {"a": app.a, "N": N, "D": D, "M": M, "ok": ok, "checks": checks}
-
-    def write(out):
-        out.write(json.dumps(report, indent=2) + "\n")
-
-    _emit(args, write)
+    _emit(args, payload=lambda: report)
     if not ok:
         for c in checks:
             if not c["ok"]:
@@ -404,11 +378,13 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, alpha=True, json_form=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--alpha", default="golden", help="golden, sqrt2, or cf:1,2,2,2")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if alpha:
+            p.add_argument("--alpha", default="golden", help="golden, sqrt2, or cf:1,2,2,2")
+        if json_form:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         return p
 
@@ -436,19 +412,28 @@ def _build_parser():
     p.add_argument("--K", type=int, default=10_000, help="series truncation order")
     p.add_argument("--poisson", action="store_true", help="append Sigma^2 = L rows")
 
-    p = add("figure1", cmd_figure1, "six number-variance curves, one column per D")
+    p = add(
+        "figure1", cmd_figure1, "six number-variance curves, one column per D",
+        alpha=False,
+    )
     p.add_argument("--L", default="0:9:451", help="L grid (default 0:9:451)")
     p.add_argument("--K", type=int, default=10_000, help="series truncation order")
 
-    p = add("witness", cmd_witness, "two approximant families, two spacing laws")
+    p = add(
+        "witness", cmd_witness, "two approximant families, two spacing laws",
+        json_form=False,
+    )
     p.add_argument("--count", type=int, default=3, help="members per family")
 
-    p = add("orbit", cmd_orbit, "classical orbit CSV t,p,q")
+    p = add("orbit", cmd_orbit, "classical orbit CSV t,p,q", json_form=False)
     p.add_argument("--p", type=float, default=0.0)
     p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--T", type=int, default=1000)
 
-    p = add("verify", cmd_verify, "cross-method consistency suite, JSON report")
+    p = add(
+        "verify", cmd_verify, "cross-method consistency suite, JSON report",
+        json_form=False,
+    )
     p.add_argument("--N", type=int, help="dimension N")
     p.add_argument("--a", type=int, help="use (a, N) directly instead of --alpha")
     p.add_argument("--K", type=int, default=2000, help="fourier order for the check")

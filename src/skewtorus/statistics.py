@@ -11,7 +11,8 @@ is computed three ways that must agree:
                  rational arithmetic, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
-                 truncated at K with the tail bound reported alongside;
+                 truncated at K; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
+                 by convexity of 1/x^2, and that bound is reported alongside;
   closed-form    for D in {1, 2}: {L} - {L}^2, and for D in {3, 6}:
                  -8/9 + 5 F(L/3) + 2 F((L-2)/3) + 2 F((L+2)/3),
                  F(x) = {x} - {x}^2.
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import polygamma
 
 from .diophantine import approximants_with_gcd
 from .spectrum import eigenphases
@@ -51,15 +51,6 @@ DEFAULT_FOURIER_K = 10_000
 
 class UnsupportedClosedFormError(ValueError):
     """No closed form is implemented for this D."""
-
-
-def _as_rational(x):
-    """Exact Fraction view of x (floats convert exactly, not by rounding)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -106,13 +97,15 @@ def spacing_distribution_closed(D):
     return SpacingDistribution(atoms, source="closed-form-D")
 
 
+def _count(vals, N, phi):
+    """Levels in [0, phi) of the N-periodic extension of sorted values vals."""
+    whole, rem = divmod(phi, N)
+    return whole * N + bisect_left(vals, rem)
+
+
 def counting_function(spec, phi):
     """Levels in [0, phi) of the N-periodically extended spectrum, exact."""
-    phi = _as_rational(phi)
-    N = spec.N
-    whole = phi // N
-    rem = phi - whole * N
-    return whole * N + bisect_left(spec.values, rem)
+    return _count(spec.values, spec.N, Fraction(phi))
 
 
 def number_variance_direct(spec, L):
@@ -122,7 +115,7 @@ def number_variance_direct(spec, L):
     with breakpoints where a level enters or leaves the window, so the
     integral is a finite sum of segment length times squared defect.
     """
-    L = _as_rational(L)
+    L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
     N = spec.N
@@ -137,7 +130,7 @@ def number_variance_direct(spec, L):
         if hi == lo:
             continue
         mid = (lo + hi) / 2
-        c = counting_function(spec, mid + L) - counting_function(spec, mid)
+        c = _count(vals, N, mid + L) - _count(vals, N, mid)
         acc += (hi - lo) * (c - L) ** 2
     return acc / N
 
@@ -154,12 +147,21 @@ def gauss_sum(D, k):
     return sum(c * cmath.exp(-2j * math.pi * r / D) for r, c in counts.items())
 
 
+def _tail_bound(D, K):
+    """2 D^2 / (pi^2 (K + 1/2)); never above 2 D^2 / (pi^2 K), also in floats."""
+    return 2 * D * D / (math.pi**2 * (K + 0.5))
+
+
 def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     """Truncated Gauss-sum series for Sigma^2_D(L); returns (value, bound).
 
     value = (2/pi^2) sum_{k=1}^{K} sin^2(k pi L / D) |S_D(k)|^2 / k^2.
-    bound = (2/pi^2) D^2 sum_{k>K} 1/k^2, the exact tail via the trigamma
-    function (at most 2 D^2 / (pi^2 K)).
+    bound = 2 D^2 / (pi^2 (K + 1/2)) certifies the omitted tail: its terms
+    have sin^2 <= 1 and |S_D(k)|^2 <= D^2, so it is at most
+    (2/pi^2) D^2 sum_{k>K} 1/k^2; and 1/x^2 is convex, so
+    1/k^2 < int_{k-1/2}^{k+1/2} dx/x^2, and these integrals over k > K sum
+    to 1/(K + 1/2).  That exceeds sum_{k>K} 1/k^2 by a relative 1/(12 K^2)
+    asymptotically.
 
     For rational L the phase k L / D mod 1 is reduced exactly with a lookup
     table of period D * denominator(L), so sin vanishes identically where it
@@ -171,7 +173,7 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
         raise ValueError("K must be >= 1")
     g2 = np.array([abs(gauss_sum(D, r)) ** 2 for r in range(D)])
     ks = np.arange(1, K + 1, dtype=np.int64)
-    Lr = _as_rational(L)
+    Lr = Fraction(L)
     P = D * Lr.denominator
     if P <= _MAX_SIN_TABLE:
         num = Lr.numerator % P
@@ -180,8 +182,7 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     else:
         sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
     value = (2 / math.pi**2) * float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
-    bound = (2 / math.pi**2) * D * D * float(polygamma(1, K + 1))
-    return value, bound
+    return value, _tail_bound(D, K)
 
 
 def number_variance_closed(D, L):

@@ -233,3 +233,51 @@ def test_python_m_skewtorus_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: skewtorus")
+
+
+@pytest.mark.parametrize(
+    "argv, code, usage",
+    [
+        # options a command does not act on are not registered for it
+        ("orbit --format json", 2, True),
+        ("witness --format json", 2, True),
+        ("verify --format csv --a 3 --N 9", 2, True),
+        ("figure1 --alpha sqrt2", 2, True),
+        # malformed input from the classes the cli docstring lists
+        ("numvar --method fourier --L 1", 2, False),
+        ("numvar --D 3 --L 1 --method fourier --K 0", 2, False),
+        ("numvar --D 3 --L 1/0", 4, False),
+        ("spectrum --N 0", 2, False),
+    ],
+)
+def test_exit_code_table(capsys, argv, code, usage):
+    if usage:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == code
+    else:
+        assert cli.main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err
+
+
+def test_runs_without_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from skewtorus import cli\n"
+        "assert cli.main(['numvar', '--D', '8', '--L', '1/2', '--method', 'fourier',"
+        " '--K', '1000']) == 0\n"
+        "assert cli.main(['figure1', '--L', '0:9:10']) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

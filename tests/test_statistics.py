@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import ceil, lcm
 
+import mpmath
 import pytest
 
 from skewtorus.diophantine import Approximant, golden, sqrt2
@@ -26,6 +27,7 @@ from skewtorus.statistics import (
     number_variance_closed,
     number_variance_direct,
     number_variance_fourier,
+    _tail_bound,
     spacing_distribution_closed,
     spacing_to_csv,
     spacings,
@@ -222,6 +224,27 @@ def test_fourier_bound_shrinks():
     _, b1 = number_variance_fourier(3, Fraction(1, 2), 100)
     _, b2 = number_variance_fourier(3, Fraction(1, 2), 1000)
     assert 0 < b2 < b1
+
+
+def test_fourier_tail_bound_certified_and_tight():
+    """(2 D^2/pi^2) psi_1(K+1) <= bound <= 2 D^2/(pi^2 K), within 1/K^2.
+
+    psi_1(K+1) = sum_{k>K} 1/k^2 is the exact tail, from mpmath at 50
+    digits.  The range covered is K <= 10^7: the bound's slack over the
+    exact tail is a relative 1/(12 K^2), which beyond K ~ 10^8 is smaller
+    than the float rounding of the bound itself, and the fourier route's
+    K-length arrays make such K impractical anyway.
+    """
+    with mpmath.workdps(50):
+        for K in (1, 2, 10, 2000, 10**4, 10**5, 10**7):
+            tail = mpmath.psi(1, K + 1)
+            for D in (1, 2, 3, 8, 9, 12):
+                bound = _tail_bound(D, K)
+                exact = 2 * D * D * tail / mpmath.pi**2
+                assert exact <= bound <= 2 * D * D / (math.pi**2 * K), (D, K)
+                assert bound / exact - 1 < mpmath.mpf(1) / K**2, (D, K)
+                if K <= 10**5:
+                    assert number_variance_fourier(D, Fraction(1, 2), K)[1] == bound
 
 
 def test_fourier_float_fallback_path():
