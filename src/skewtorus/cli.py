@@ -14,7 +14,8 @@ Exit codes:
   4  invalid L grid
 
 The L grid syntax is "min:max:steps" (steps >= 2, max > min >= 0), or a
-single rational value such as "1", "0.25", or "7/3".
+single rational value such as "1", "0.25", or "7/3".  L is written out as a
+float, so a value beyond the float range is an invalid grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .propagator import (
     trace_powers,
     unitarity_defect,
 )
-from .spectrum import eigenphases, power_sums, spectrum_to_csv
+from .spectrum import (
+    SPECTRUM_FIELDS,
+    eigenphases,
+    power_sums,
+    spectrum_rows,
+    spectrum_to_csv,
+)
 from .statistics import (
     UnsupportedClosedFormError,
     curve_to_csv,
@@ -76,6 +83,11 @@ def _parse_lgrid(text):
             lo, hi, steps = Fraction(text), None, None
     except (ValueError, ZeroDivisionError, TypeError):
         raise GridError(f"cannot parse L grid {text!r}") from None
+    try:
+        # every L is written as a float, and the largest is the last one
+        float(lo if hi is None else hi)
+    except OverflowError:
+        raise GridError(f"L grid {text!r} exceeds the float range") from None
     if hi is None:
         if lo < 0:
             raise GridError(f"L must be >= 0, got {text!r}")
@@ -93,7 +105,10 @@ def _emit(args, write=None, payload=None):
     so a large CSV output never builds JSON rows.
     """
     as_json = write is None or getattr(args, "format", "csv") == "json"
-    target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    try:
+        target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     with target as out:
         if as_json:
             out.write(json.dumps(payload(), indent=2) + "\n")
@@ -135,16 +150,7 @@ def cmd_spectrum(args):
     _emit(
         args,
         lambda out: spectrum_to_csv(spec, out),
-        lambda: [
-            {
-                "eta": ph.eta,
-                "l": ph.l,
-                "numerator": ph.value.numerator,
-                "denominator": ph.value.denominator,
-                "decimal": float(ph.value),
-            }
-            for ph in spec.phases
-        ],
+        lambda: [dict(zip(SPECTRUM_FIELDS, row)) for row in spectrum_rows(spec)],
     )
     return 0
 

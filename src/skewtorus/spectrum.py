@@ -6,10 +6,12 @@ eigenphases are
     phi_{eta,l} = l*D - eta^2 + eta*a - a^2 (M-1)(2M-1)/6   (mod N),
 
 eta = 1..D, l = 0..M-1, reduced into [0, N).  They are rationals whose
-denominator divides 6, so the whole spectrum is held exactly.  Because the
-l-dependence is an additive shift by D, the spectrum is periodic with
-period D, and its gap structure is that of the reduced spectrum
-{-eta^2 mod D} repeated M times.
+denominator divides 6, so the spectrum is held exactly as the integers
+t = 6 phi in [0, 6N): three int64 arrays t, eta and l, 24 bytes per level,
+sorted by (t, eta, l).  Fractions are built only by the on-demand views
+Spectrum.values and Spectrum.phases.  Because the l-dependence is an
+additive shift by D, the spectrum is periodic with period D, and its gap
+structure is that of the reduced spectrum {-eta^2 mod D} repeated M times.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ class Eigenphase:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted multiset of the N eigenphases of one approximant."""
+    """Sorted multiset of the N eigenphases of one approximant.
+
+    t holds 6 phi as int64 in [0, 6N), ascending; eta and l are the int64
+    labels of each level.  Ties in t are ordered by (eta, l).
+    """
 
     app: Approximant
-    phases: tuple
+    t: np.ndarray
+    eta: np.ndarray
+    l: np.ndarray
 
     @property
     def N(self):
@@ -46,20 +54,35 @@ class Spectrum:
     @property
     def values(self):
         """Sorted eigenphase values with multiplicity, as Fractions."""
-        return [ph.value for ph in self.phases]
+        return [Fraction(t, 6) for t in self.t.tolist()]
+
+    @property
+    def phases(self):
+        """The levels as Eigenphase records, in spectrum order."""
+        return tuple(
+            Eigenphase(eta, l, value)
+            for eta, l, value in zip(self.eta.tolist(), self.l.tolist(), self.values)
+        )
 
 
 def eigenphases(app):
-    """Exact spectrum of the approximant, sorted ascending in [0, N)."""
+    """Exact spectrum of the approximant, sorted ascending in [0, N).
+
+    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N).  The constant
+    and a are reduced mod 6N and N as Python ints, so a huge a cannot
+    overflow; every int64 intermediate stays below 6 N^2.
+    """
     a, N, D, M = app.a, app.N, app.D, app.M
-    const = Fraction(a * a * (M - 1) * (2 * M - 1), 6)
-    phases = []
-    for eta in range(1, D + 1):
-        base = Fraction(eta * a - eta * eta) - const
-        for l in range(M):
-            phases.append(Eigenphase(eta, l, (base + l * D) % N))
-    phases.sort(key=lambda ph: (ph.value, ph.eta, ph.l))
-    return Spectrum(app, tuple(phases))
+    size = 6 * N
+    const = a * a * (M - 1) * (2 * M - 1) % size
+    eta = np.arange(1, D + 1, dtype=np.int64)
+    l = np.arange(M, dtype=np.int64)
+    base = (6 * eta * (a % N - eta) - const) % size
+    t = ((base[:, None] + 6 * D * l[None, :]) % size).ravel()
+    eta = np.repeat(eta, M)
+    l = np.tile(l, D)
+    order = np.lexsort((l, eta, t))
+    return Spectrum(app, t[order], eta[order], l[order])
 
 
 @dataclass(frozen=True)
@@ -93,14 +116,31 @@ def power_sums(spec, n_max):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     size = 6 * spec.N
-    t = [int(6 * ph.value) for ph in spec.phases]
-    sums = size * np.fft.ifft(np.bincount(t, minlength=size))
+    sums = size * np.fft.ifft(np.bincount(spec.t, minlength=size))
     return sums[np.arange(1, n_max + 1) % size].tolist()
+
+
+SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")
+
+
+def spectrum_rows(spec):
+    """Rows (eta, l, numerator, denominator, decimal) of Python scalars.
+
+    phi = t/6 in lowest terms is (t/g)/(6/g) with g = gcd(t, 6).  The decimal
+    t/6 is one correctly rounded float division of two exactly representable
+    integers, so it equals float(Fraction(t, 6)).
+    """
+    g = np.gcd(spec.t, 6)
+    return zip(
+        spec.eta.tolist(),
+        spec.l.tolist(),
+        (spec.t // g).tolist(),
+        (6 // g).tolist(),
+        (spec.t / 6).tolist(),
+    )
 
 
 def spectrum_to_csv(spec, out):
     """Write rows "eta,l,numerator,denominator,decimal" to a file object."""
-    out.write("eta,l,numerator,denominator,decimal\n")
-    for ph in spec.phases:
-        v = ph.value
-        out.write(f"{ph.eta},{ph.l},{v.numerator},{v.denominator},{float(v)!r}\n")
+    out.write(",".join(SPECTRUM_FIELDS) + "\n")
+    out.writelines(f"{e},{l},{n},{d},{x!r}\n" for e, l, n, d, x in spectrum_rows(spec))

@@ -1,14 +1,16 @@
 """Spectral statistics: level spacings and number variance by three routes.
 
-Everything here works on the exact rational spectra of module `spectrum`.
-The number variance
+Everything here works on the exact spectra of module `spectrum`, held as
+the integers t = 6 phi.  The number variance
 
     Sigma^2(L) = (1/N) int_0^N (Ncal(phi + L) - Ncal(phi) - L)^2 dphi
 
 is computed three ways that must agree:
 
-  direct-exact   event sweep over the piecewise-constant integrand, exact
-                 rational arithmetic, no tolerance at all;
+  direct-exact   one sorted sweep over the 2N enter/leave events of the
+                 piecewise-constant integrand, on integer event positions
+                 plus one rational offset; O(N log N), exact Fraction result,
+                 no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  truncated at K; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
@@ -24,15 +26,14 @@ in print fails that gate and is rejected by the acceptance tests.
 
 Spacing distributions are exact atom lists; the circular convention closes
 the spectrum with the wrap gap phi_0 + N - phi_{N-1}, so the N spacings are
-nonnegative and sum to N.  Degenerate eigenphases contribute genuine atoms
-at s = 0.
+nonnegative and sum to N.  They are counted as integer gaps of t.
+Degenerate eigenphases contribute genuine atoms at s = 0.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,14 +75,16 @@ class SpacingDistribution:
 
 def spacings(spec):
     """Empirical circular spacing law of a spectrum, as exact atoms."""
-    vals = spec.values
-    if not vals:
+    t = spec.t
+    if not len(t):
         raise ValueError("empty spectrum")
     N = spec.N
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    gaps.append(vals[0] + N - vals[-1])
-    counts = Counter(gaps)
-    atoms = tuple((s, Fraction(c, N)) for s, c in sorted(counts.items()))
+    gaps = np.append(np.diff(t), t[0] + 6 * N - t[-1])
+    sixths, counts = np.unique(gaps, return_counts=True)
+    atoms = tuple(
+        (Fraction(s, 6), Fraction(c, N))
+        for s, c in zip(sixths.tolist(), counts.tolist())
+    )
     return SpacingDistribution(atoms, source="empirical")
 
 
@@ -97,42 +100,61 @@ def spacing_distribution_closed(D):
     return SpacingDistribution(atoms, source="closed-form-D")
 
 
-def _count(vals, N, phi):
-    """Levels in [0, phi) of the N-periodic extension of sorted values vals."""
-    whole, rem = divmod(phi, N)
-    return whole * N + bisect_left(vals, rem)
-
-
 def counting_function(spec, phi):
     """Levels in [0, phi) of the N-periodically extended spectrum, exact."""
-    return _count(spec.values, spec.N, Fraction(phi))
+    whole, rem = divmod(Fraction(phi), spec.N)
+    # t < 6 rem  <=>  t < ceil(6 rem) for integer t
+    return whole * spec.N + int(np.searchsorted(spec.t, math.ceil(6 * rem)))
 
 
 def number_variance_direct(spec, L):
     """Exact number variance of one spectrum at window length L.
 
-    The integrand (count in [phi, phi+L) minus L)^2 is piecewise constant
-    with breakpoints where a level enters or leaves the window, so the
-    integral is a finite sum of segment length times squared defect.
+    In units u = 6 phi the levels sit at the integers t_j on a circle of
+    length S = 6N.  A window of length L = k N + R (0 <= R < N) holds k N
+    levels plus the n(u) levels in [u, u + 6R), so the integrand is
+    (n(u) - R)^2.  Level j is in the window for u in (t_j - 6R, t_j]: n(u)
+    steps down just after t_j and up just after t_j - 6R.  With R = p/q and
+    6R = shift + rem/q, that enter point is the integer
+    (t_j - shift - 1) mod S plus the offset (q - rem)/q when rem > 0, and
+    the integer (t_j - shift) mod S when rem = 0.  One sort of the 2N events
+    by (integer, has offset) orders them; np.diff gives each segment's length
+    as an integer plus -1, 0 or 1 offsets, and np.cumsum its count.  The
+    lengths are summed per count value in int64 (every sum is at most 6N),
+    and the squared defects are weighted in Python ints, so the result is an
+    exact Fraction for any rational L, with no float on the way.
     """
     L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
-    N = spec.N
-    vals = spec.values
-    bps = {Fraction(0)}
-    bps.update(vals)
-    bps.update((v - L) % N for v in vals)
-    cuts = sorted(bps)
-    cuts.append(Fraction(N))
-    acc = Fraction(0)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi == lo:
-            continue
-        mid = (lo + hi) / 2
-        c = _count(vals, N, mid + L) - _count(vals, N, mid)
-        acc += (hi - lo) * (c - L) ** 2
-    return acc / N
+    N, t = spec.N, spec.t
+    S = 6 * N
+    R = L % N
+    p, q = R.numerator, R.denominator
+    shift, rem = divmod(6 * p, q)
+    flag = int(rem > 0)
+    pos = np.concatenate(((t - (shift + flag)) % S, t))
+    flags = np.repeat(np.array([flag, 0], dtype=np.int64), N)
+    steps = np.repeat(np.array([1, -1], dtype=np.int64), N)
+    order = np.argsort(2 * pos + flags)
+    seg_int = np.diff(pos[order], prepend=0, append=S)
+    seg_flag = np.diff(flags[order], prepend=0, append=0)
+    # count on [0, first event): levels with t_j < 6R
+    start = int(np.searchsorted(t, shift + flag))
+    counts = start + np.concatenate(([0], np.cumsum(steps[order])))
+    low = int(counts.min())
+    size = int(counts.max()) - low + 1
+    int_len = np.zeros(size, dtype=np.int64)
+    flag_len = np.zeros(size, dtype=np.int64)
+    np.add.at(int_len, counts - low, seg_int)
+    np.add.at(flag_len, counts - low, seg_flag)
+    # q * length = q * int + (q - rem) * offsets, and (n - R)^2 = (n q - p)^2 / q^2
+    w = q - rem
+    total = 0
+    for n, a, f in zip(range(low, low + size), int_len.tolist(), flag_len.tolist()):
+        if a or f:
+            total += (a * q + f * w) * (n * q - p) ** 2
+    return Fraction(total, q**3 * S)
 
 
 def gauss_sum(D, k):

@@ -1,17 +1,35 @@
 """Brute-force reference implementations for small N.
 
-These are the direct, unstructured routes: the l-sum that defines the
-propagator entries (O(N^3)), traces of powers from one running matrix product
-(O(N^4) for n up to 2N), and eigenvalue power sums from one Fraction-reduced
-exponential per level and per n (O(N n_max)).  The library computes the same
-quantities through the diagonal-times-circulant factorisation, one eigenvalue
-solve and one FFT over the integer phases; the tests compare the two.
+These are the direct, unstructured routes: the eigenphase formula evaluated
+with one Fraction per level, the l-sum that defines the propagator entries
+(O(N^3)), traces of powers from one running matrix product (O(N^4) for n up
+to 2N), eigenvalue power sums from one Fraction-reduced exponential per level
+and per n (O(N n_max)), and the number variance by an event sweep over
+Fraction breakpoints with one bisection count per segment (O(N^2 log N)).
+The library computes the same quantities through integer phases 6 phi in
+int64 arrays, the diagonal-times-circulant factorisation, one eigenvalue
+solve, one FFT over the integer phases and one sorted integer event sweep;
+the tests compare the two.
 """
 
 import cmath
 import math
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
+
+
+def eigenphases_fraction(app):
+    """[(value, eta, l)] from the eigenphase formula in Fractions, sorted."""
+    a, N, D, M = app.a, app.N, app.D, app.M
+    const = Fraction(a * a * (M - 1) * (2 * M - 1), 6)
+    rows = []
+    for eta in range(1, D + 1):
+        base = Fraction(eta * a - eta * eta) - const
+        for l in range(M):
+            rows.append(((base + l * D) % N, eta, l))
+    return sorted(rows)
 
 
 def propagator_lsum(a, N):
@@ -48,3 +66,34 @@ def power_sums_fraction(spec, n_max):
             s += cmath.exp(2j * math.pi * float((n * v / N) % 1))
         out.append(s)
     return out
+
+
+def _count(vals, N, phi):
+    """Levels in [0, phi) of the N-periodic extension of sorted values vals."""
+    whole, rem = divmod(phi, N)
+    return whole * N + bisect_left(vals, rem)
+
+
+def number_variance_events(spec, L):
+    """Sigma^2(L) by a sweep over the sorted Fraction breakpoints.
+
+    The integrand (count in [phi, phi+L) minus L)^2 is piecewise constant
+    with breakpoints where a level enters or leaves the window; each segment
+    is counted at its midpoint.
+    """
+    L = Fraction(L)
+    N = spec.N
+    vals = spec.values
+    bps = {Fraction(0)}
+    bps.update(vals)
+    bps.update((v - L) % N for v in vals)
+    cuts = sorted(bps)
+    cuts.append(Fraction(N))
+    acc = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi == lo:
+            continue
+        mid = (lo + hi) / 2
+        c = _count(vals, N, mid + L) - _count(vals, N, mid)
+        acc += (hi - lo) * (c - L) ** 2
+    return acc / N

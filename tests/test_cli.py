@@ -247,6 +247,8 @@ def test_python_m_skewtorus_help():
         ("numvar --method fourier --L 1", 2, False),
         ("numvar --D 3 --L 1 --method fourier --K 0", 2, False),
         ("numvar --D 3 --L 1/0", 4, False),
+        ("numvar --method direct --a 3 --N 9 --L 1e400", 4, False),
+        ("numvar --D 1 --method closed --L 0:1e400:3", 4, False),
         ("spectrum --N 0", 2, False),
     ],
 )
@@ -259,6 +261,16 @@ def test_exit_code_table(capsys, argv, code, usage):
         assert cli.main(argv.split()) == code
     out, err = capsys.readouterr()
     assert out == "" and err
+
+
+@pytest.mark.parametrize("name", ["missing/x.csv", "."])
+def test_unwritable_out_is_bad_input(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert cli.main(["spectrum", "--a", "3", "--N", "9", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert captured.err.count("\n") == 1
 
 
 def test_runs_without_scipy():

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skewtorus.diophantine import Approximant
@@ -21,7 +22,7 @@ from skewtorus.spectrum import (
     spectrum_to_csv,
 )
 
-from oracles import power_sums_fraction
+from oracles import eigenphases_fraction, power_sums_fraction
 
 RANDOM_PAIRS = [(1, 1), (1, 2), (2, 4), (3, 9), (5, 10), (24, 15), (24, 16), (18, 12)]
 
@@ -151,3 +152,20 @@ def test_spectrum_csv():
         "1,0,4,3,1.3333333333333333\n"
         "1,1,7,3,2.3333333333333335\n"
     )
+
+
+def test_integer_spectrum_matches_fraction_build():
+    pairs = rnd_pairs(24) + [(0, 1), (0, 7), (10**30 + 7, 9), (10**30 + 7, 1), (12, 12)]
+    pairs += [(2584, 1597), (3016, 1864)]
+    for a, N in pairs:
+        app = Approximant(a, N)
+        spec = eigenphases(app)
+        assert all(arr.dtype == np.int64 for arr in (spec.t, spec.eta, spec.l))
+        want = eigenphases_fraction(app)
+        assert [(ph.value, ph.eta, ph.l) for ph in spec.phases] == want, (a, N)
+        buf = io.StringIO()
+        spectrum_to_csv(spec, buf)
+        rows = [
+            f"{eta},{l},{v.numerator},{v.denominator},{float(v)!r}" for v, eta, l in want
+        ]
+        assert buf.getvalue().splitlines()[1:] == rows, (a, N)

@@ -9,10 +9,12 @@ import io
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, lcm
 
 import mpmath
+import numpy as np
 import pytest
 
 from skewtorus.diophantine import Approximant, golden, sqrt2
@@ -32,6 +34,8 @@ from skewtorus.statistics import (
     spacing_to_csv,
     spacings,
 )
+
+from oracles import number_variance_events
 
 D_PAIRS = {
     1: [(1, 3), (8, 5)],
@@ -90,8 +94,9 @@ def test_spacings_weights_and_total():
 
 
 def test_spacings_empty_spectrum():
+    empty = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError):
-        spacings(Spectrum(Approximant(1, 1), ()))
+        spacings(Spectrum(Approximant(1, 1), empty, empty, empty))
 
 
 def test_spacing_closed_forms():
@@ -147,6 +152,55 @@ def test_number_variance_direct_vs_oracle():
     for a, N, L in cases:
         spec = eigenphases(Approximant(a, N))
         assert number_variance_direct(spec, L) == oracle_number_variance(spec, L)
+
+
+def robustness_pairs(count=40, seed=4):
+    """(a, N) with N <= 200: the listed edge cases, then seeded random pairs."""
+    pairs = [
+        (0, 1), (5, 1), (1, 3), (3, 6),  # N = 1 and the smallest N
+        (0, 6), (0, 7), (12, 12), (30, 15),  # a = 0, D = N
+        (10**30 + 7, 8), (10**30 + 7, 200),  # huge a
+        (7, 7), (14, 49), (26, 39), (11, 121),  # prime D, a >= N
+        (12, 18), (20, 30), (24, 36), (40, 100),  # composite D
+        (1, 200), (3, 197), (199, 197),
+    ]
+    rnd = random.Random(seed)
+    while len(pairs) < count:
+        N = rnd.randint(1, 200)
+        pairs.append((rnd.choice([0, rnd.randint(1, N), rnd.randint(N, 3 * N)]), N))
+    return pairs
+
+
+def robustness_ls(N, rnd):
+    """L = 0, L >= N, a huge denominator, and seeded random rationals."""
+    return [
+        Fraction(0),
+        Fraction(N),
+        Fraction(3 * N) + Fraction(7, 2),
+        Fraction(1, 10**20) + 1,
+        Fraction(N) - Fraction(1, 10**20),
+        Fraction(rnd.randint(0, 6 * N), rnd.choice([1, 2, 3, 5, 7, 12])),
+        Fraction(rnd.randint(0, 4 * N), rnd.randint(1, 40)),
+    ]
+
+
+def test_randomized_sweep_and_spacing_cross_check():
+    rnd = random.Random(17)
+    for a, N in robustness_pairs():
+        app = Approximant(a, N)
+        spec = eigenphases(app)
+        for L in robustness_ls(N, rnd):
+            value = number_variance_direct(spec, L)
+            assert type(value) is Fraction
+            assert value == number_variance_events(spec, L), (a, N, L)
+            if app.D in (1, 2, 3, 6):
+                assert value == number_variance_closed(app.D, L), (a, N, L)
+            if N <= 6 and L.denominator <= 2:
+                assert value == oracle_number_variance(spec, L), (a, N, L)
+        vals = spec.values
+        gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + N - vals[-1]]
+        want = tuple((s, Fraction(c, N)) for s, c in sorted(Counter(gaps).items()))
+        assert spacings(spec).atoms == want, (a, N)
 
 
 def test_number_variance_symmetry():
