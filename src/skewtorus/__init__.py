@@ -39,7 +39,6 @@ from .spectrum import (
 from .propagator import (
     Propagator,
     build_propagator,
-    propagator_to_csv,
     trace_power_analytic,
     trace_power_numeric,
     trace_powers,
@@ -96,7 +95,6 @@ __all__ = [
     "orbit_to_csv",
     "parse_alpha",
     "power_sums",
-    "propagator_to_csv",
     "reduced_spectrum",
     "spacing_distribution_closed",
     "spacing_to_csv",

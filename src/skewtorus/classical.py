@@ -40,6 +40,8 @@ def orbit(pt0, alpha, T):
     """The first T points of the orbit, starting at pt0."""
     if T < 1:
         raise ValueError("T must be >= 1")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     pts = [pt0]
     for _ in range(T - 1):
         pts.append(step(pts[-1], alpha))

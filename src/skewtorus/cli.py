@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ from .spectrum import (
     spectrum_to_csv,
 )
 from .statistics import (
+    DEFAULT_FOURIER_K,
     UnsupportedClosedFormError,
     curve_to_csv,
     divergence_witness,
@@ -67,6 +69,8 @@ FIGURE_DS_FOURIER = (8, 9)
 # any (a, N) with the right gcd works since the statistics depend only on D.
 FIGURE_SPOT_APPS = {8: (24, 16), 9: (90, 63)}
 FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
+# Series order of verify's fourier check; its tail bound is the tolerance.
+VERIFY_FOURIER_K = 2000
 
 
 class GridError(ValueError):
@@ -285,11 +289,15 @@ def cmd_figure1(args):
 def cmd_orbit(args):
     # --alpha here may be a preset/cf spec or a literal number like 0.5
     try:
-        alpha_val = float(Fraction(args.alpha))
+        alpha = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):
         lo, hi = bracket(parse_alpha(args.alpha))
-        alpha_val = float((lo + hi) / 2)
-    pts = orbit(TorusPoint(args.p, args.q), alpha_val, args.T)
+        alpha = (lo + hi) / 2
+    if abs(alpha) > sys.float_info.max:
+        raise ValueError(f"--alpha {args.alpha!r} exceeds the float range")
+    if not (math.isfinite(args.p) and math.isfinite(args.q)):
+        raise ValueError("--p and --q must be finite")
+    pts = orbit(TorusPoint(args.p, args.q), float(alpha), args.T)
     _emit(args, lambda out: orbit_to_csv(pts, out))
     return 0
 
@@ -361,9 +369,9 @@ def cmd_verify(args):
     worst = 0.0
     bound = None
     for L in sample_ls:
-        v, bound = number_variance_fourier(D, L, args.K)
+        v, bound = number_variance_fourier(D, L, VERIFY_FOURIER_K)
         worst = max(worst, abs(float(direct[L]) - v))
-    record("numvar-direct-vs-fourier", worst, bound, f"K={args.K}")
+    record("numvar-direct-vs-fourier", worst, bound, f"K={VERIFY_FOURIER_K}")
 
     ok = all(c["ok"] for c in checks)
     report = {"a": app.a, "N": N, "D": D, "M": M, "ok": ok, "checks": checks}
@@ -415,7 +423,9 @@ def _build_parser():
         "--method", choices=("direct", "fourier", "closed"), default="closed"
     )
     p.add_argument("--L", required=True, help='grid "min:max:steps" or one value')
-    p.add_argument("--K", type=int, default=10_000, help="series truncation order")
+    p.add_argument(
+        "--K", type=int, default=DEFAULT_FOURIER_K, help="series truncation order"
+    )
     p.add_argument("--poisson", action="store_true", help="append Sigma^2 = L rows")
 
     p = add(
@@ -423,7 +433,9 @@ def _build_parser():
         alpha=False,
     )
     p.add_argument("--L", default="0:9:451", help="L grid (default 0:9:451)")
-    p.add_argument("--K", type=int, default=10_000, help="series truncation order")
+    p.add_argument(
+        "--K", type=int, default=DEFAULT_FOURIER_K, help="series truncation order"
+    )
 
     p = add(
         "witness", cmd_witness, "two approximant families, two spacing laws",
@@ -442,7 +454,6 @@ def _build_parser():
     )
     p.add_argument("--N", type=int, help="dimension N")
     p.add_argument("--a", type=int, help="use (a, N) directly instead of --alpha")
-    p.add_argument("--K", type=int, default=2000, help="fourier order for the check")
     p.add_argument(
         "--max-N",
         dest="max_n",

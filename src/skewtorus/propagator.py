@@ -113,11 +113,3 @@ def trace_power_analytic(app, n):
         total += cmath.exp(2j * math.pi * float(ex % 1))
     return M * total
 
-
-def propagator_to_csv(U, out):
-    """Write rows "k,j,re,im" row-major to a file object."""
-    out.write("k,j,re,im\n")
-    for k in range(U.N):
-        for j in range(U.N):
-            z = complex(U.entries[k, j])
-            out.write(f"{k},{j},{z.real!r},{z.imag!r}\n")

@@ -71,18 +71,22 @@ def eigenphases(app):
     6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N).  The constant
     and a are reduced mod 6N and N as Python ints, so a huge a cannot
     overflow; every int64 intermediate stays below 6 N^2.
+
+    Adding 1 to l moves a level one block of length 6D, so the D levels with
+    l = 0, at base = 6 D q + r, are sorted by r (ties by eta) and tiled in
+    (t, eta, l) order: block m holds t = 6 D m + r with l = (m - q) mod M.
     """
     a, N, D, M = app.a, app.N, app.D, app.M
-    size = 6 * N
+    size, block = 6 * N, 6 * D
     const = a * a * (M - 1) * (2 * M - 1) % size
     eta = np.arange(1, D + 1, dtype=np.int64)
-    l = np.arange(M, dtype=np.int64)
     base = (6 * eta * (a % N - eta) - const) % size
-    t = ((base[:, None] + 6 * D * l[None, :]) % size).ravel()
-    eta = np.repeat(eta, M)
-    l = np.tile(l, D)
-    order = np.lexsort((l, eta, t))
-    return Spectrum(app, t[order], eta[order], l[order])
+    q, r = np.divmod(base, block)
+    order = np.argsort(r, kind="stable")
+    eta, q, r = eta[order], q[order], r[order]
+    m = np.arange(M, dtype=np.int64)[:, None]
+    t = (block * m + r).ravel()
+    return Spectrum(app, t, np.tile(eta, M), ((m - q) % M).ravel())
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ the integers t = 6 phi.  The number variance
 
 is computed three ways that must agree:
 
-  direct-exact   one sorted sweep over the 2N enter/leave events of the
-                 piecewise-constant integrand, on integer event positions
-                 plus one rational offset; O(N log N), exact Fraction result,
-                 no tolerance at all;
+  direct-exact   (1/N) int n^2 - R^2 (R = L mod N, n the count in a window
+                 of length R), int n^2 summed over level pairs as the overlap
+                 of their window ranges; O(N log N) on the integer t, exact
+                 Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  truncated at K; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
@@ -112,49 +112,37 @@ def number_variance_direct(spec, L):
 
     In units u = 6 phi the levels sit at the integers t_j on a circle of
     length S = 6N.  A window of length L = k N + R (0 <= R < N) holds k N
-    levels plus the n(u) levels in [u, u + 6R), so the integrand is
-    (n(u) - R)^2.  Level j is in the window for u in (t_j - 6R, t_j]: n(u)
-    steps down just after t_j and up just after t_j - 6R.  With R = p/q and
-    6R = shift + rem/q, that enter point is the integer
-    (t_j - shift - 1) mod S plus the offset (q - rem)/q when rem > 0, and
-    the integer (t_j - shift) mod S when rem = 0.  One sort of the 2N events
-    by (integer, has offset) orders them; np.diff gives each segment's length
-    as an integer plus -1, 0 or 1 offsets, and np.cumsum its count.  The
-    lengths are summed per count value in int64 (every sum is at most 6N),
-    and the squared defects are weighted in Python ints, so the result is an
-    exact Fraction for any rational L, with no float on the way.
+    levels plus the n(u) levels in [u, u + w), w = 6R.  Each level is in
+    that window for a u-range of length w, so int n du = N w and
+    Sigma^2 = (1/S) int (n - R)^2 du = (1/S) int n^2 du - R^2.  The
+    integral of n^2 counts each level once (length w) and each pair of
+    distinct levels twice, over the overlap of their two u-ranges:
+    (w - d)+ + (w - (S - d))+ for levels a forward distance d apart.  In
+    ext = t ++ (t + S), the entries ext[k] with k >= i and
+    d = ext[k] - t_i < w meet each of these terms once (k = i is the level
+    itself), so with F the sum of w - d over them, int n^2 du = 2F - N w.
+    For integer d, d < w <=> d < ceil(w), so one searchsorted bounds every
+    range of k and one cumulative sum of ext gives its distance total.  The
+    result is an exact Fraction for any rational L, with no float.
     """
     L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
     N, t = spec.N, spec.t
-    S = 6 * N
     R = L % N
-    p, q = R.numerator, R.denominator
-    shift, rem = divmod(6 * p, q)
-    flag = int(rem > 0)
-    pos = np.concatenate(((t - (shift + flag)) % S, t))
-    flags = np.repeat(np.array([flag, 0], dtype=np.int64), N)
-    steps = np.repeat(np.array([1, -1], dtype=np.int64), N)
-    order = np.argsort(2 * pos + flags)
-    seg_int = np.diff(pos[order], prepend=0, append=S)
-    seg_flag = np.diff(flags[order], prepend=0, append=0)
-    # count on [0, first event): levels with t_j < 6R
-    start = int(np.searchsorted(t, shift + flag))
-    counts = start + np.concatenate(([0], np.cumsum(steps[order])))
-    low = int(counts.min())
-    size = int(counts.max()) - low + 1
-    int_len = np.zeros(size, dtype=np.int64)
-    flag_len = np.zeros(size, dtype=np.int64)
-    np.add.at(int_len, counts - low, seg_int)
-    np.add.at(flag_len, counts - low, seg_flag)
-    # q * length = q * int + (q - rem) * offsets, and (n - R)^2 = (n q - p)^2 / q^2
-    w = q - rem
-    total = 0
-    for n, a, f in zip(range(low, low + size), int_len.tolist(), flag_len.tolist()):
-        if a or f:
-            total += (a * q + f * w) * (n * q - p) ** 2
-    return Fraction(total, q**3 * S)
+    if not R:
+        return Fraction(0)
+    ext = np.concatenate((t, t + 6 * N))
+    csum = np.concatenate(([0], np.cumsum(ext)))
+    hi = np.searchsorted(ext, t + math.ceil(6 * R))
+    cnt = hi - np.arange(N)
+    # dist[i] = sum of the distances ext[k] - t[i] for k in [i, hi[i])
+    dist = csum[hi] - csum[:N] - cnt * t
+    # sum(dist) reaches about 6 N^3, past int64: its 32-bit halves are summed
+    # apart (each fits for N < 2^31) and joined as Python ints
+    total = (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
+    # (2F - N w) / S - R^2 with F = w sum(cnt) - total, w = 6R and S = 6N
+    return R * (2 * int(np.sum(cnt)) - N) / N - Fraction(total, 3 * N) - R * R
 
 
 def gauss_sum(D, k):
@@ -213,6 +201,8 @@ def number_variance_closed(D, L):
     Exact for rational L (Fractions in, Fraction out); D=2 coincides with
     D=1 and D=6 with D=3.  See the module docstring for the sign note.
     """
+    if D < 1:
+        raise ValueError("D must be >= 1")
     if isinstance(L, int):
         L = Fraction(L)
 

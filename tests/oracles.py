@@ -7,9 +7,9 @@ to 2N), eigenvalue power sums from one Fraction-reduced exponential per level
 and per n (O(N n_max)), and the number variance by an event sweep over
 Fraction breakpoints with one bisection count per segment (O(N^2 log N)).
 The library computes the same quantities through integer phases 6 phi in
-int64 arrays, the diagonal-times-circulant factorisation, one eigenvalue
-solve, one FFT over the integer phases and one sorted integer event sweep;
-the tests compare the two.
+int64 arrays tiled from one D-level block, the diagonal-times-circulant
+factorisation, one eigenvalue solve, one FFT over the integer phases and a
+sum of window overlaps over level pairs; the tests compare the two.
 """
 
 import cmath

@@ -50,6 +50,8 @@ def test_orbit_length_and_start():
     assert pts[1] == step(pts[0], 0.5)
     with pytest.raises(ValueError):
         orbit(TorusPoint(0, 0), 0.5, 0)
+    with pytest.raises(ValueError):
+        orbit(TorusPoint(0, 0), 0.0, 1)
 
 
 def test_step_is_grid_bijection():

@@ -250,6 +250,16 @@ def test_python_m_skewtorus_help():
         ("numvar --method direct --a 3 --N 9 --L 1e400", 4, False),
         ("numvar --D 1 --method closed --L 0:1e400:3", 4, False),
         ("spectrum --N 0", 2, False),
+        ("orbit --alpha 0 --T 1", 2, False),
+        ("orbit --alpha 1e400", 2, False),
+        ("orbit --alpha=-1e400", 2, False),
+        ("orbit --p nan", 2, False),
+        ("orbit --q inf", 2, False),
+        ("numvar --method fourier --D 0 --L 1", 2, False),
+        ("numvar --method closed --D 0 --L 1", 2, False),
+        ("numvar --method closed --D -3 --L 1", 2, False),
+        # verify's fourier order is fixed
+        ("verify --a 3 --N 9 --K 100", 2, True),
     ],
 )
 def test_exit_code_table(capsys, argv, code, usage):
@@ -261,6 +271,8 @@ def test_exit_code_table(capsys, argv, code, usage):
         assert cli.main(argv.split()) == code
     out, err = capsys.readouterr()
     assert out == "" and err
+    if not usage:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["missing/x.csv", "."])

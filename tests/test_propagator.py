@@ -6,7 +6,6 @@ compare matrix powers against the closed form at the stated tolerances.
 """
 
 import cmath
-import io
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from skewtorus.diophantine import Approximant
 from skewtorus.propagator import (
     Propagator,
     build_propagator,
-    propagator_to_csv,
     trace_power_analytic,
     trace_power_numeric,
     trace_powers,
@@ -163,17 +161,6 @@ def test_spectrum_power_sums_match_traces():
         analytic = power_sums(eigenphases(app), N)
         for n in range(1, N + 1):
             assert abs(numeric[n - 1] - analytic[n - 1]) < 1e-8 * N
-
-
-def test_csv_dump():
-    buf = io.StringIO()
-    propagator_to_csv(build_propagator(Approximant(1, 2)), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k,j,re,im"
-    assert len(lines) == 5
-    k, j, re, im = lines[2].split(",")
-    assert (k, j) == ("0", "1")
-    assert abs(float(re) - 1.0) < 1e-15 and abs(float(im)) < 1e-15
 
 
 def test_circulant_build_matches_lsum_oracle():

@@ -35,7 +35,7 @@ from skewtorus.statistics import (
     spacings,
 )
 
-from oracles import number_variance_events
+from oracles import eigenphases_fraction, number_variance_events
 
 D_PAIRS = {
     1: [(1, 3), (8, 5)],
@@ -189,6 +189,8 @@ def test_randomized_sweep_and_spacing_cross_check():
     for a, N in robustness_pairs():
         app = Approximant(a, N)
         spec = eigenphases(app)
+        phases = [(ph.value, ph.eta, ph.l) for ph in spec.phases]
+        assert phases == eigenphases_fraction(app), (a, N)
         for L in robustness_ls(N, rnd):
             value = number_variance_direct(spec, L)
             assert type(value) is Fraction
@@ -197,10 +199,21 @@ def test_randomized_sweep_and_spacing_cross_check():
                 assert value == number_variance_closed(app.D, L), (a, N, L)
             if N <= 6 and L.denominator <= 2:
                 assert value == oracle_number_variance(spec, L), (a, N, L)
+            if app.D <= 12 and L.denominator <= 40:
+                series, bound = number_variance_fourier(app.D, L, 2000)
+                assert abs(float(value) - series) <= bound, (a, N, L)
         vals = spec.values
         gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + N - vals[-1]]
         want = tuple((s, Fraction(c, N)) for s, c in sorted(Counter(gaps).items()))
         assert spacings(spec).atoms == want, (a, N)
+
+
+def test_direct_sum_exceeds_int64():
+    # D = 1; the pair-distance total is about 6 N^3 = 2e19, past int64
+    spec = eigenphases(Approximant(2427053, 1500001))
+    L = Fraction(1500001) - Fraction(1, 2)
+    value = number_variance_direct(spec, L)
+    assert value == number_variance_closed(1, L) == Fraction(1, 4)
 
 
 def test_number_variance_symmetry():
