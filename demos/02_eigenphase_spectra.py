@@ -4,7 +4,7 @@ For a rational approximant a/N with D = gcd(a, N) and M = N/D, the N
 eigenphases (in units of the mean spacing, so they live on [0, N)) are
 rational numbers known in closed form.  The whole spectrum is M equispaced
 translates of a D-point pattern, so every spectral statistic depends on D
-alone.  This script prints small spectra and the reduced D-point patterns.
+alone.  This script prints small spectra and the D-level blocks.
 """
 
 from skewtorus import Approximant, degeneracy_profile, eigenphases, reduced_spectrum
@@ -16,11 +16,11 @@ for a, N in ((1, 3), (2, 4), (3, 9), (24, 16)):
     print(f"a/N = {a}/{N}  (D={app.D}, M={app.M})")
     print(f"  phases: {vals}")
 
-print("\nreduced D-point patterns (residues of -eta^2 mod D):")
+print("\nD-level blocks: the spectrum of (a, N) = (0, D), levels -eta^2 mod D")
 for D in (1, 2, 3, 6, 8, 9):
-    rs = reduced_spectrum(D)
-    prof = degeneracy_profile(rs)
-    print(f"  D={D}: residues {rs.residues}  multiplicities {prof}")
+    block = reduced_spectrum(D)
+    levels = tuple((block.t // 6).tolist())
+    print(f"  D={D}: levels {levels}  multiplicities {degeneracy_profile(block)}")
 
 print("\nwhy D=8 is special: one residue repeats 4 times, and that")
 print("multiplicity is what inflates its number variance (see demo 04).")

@@ -9,8 +9,8 @@ cross-checked against a Fourier series over quadratic Gauss sums and against
 closed-form expressions.  All three routes are implemented and must agree.
 
 Everything hinges on D = gcd(a_N, N): the spectrum consists of M = N/D
-equispaced copies of a reduced spectrum of D residues -eta^2 mod D, so the
-statistics depend on the approximant (a_N, N) only through D.
+equispaced copies of the D-level block -eta^2 mod D (reduced_spectrum), so
+the statistics depend on the approximant (a_N, N) only through D.
 """
 
 from .diophantine import (
@@ -28,7 +28,6 @@ from .diophantine import (
 )
 from .spectrum import (
     Eigenphase,
-    ReducedSpectrum,
     Spectrum,
     degeneracy_profile,
     eigenphases,
@@ -40,7 +39,6 @@ from .propagator import (
     Propagator,
     build_propagator,
     trace_power_analytic,
-    trace_power_numeric,
     trace_powers,
     unitarity_defect,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "IrrationalAlpha",
     "PrecisionExhaustedError",
     "Propagator",
-    "ReducedSpectrum",
     "SpacingDistribution",
     "Spectrum",
     "TorusPoint",
@@ -103,7 +100,6 @@ __all__ = [
     "sqrt2",
     "step",
     "trace_power_analytic",
-    "trace_power_numeric",
     "trace_powers",
     "unitarity_defect",
     "weyl_sum",

@@ -47,6 +47,7 @@ from .spectrum import (
     SPECTRUM_FIELDS,
     eigenphases,
     power_sums,
+    reduced_spectrum,
     spectrum_rows,
     spectrum_to_csv,
 )
@@ -58,16 +59,11 @@ from .statistics import (
     number_variance_closed,
     number_variance_direct,
     number_variance_fourier,
-    spacing_distribution_closed,
     spacing_to_csv,
     spacings,
 )
 
-FIGURE_DS_CLOSED = (1, 2, 3, 6)
-FIGURE_DS_FOURIER = (8, 9)
-# Small fixed spectra used for the exact spot checks of the series columns;
-# any (a, N) with the right gcd works since the statistics depend only on D.
-FIGURE_SPOT_APPS = {8: (24, 16), 9: (90, 63)}
+FIGURE_DS = (1, 2, 3, 6, 8, 9)
 FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
 # Series order of verify's fourier check; its tail bound is the tolerance.
 VERIFY_FOURIER_K = 2000
@@ -173,11 +169,15 @@ def cmd_numvar(args):
     Ls = _parse_lgrid(args.L)
     rows = []
     if args.method == "direct":
-        app = _approximant(args)
-        spec = eigenphases(app)
+        # --D alone selects the D-level block, whose statistics are those of
+        # every (a, N) with gcd(a, N) = D
+        if args.D is not None and args.a is None and args.N is None:
+            spec = reduced_spectrum(args.D)
+        else:
+            spec = eigenphases(_approximant(args))
+        D = spec.app.D
         for L in Ls:
-            rows.append((L, number_variance_direct(spec, L), "direct-exact", app.D, None))
-        D = app.D
+            rows.append((L, number_variance_direct(spec, L), "direct-exact", D, None))
     else:
         if args.D is None:
             raise ValueError(f"--method {args.method} requires --D")
@@ -212,39 +212,29 @@ def cmd_numvar(args):
 def cmd_figure1(args):
     """Six number-variance curves on one L grid, one column per D.
 
-    D = 1, 2, 3, 6 use the exact closed forms; D = 8, 9 use the Gauss-sum
-    series with the truncation bound recorded in the header line, plus exact
-    direct-sweep spot checks on small spectra with those D.
+    Every column is the exact direct Sigma^2 of the D-level block.  For
+    D = 8, 9 the Gauss-sum series is spot-checked against it at
+    FIGURE_SPOT_LS, within the truncation bound recorded in the header.
     """
     Ls = _parse_lgrid(args.L)
     K = args.K
-    cols = {}
-    for D in FIGURE_DS_CLOSED:
-        cols[D] = [float(number_variance_closed(D, L)) for L in Ls]
-    bounds = {}
-    for D in FIGURE_DS_FOURIER:
-        vals = []
-        bound = None
-        for L in Ls:
-            v, bound = number_variance_fourier(D, L, K)
-            vals.append(v)
-        cols[D] = vals
-        bounds[D] = bound
+    blocks = {D: reduced_spectrum(D) for D in FIGURE_DS}
+    cols = {
+        D: [float(number_variance_direct(blocks[D], L)) for L in Ls] for D in FIGURE_DS
+    }
 
+    bounds = {}
     failures = []
     spot_worst = 0.0
-    for D in FIGURE_DS_FOURIER:
-        a, N = FIGURE_SPOT_APPS[D]
-        spec = eigenphases(Approximant(a, N))
+    for D in (8, 9):
         for L in FIGURE_SPOT_LS:
-            v, bound = number_variance_fourier(D, L, K)
-            exact = float(number_variance_direct(spec, L))
-            gap = abs(exact - v)
+            v, bounds[D] = number_variance_fourier(D, L, K)
+            gap = abs(float(number_variance_direct(blocks[D], L)) - v)
             spot_worst = max(spot_worst, gap)
-            if gap > bound:
+            if gap > bounds[D]:
                 failures.append(
                     f"spot check D={D} L={L}: |direct - fourier| = {gap!r} "
-                    f"exceeds bound {bound!r}"
+                    f"exceeds bound {bounds[D]!r}"
                 )
     if failures:
         for line in failures:
@@ -252,8 +242,8 @@ def cmd_figure1(args):
         return 1
 
     meta = (
-        "D1,D2,D3,D6: closed-form (exact); "
-        f"D8,D9: fourier(K={K}), truncation bound D8<={bounds[8]!r}, "
+        "D1,D2,D3,D6,D8,D9: direct-exact on the D-level block; "
+        f"fourier(K={K}) spot checks, truncation bound D8<={bounds[8]!r}, "
         f"D9<={bounds[9]!r}; spot checks max |direct - fourier| = {spot_worst!r}"
     )
 
@@ -261,7 +251,7 @@ def cmd_figure1(args):
         out.write(f"# {meta}\n")
         out.write("L,D1,D2,D3,D6,D8,D9\n")
         for i, L in enumerate(Ls):
-            vals = ",".join(repr(cols[D][i]) for D in (1, 2, 3, 6, 8, 9))
+            vals = ",".join(repr(cols[D][i]) for D in FIGURE_DS)
             out.write(f"{float(L)!r},{vals}\n")
 
     _emit(
@@ -269,15 +259,14 @@ def cmd_figure1(args):
         write_csv,
         lambda: {
             "meta": {
-                "methods": {f"D{D}": "closed-form" for D in FIGURE_DS_CLOSED}
-                | {f"D{D}": f"fourier(K={K})" for D in FIGURE_DS_FOURIER},
+                "methods": {f"D{D}": "direct-exact" for D in FIGURE_DS},
                 "truncation_bounds": {f"D{D}": b for D, b in bounds.items()},
                 "spot_check_worst": spot_worst,
             },
             "rows": [
                 {
                     "L": float(L),
-                    **{f"D{D}": cols[D][i] for D in sorted(cols)},
+                    **{f"D{D}": cols[D][i] for D in FIGURE_DS},
                 }
                 for i, L in enumerate(Ls)
             ],
@@ -297,6 +286,11 @@ def cmd_orbit(args):
         raise ValueError(f"--alpha {args.alpha!r} exceeds the float range")
     if not (math.isfinite(args.p) and math.isfinite(args.q)):
         raise ValueError("--p and --q must be finite")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    # the map depends on alpha mod 1 only; reduce the exact value into (0, 1]
+    # before the float conversion, which would drop p's digits for a large alpha
+    alpha -= math.ceil(alpha) - 1
     pts = orbit(TorusPoint(args.p, args.q), float(alpha), args.T)
     _emit(args, lambda out: orbit_to_csv(pts, out))
     return 0
@@ -344,27 +338,24 @@ def cmd_verify(args):
     worst = max(abs(sums[n - 1] - numeric[n - 1]) for n in range(1, N + 1))
     record("power-sums", worst, 1e-8 * N, f"n = 1..{N}")
 
-    emp = spacings(spec)
-    if D in (1, 2, 3):
-        want = spacing_distribution_closed(D)
-        record(
-            "spacing-law",
-            0.0 if emp.atoms == want.atoms else 1.0,
-            0.0,
-            f"empirical vs closed form, D={D}",
-        )
-    else:
-        record("spacing-law", 0.0, 0.0, f"no closed form for D={D}; skipped")
+    # every statistic of (a, N) is that of its D-level block
+    block = reduced_spectrum(D)
+    record(
+        "spacing-law",
+        0.0 if spacings(spec).atoms == spacings(block).atoms else 1.0,
+        0.0,
+        f"empirical vs D-level block, D={D}",
+    )
 
     sample_ls = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]
     direct = {L: number_variance_direct(spec, L) for L in sample_ls}
-    if D in (1, 2, 3, 6):
-        worst = max(abs(direct[L] - number_variance_closed(D, L)) for L in sample_ls)
-        record("numvar-direct-vs-closed", float(worst), 0.0, "exact rational equality")
-    else:
-        record(
-            "numvar-direct-vs-closed", 0.0, 0.0, f"no closed form for D={D}; skipped"
-        )
+    worst = max(abs(direct[L] - number_variance_direct(block, L)) for L in sample_ls)
+    record(
+        "numvar-direct-vs-closed",
+        float(worst),
+        0.0,
+        f"exact rational equality with the D-level block, D={D}",
+    )
 
     worst = 0.0
     bound = None
@@ -418,7 +409,7 @@ def _build_parser():
     p = add("numvar", cmd_numvar, "number variance: direct, fourier, or closed")
     p.add_argument("--N", type=int, help="dimension N (method direct)")
     p.add_argument("--a", type=int, help="use (a, N) directly (method direct)")
-    p.add_argument("--D", type=int, help="D for closed/fourier methods")
+    p.add_argument("--D", type=int, help="D (closed, fourier; direct: D-level block)")
     p.add_argument(
         "--method", choices=("direct", "fourier", "closed"), default="closed"
     )

@@ -68,13 +68,6 @@ def unitarity_defect(U):
     return float(np.abs(G).max())
 
 
-def trace_power_numeric(U, n):
-    """Tr(U^n) by matrix power; n = 0 returns N (identity convention)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return complex(np.trace(np.linalg.matrix_power(U.entries, n)))
-
-
 def trace_powers(U, n_max):
     """[Tr U^1, ..., Tr U^n_max] as power sums of the eigenvalues of U.
 

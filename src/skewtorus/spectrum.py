@@ -11,7 +11,8 @@ t = 6 phi in [0, 6N): three int64 arrays t, eta and l, 24 bytes per level,
 sorted by (t, eta, l).  Fractions are built only by the on-demand views
 Spectrum.values and Spectrum.phases.  Because the l-dependence is an
 additive shift by D, the spectrum is periodic with period D, and its gap
-structure is that of the reduced spectrum {-eta^2 mod D} repeated M times.
+structure is that of the D-level block {-eta^2 mod D} (reduced_spectrum)
+repeated M times.
 """
 
 from __future__ import annotations
@@ -89,23 +90,21 @@ def eigenphases(app):
     return Spectrum(app, t, np.tile(eta, M), ((m - q) % M).ravel())
 
 
-@dataclass(frozen=True)
-class ReducedSpectrum:
-    """Multiset {-eta^2 mod D : eta = 1..D}; depends on D alone."""
-
-    D: int
-    residues: tuple
-
-
 def reduced_spectrum(D):
+    """The D-level block: the spectrum of (a, N) = (0, D), with M = 1.
+
+    Its levels are t = 6 (-eta^2 mod D), sorted.  Every spectrum with
+    gcd(a, N) = D is M translates of this block, so its spacing law and its
+    number variance are the block's.
+    """
     if D < 1:
         raise ValueError("D must be >= 1")
-    return ReducedSpectrum(D, tuple(sorted((-eta * eta) % D for eta in range(1, D + 1))))
+    return eigenphases(Approximant(0, D))
 
 
-def degeneracy_profile(rs):
-    """Multiplicity of each residue, as a dict residue -> count."""
-    return dict(sorted(Counter(rs.residues).items()))
+def degeneracy_profile(spec):
+    """Multiplicity of each residue t // 6 of a D-level block, as a dict."""
+    return dict(sorted(Counter((spec.t // 6).tolist()).items()))
 
 
 def power_sums(spec, n_max):

@@ -2,19 +2,21 @@
 
 These are the direct, unstructured routes: the eigenphase formula evaluated
 with one Fraction per level, the l-sum that defines the propagator entries
-(O(N^3)), traces of powers from one running matrix product (O(N^4) for n up
-to 2N), eigenvalue power sums from one Fraction-reduced exponential per level
-and per n (O(N n_max)), and the number variance by an event sweep over
-Fraction breakpoints with one bisection count per segment (O(N^2 log N)).
-The library computes the same quantities through integer phases 6 phi in
-int64 arrays tiled from one D-level block, the diagonal-times-circulant
-factorisation, one eigenvalue solve, one FFT over the integer phases and a
-sum of window overlaps over level pairs; the tests compare the two.
+(O(N^3)), traces of powers by matrix power or from one running matrix
+product (O(N^4) for n up to 2N), eigenvalue power sums from one
+Fraction-reduced exponential per level and per n (O(N n_max)), the number
+variance by an event sweep over Fraction breakpoints with one bisection
+count per segment (O(N^2 log N)), and Sigma^2_D as the Bernoulli-B2 sum over
+pairs of D residues.  The library computes the same quantities through
+integer phases 6 phi in int64 arrays tiled from one D-level block, the
+diagonal-times-circulant factorisation, one eigenvalue solve, one FFT over
+the integer phases and a sum of window overlaps over level pairs; the tests
+compare the two.
 """
-
 import cmath
 import math
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +45,13 @@ def propagator_lsum(a, N):
         expo = (l * k - (l - ared) ** 2 - (l - ared) * j) % N
         acc += roots[expo]
     return acc / N
+
+
+def trace_power_numeric(U, n):
+    """Tr(U^n) by matrix power; n = 0 returns N (identity convention)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return complex(np.trace(np.linalg.matrix_power(U.entries, n)))
 
 
 def traces_running_product(entries, n_max):
@@ -97,3 +106,27 @@ def number_variance_events(spec, L):
         c = _count(vals, N, mid + L) - _count(vals, N, mid)
         acc += (hi - lo) * (c - L) ** 2
     return acc / N
+
+
+def _b2(x):
+    """Bernoulli polynomial B2 of the fractional part of x."""
+    x -= math.floor(x)
+    return x * x - x + Fraction(1, 6)
+
+
+def sigma2_exact(D, L):
+    """Exact Sigma^2_D(L) from the D residues r = {-eta^2 mod D}.
+
+    Summing the Gauss-sum series with sum_k cos(2 pi k y) / k^2 = pi^2 B2({y})
+    gives sum_{i,j} [B2(d/D) - B2((d + L)/D)/2 - B2((d - L)/D)/2] with
+    d = r_i - r_j, grouped here by d mod D (Berndt, Evans and Williams,
+    Gauss and Jacobi Sums).
+    """
+    L = Fraction(L)
+    r = [(-eta * eta) % D for eta in range(1, D + 1)]
+    diffs = Counter((x - y) % D for x in r for y in r)
+    total = Fraction(0)
+    for d, count in diffs.items():
+        y = Fraction(d, D)
+        total += count * (_b2(y) - (_b2(y + L / D) + _b2(y - L / D)) / 2)
+    return total

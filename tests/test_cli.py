@@ -4,11 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from skewtorus import cli
+from skewtorus.diophantine import Approximant
+from skewtorus.spectrum import eigenphases
+from skewtorus.statistics import number_variance_closed
+
+from oracles import sigma2_exact
 
 
 def run(capsys, *args):
@@ -69,6 +75,18 @@ def test_numvar_direct_single_value(capsys):
     lines = out.splitlines()
     assert lines[0] == "L,value,method,D,truncation_bound"
     assert lines[1] == "1.0,0.6666666666666666,direct-exact,3,"
+
+
+def test_numvar_direct_on_the_block(capsys):
+    # --D alone runs the D-level block: the same bytes as any (a, N) with that D
+    code, block, _ = run(capsys, "numvar", "--method", "direct", "--D", "8", "--L", "0:6:7")
+    assert code == 0
+    code, full, _ = run(
+        capsys, "numvar", "--method", "direct", "--a", "24", "--N", "16", "--L", "0:6:7"
+    )
+    assert code == 0
+    assert block == full
+    assert block.splitlines()[2] == "1.0,2.0,direct-exact,8,"
 
 
 def test_numvar_closed_grid_zeros_at_integers(capsys):
@@ -138,7 +156,7 @@ def test_figure1_columns_and_coincidences(tmp_path, capsys):
     code, _, _ = run(capsys, "figure1", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().splitlines()
-    assert lines[0].startswith("# D1,D2,D3,D6: closed-form")
+    assert lines[0].startswith("# D1,D2,D3,D6,D8,D9: direct-exact on the D-level block")
     assert lines[1] == "L,D1,D2,D3,D6,D8,D9"
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 451
@@ -163,9 +181,34 @@ def test_figure1_json_meta(capsys):
     code, out, _ = run(capsys, "figure1", "--L", "0:9:19", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["meta"]["methods"]["D8"] == "fourier(K=10000)"
+    assert set(payload["meta"]["methods"].values()) == {"direct-exact"}
     assert payload["meta"]["truncation_bounds"]["D8"] > 0
     assert len(payload["rows"]) == 19
+
+
+def test_figure1_columns_are_exact(capsys):
+    code, out, _ = run(capsys, "figure1", "--L", "0:9:46")
+    assert code == 0
+    lines = out.splitlines()
+    assert "; fourier(K=10000) spot checks, truncation bound D8<=" in lines[0]
+    for k, line in enumerate(lines[2:]):
+        L = Fraction(9 * k, 45)
+        row = [float(x) for x in line.split(",")]
+        assert row[0] == float(L)
+        for D, v in zip((1, 2, 3, 6), row[1:5]):
+            assert v == float(number_variance_closed(D, L)), (D, L)
+        for D, v in zip((1, 2, 3, 6, 8, 9), row[1:]):
+            assert v == float(sigma2_exact(D, L)), (D, L)
+
+
+def test_figure1_spot_check_failure_exits_1(capsys, monkeypatch):
+    fourier = cli.number_variance_fourier
+    monkeypatch.setattr(
+        cli, "number_variance_fourier", lambda D, L, K: (fourier(D, L, K)[0] + 0.01, 1e-3)
+    )
+    code, out, err = run(capsys, "figure1", "--L", "0:9:10")
+    assert code == 1 and out == ""
+    assert "FAIL: spot check D=8" in err
 
 
 def test_witness_reports_both_laws(capsys):
@@ -196,6 +239,46 @@ def test_verify_green(capsys):
         "numvar-direct-vs-fourier",
     ]
     assert all(c["ok"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("a, N", [(24, 16), (0, 64), (90, 63), (20, 30)])
+def test_verify_runs_every_check_for_every_d(capsys, a, N):
+    code, out, _ = run(capsys, "verify", "--a", str(a), "--N", str(N))
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not any("skipped" in c["detail"] for c in report["checks"])
+    for name in ("spacing-law", "numvar-direct-vs-closed"):
+        assert checks[name]["ok"] is True
+        assert checks[name]["residual"] == 0.0
+        assert "D-level block" in checks[name]["detail"]
+
+
+def test_verify_wrong_block_fails_spacing_law(capsys, monkeypatch):
+    # (1, 3) has the rigid law, not the three-atom law of the D = 3 block
+    monkeypatch.setattr(cli, "reduced_spectrum", lambda D: eigenphases(Approximant(1, D)))
+    code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert code == 1
+    assert "FAIL: spacing-law" in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["spacing-law"]["ok"] is False
+    assert checks["numvar-direct-vs-closed"]["ok"] is False
+
+
+def test_orbit_reduces_alpha_exactly(capsys):
+    argv = ["orbit", "--p", "0.25", "--T", "4", "--alpha"]
+    code, small, _ = run(capsys, *argv, "0.25")
+    assert code == 0
+    assert small.splitlines()[1:3] == ["0,0.25,0.0", "1,0.5,0.5"]
+    code, large, _ = run(capsys, *argv, "100000000000000000.25")
+    assert code == 0
+    assert large == small
+    # alpha is represented in (0, 1]: an integer alpha by 1, not by 0
+    for big, small in (("3", "1"), ("7/2", "1/2")):
+        want = run(capsys, "orbit", "--alpha", small, "--T", "3")
+        assert run(capsys, "orbit", "--alpha", big, "--T", "3") == want
+        assert want[0] == 0 and want[1].count("\n") == 4
 
 
 def test_verify_alpha_selection(capsys):
@@ -258,6 +341,7 @@ def test_python_m_skewtorus_help():
         ("numvar --method fourier --D 0 --L 1", 2, False),
         ("numvar --method closed --D 0 --L 1", 2, False),
         ("numvar --method closed --D -3 --L 1", 2, False),
+        ("numvar --method direct --D 0 --L 1", 2, False),
         # verify's fourier order is fixed
         ("verify --a 3 --N 9 --K 100", 2, True),
     ],

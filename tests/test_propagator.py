@@ -16,13 +16,12 @@ from skewtorus.propagator import (
     Propagator,
     build_propagator,
     trace_power_analytic,
-    trace_power_numeric,
     trace_powers,
     unitarity_defect,
 )
 from skewtorus.spectrum import eigenphases, power_sums
 
-from oracles import propagator_lsum, traces_running_product
+from oracles import propagator_lsum, trace_power_numeric, traces_running_product
 
 UNITARITY_SET = [
     (1, 1), (1, 2), (1, 3), (2, 4), (8, 5), (3, 9), (14, 10), (24, 15),

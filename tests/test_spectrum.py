@@ -1,4 +1,4 @@
-"""Exact eigenphase spectra and reduced spectra.
+"""Exact eigenphase spectra and D-level blocks.
 
 The frozen spectra below were derived by direct substitution into the
 eigenphase formula; the structural tests (periodicity, gap repetition,
@@ -68,6 +68,12 @@ def test_spectrum_periodicity():
         assert shifted == vals
 
 
+def residues(block):
+    """The block's levels -eta^2 mod D as a sorted tuple of ints."""
+    assert not (block.t % 6).any()
+    return tuple((block.t // 6).tolist())
+
+
 def circular_gaps(points, circumference):
     pts = sorted(points)
     gaps = [b - a for a, b in zip(pts, pts[1:])]
@@ -80,15 +86,19 @@ def test_gap_structure_is_reduced_spectrum_repeated():
     for a, N in rnd_pairs(24):
         app = Approximant(a, N)
         spec_gaps = circular_gaps(eigenphases(app).values, N)
-        red_gaps = circular_gaps(reduced_spectrum(app.D).residues, app.D)
+        red_gaps = circular_gaps(residues(reduced_spectrum(app.D)), app.D)
         assert spec_gaps == sorted(red_gaps * app.M)
 
 
 def test_reduced_frozen():
-    assert reduced_spectrum(1).residues == (0,)
-    assert reduced_spectrum(3).residues == (0, 2, 2)
-    assert reduced_spectrum(8).residues == (0, 0, 4, 4, 7, 7, 7, 7)
-    assert reduced_spectrum(9).residues == (0, 0, 0, 2, 2, 5, 5, 8, 8)
+    assert residues(reduced_spectrum(1)) == (0,)
+    assert residues(reduced_spectrum(3)) == (0, 2, 2)
+    assert residues(reduced_spectrum(8)) == (0, 0, 4, 4, 7, 7, 7, 7)
+    assert residues(reduced_spectrum(9)) == (0, 0, 0, 2, 2, 5, 5, 8, 8)
+    block = reduced_spectrum(9)
+    assert (block.N, block.app.D, block.app.M) == (9, 9, 1)
+    assert block.eta.tolist() == [3, 6, 9, 4, 5, 2, 7, 1, 8]  # ties in eta order
+    assert block.l.tolist() == [0] * 9
     with pytest.raises(ValueError):
         reduced_spectrum(0)
 
@@ -99,7 +109,7 @@ def test_reduced_eta_reflection():
         res = [(-eta * eta) % D for eta in range(1, D + 1)]
         refl = [(-(D - eta) ** 2) % D for eta in range(1, D + 1)]
         assert sorted(res) == sorted(refl)
-        assert reduced_spectrum(D).residues == tuple(sorted(res))
+        assert residues(reduced_spectrum(D)) == tuple(sorted(res))
 
 
 def test_degeneracy_profiles():

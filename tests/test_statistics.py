@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from skewtorus.diophantine import Approximant, golden, sqrt2
-from skewtorus.spectrum import Spectrum, eigenphases
+from skewtorus.spectrum import Spectrum, eigenphases, reduced_spectrum
 from skewtorus.statistics import (
     UnsupportedClosedFormError,
     counting_function,
@@ -35,7 +35,7 @@ from skewtorus.statistics import (
     spacings,
 )
 
-from oracles import eigenphases_fraction, number_variance_events
+from oracles import eigenphases_fraction, number_variance_events, sigma2_exact
 
 D_PAIRS = {
     1: [(1, 3), (8, 5)],
@@ -189,12 +189,14 @@ def test_randomized_sweep_and_spacing_cross_check():
     for a, N in robustness_pairs():
         app = Approximant(a, N)
         spec = eigenphases(app)
+        block = reduced_spectrum(app.D)
         phases = [(ph.value, ph.eta, ph.l) for ph in spec.phases]
         assert phases == eigenphases_fraction(app), (a, N)
         for L in robustness_ls(N, rnd):
             value = number_variance_direct(spec, L)
             assert type(value) is Fraction
             assert value == number_variance_events(spec, L), (a, N, L)
+            assert value == number_variance_direct(block, L), (a, N, L)
             if app.D in (1, 2, 3, 6):
                 assert value == number_variance_closed(app.D, L), (a, N, L)
             if N <= 6 and L.denominator <= 2:
@@ -206,6 +208,7 @@ def test_randomized_sweep_and_spacing_cross_check():
         gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + N - vals[-1]]
         want = tuple((s, Fraction(c, N)) for s, c in sorted(Counter(gaps).items()))
         assert spacings(spec).atoms == want, (a, N)
+        assert spacings(block).atoms == want, (a, N)
 
 
 def test_direct_sum_exceeds_int64():
@@ -235,6 +238,32 @@ def test_number_variance_depends_only_on_d():
             v0 = number_variance_direct(specs[0], L)
             assert all(number_variance_direct(s, L) == v0 for s in specs[1:]), (D, L)
             assert v0 >= 0
+
+
+def test_block_sigma2_matches_b2_pair_formula():
+    # the B2 pair formula shares no code with the pair-overlap sweep
+    for D in range(1, 40):
+        block = reduced_spectrum(D)
+        Ls = [
+            Fraction(1, 2),
+            Fraction(1),
+            Fraction(7, 3),
+            Fraction(22, 7),
+            Fraction(D, 2) + Fraction(1, 6),
+            Fraction(3 * D) + Fraction(5, 4),
+        ]
+        for L in Ls:
+            assert number_variance_direct(block, L) == sigma2_exact(D, L), (D, L)
+
+
+def test_block_matches_closed_forms():
+    for D in (1, 2, 3):
+        assert spacings(reduced_spectrum(D)).atoms == spacing_distribution_closed(D).atoms
+    grid = [Fraction(k, 12) for k in range(12 * 7 + 1)]
+    for D in (1, 2, 3, 6):
+        block = reduced_spectrum(D)
+        for L in grid:
+            assert number_variance_direct(block, L) == number_variance_closed(D, L), (D, L)
 
 
 def test_gauss_sum_frozen():
