@@ -7,11 +7,13 @@ and series values carry their truncation bound, so nothing approximate goes
 unlabeled.
 
 Exit codes:
-  0  success
-  1  a verification or spot check failed (the failing check is named)
-  2  precision exhausted (continued-fraction prefix too short), or bad input
-  3  no closed form exists for the requested D
-  4  invalid L grid
+    0  success
+    1  a verification or spot check failed (the failing check is named)
+    2  precision exhausted (continued-fraction prefix too short), or bad input
+    3  no closed form exists for the requested D
+    4  invalid L grid
+  141  the reader closed stdout before the output was complete, as `| head`
+       does (128 + SIGPIPE, the status a shell shows for SIGPIPE)
 
 The L grid syntax is "min:max:steps" (steps >= 2, max > min >= 0), or a
 single rational value such as "1", "0.25", or "7/3".  L is written out as a
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -44,12 +47,11 @@ from .propagator import (
     unitarity_defect,
 )
 from .spectrum import (
-    SPECTRUM_FIELDS,
     eigenphases,
     power_sums,
     reduced_spectrum,
-    spectrum_rows,
     spectrum_to_csv,
+    spectrum_to_json,
 )
 from .statistics import (
     DEFAULT_FOURIER_K,
@@ -98,11 +100,16 @@ def _parse_lgrid(text):
     return [lo + span * i / (steps - 1) for i in range(steps)]
 
 
-def _emit(args, write=None, payload=None):
-    """Write to --out or stdout: CSV through write(out), or JSON from payload().
+def _json(payload):
+    """A JSON writer of payload(), which is built only when the writer runs."""
+    return lambda out: out.write(json.dumps(payload(), indent=2) + "\n")
 
-    payload is called only for --format json or a command without a write,
-    so a large CSV output never builds JSON rows.
+
+def _emit(args, write=None, write_json=None):
+    """Write to --out or stdout through write(out) for CSV or write_json(out).
+
+    write_json runs only for --format json or a command without a write, so
+    a large CSV output never builds JSON rows.
     """
     as_json = write is None or getattr(args, "format", "csv") == "json"
     try:
@@ -110,10 +117,7 @@ def _emit(args, write=None, payload=None):
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     with target as out:
-        if as_json:
-            out.write(json.dumps(payload(), indent=2) + "\n")
-        else:
-            write(out)
+        (write_json if as_json else write)(out)
 
 
 def _approximant(args):
@@ -140,7 +144,7 @@ def cmd_approx(args):
         lambda out: out.writelines(
             ["a,N,D\n"] + [f"{x.a},{x.N},{x.D}\n" for x in apps]
         ),
-        lambda: [{"a": x.a, "N": x.N, "D": x.D, "M": x.M} for x in apps],
+        _json(lambda: [{"a": x.a, "N": x.N, "D": x.D, "M": x.M} for x in apps]),
     )
     return 0
 
@@ -150,7 +154,7 @@ def cmd_spectrum(args):
     _emit(
         args,
         lambda out: spectrum_to_csv(spec, out),
-        lambda: [dict(zip(SPECTRUM_FIELDS, row)) for row in spectrum_rows(spec)],
+        lambda out: spectrum_to_json(spec, out),
     )
     return 0
 
@@ -160,7 +164,7 @@ def cmd_spacing(args):
     _emit(
         args,
         lambda out: spacing_to_csv(dist, out),
-        lambda: [{"s": str(s), "weight": str(w)} for s, w in dist.atoms],
+        _json(lambda: [{"s": str(s), "weight": str(w)} for s, w in dist.atoms]),
     )
     return 0
 
@@ -174,7 +178,10 @@ def cmd_numvar(args):
         if args.D is not None and args.a is None and args.N is None:
             spec = reduced_spectrum(args.D)
         else:
-            spec = eigenphases(_approximant(args))
+            app = _approximant(args)
+            if args.D is not None and args.D != app.D:
+                raise ValueError(f"--D {args.D} disagrees with gcd(a, N) = {app.D}")
+            spec = eigenphases(app)
         D = spec.app.D
         for L in Ls:
             rows.append((L, number_variance_direct(spec, L), "direct-exact", D, None))
@@ -195,16 +202,18 @@ def cmd_numvar(args):
     _emit(
         args,
         lambda out: curve_to_csv(rows, out),
-        lambda: [
-            {
-                "L": float(L),
-                "value": float(v),
-                "method": m,
-                "D": d,
-                "truncation_bound": None if b is None else float(b),
-            }
-            for L, v, m, d, b in rows
-        ],
+        _json(
+            lambda: [
+                {
+                    "L": float(L),
+                    "value": float(v),
+                    "method": m,
+                    "D": d,
+                    "truncation_bound": None if b is None else float(b),
+                }
+                for L, v, m, d, b in rows
+            ]
+        ),
     )
     return 0
 
@@ -257,20 +266,22 @@ def cmd_figure1(args):
     _emit(
         args,
         write_csv,
-        lambda: {
-            "meta": {
-                "methods": {f"D{D}": "direct-exact" for D in FIGURE_DS},
-                "truncation_bounds": {f"D{D}": b for D, b in bounds.items()},
-                "spot_check_worst": spot_worst,
-            },
-            "rows": [
-                {
-                    "L": float(L),
-                    **{f"D{D}": cols[D][i] for D in FIGURE_DS},
-                }
-                for i, L in enumerate(Ls)
-            ],
-        },
+        _json(
+            lambda: {
+                "meta": {
+                    "methods": {f"D{D}": "direct-exact" for D in FIGURE_DS},
+                    "truncation_bounds": {f"D{D}": b for D, b in bounds.items()},
+                    "spot_check_worst": spot_worst,
+                },
+                "rows": [
+                    {
+                        "L": float(L),
+                        **{f"D{D}": cols[D][i] for D in FIGURE_DS},
+                    }
+                    for i, L in enumerate(Ls)
+                ],
+            }
+        ),
     )
     return 0
 
@@ -366,7 +377,7 @@ def cmd_verify(args):
 
     ok = all(c["ok"] for c in checks)
     report = {"a": app.a, "N": N, "D": D, "M": M, "ok": ok, "checks": checks}
-    _emit(args, payload=lambda: report)
+    _emit(args, write_json=_json(lambda: report))
     if not ok:
         for c in checks:
             if not c["ok"]:
@@ -475,4 +486,13 @@ def main(argv=None):
 
 
 def entry():
-    raise SystemExit(main())
+    """Console-script entry: main(), then a quiet exit if stdout was closed early."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at
+        # interpreter exit cannot raise again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

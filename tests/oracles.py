@@ -10,10 +10,13 @@ count per segment (O(N^2 log N)), and Sigma^2_D as the Bernoulli-B2 sum over
 pairs of D residues.  The library computes the same quantities through
 integer phases 6 phi in int64 arrays tiled from one D-level block, the
 diagonal-times-circulant factorisation, one eigenvalue solve, one FFT over
-the integer phases and a sum of window overlaps over level pairs; the tests
-compare the two.
+the integer phases and a sum of window overlaps over level pairs, and writes
+the spectrum in fixed-size blocks from one row template; the tests compare
+the two.  The spectrum's CSV and JSON are written here one record per level
+from its Fraction values, with json.dumps for the JSON.
 """
 import cmath
+import json
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -130,3 +133,30 @@ def sigma2_exact(D, L):
         y = Fraction(d, D)
         total += count * (_b2(y) - (_b2(y + L / D) + _b2(y - L / D)) / 2)
     return total
+
+
+def spectrum_records(spec):
+    """One dict (eta, l, numerator, denominator, decimal) per level, from Fractions."""
+    return [
+        {
+            "eta": ph.eta,
+            "l": ph.l,
+            "numerator": ph.value.numerator,
+            "denominator": ph.value.denominator,
+            "decimal": float(ph.value),
+        }
+        for ph in spec.phases
+    ]
+
+
+def spectrum_csv(spec):
+    """The spectrum CSV, one f-string per level."""
+    return "eta,l,numerator,denominator,decimal\n" + "".join(
+        f"{r['eta']},{r['l']},{r['numerator']},{r['denominator']},{r['decimal']!r}\n"
+        for r in spectrum_records(spec)
+    )
+
+
+def spectrum_json(spec):
+    """The spectrum JSON: the list of records through json.dumps(indent=2)."""
+    return json.dumps(spectrum_records(spec), indent=2) + "\n"

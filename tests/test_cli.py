@@ -87,6 +87,12 @@ def test_numvar_direct_on_the_block(capsys):
     assert code == 0
     assert block == full
     assert block.splitlines()[2] == "1.0,2.0,direct-exact,8,"
+    # a --D that agrees with gcd(a, N) changes nothing
+    code, agreed, _ = run(
+        capsys, "numvar", "--method", "direct", "--D", "8", "--a", "24", "--N", "16",
+        "--L", "0:6:7",
+    )
+    assert code == 0 and agreed == full
 
 
 def test_numvar_closed_grid_zeros_at_integers(capsys):
@@ -342,6 +348,9 @@ def test_python_m_skewtorus_help():
         ("numvar --method closed --D 0 --L 1", 2, False),
         ("numvar --method closed --D -3 --L 1", 2, False),
         ("numvar --method direct --D 0 --L 1", 2, False),
+        # --D must agree with gcd(a, N) when --N or --a is given
+        ("numvar --method direct --D 8 --N 100 --L 1", 2, False),
+        ("numvar --method direct --D 3 --a 3 --N 10 --L 1", 2, False),
         # verify's fourier order is fixed
         ("verify --a 3 --N 9 --K 100", 2, True),
     ],
@@ -367,6 +376,38 @@ def test_unwritable_out_is_bad_input(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out")
     assert captured.err.count("\n") == 1
+
+
+def test_spectrum_json_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["spectrum", "--a", "24", "--N", "16", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "spec.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+    assert len(json.loads(out)) == 16
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after one line of a 3 MB output, as `| head -1` does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewtorus", "spectrum", "--a", "1", "--N", "100000"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"eta,l,numerator,denominator,decimal\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
 
 
 def test_runs_without_scipy():

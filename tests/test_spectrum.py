@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from skewtorus import spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import (
     degeneracy_profile,
@@ -20,9 +21,15 @@ from skewtorus.spectrum import (
     power_sums,
     reduced_spectrum,
     spectrum_to_csv,
+    spectrum_to_json,
 )
 
-from oracles import eigenphases_fraction, power_sums_fraction
+from oracles import (
+    eigenphases_fraction,
+    power_sums_fraction,
+    spectrum_csv,
+    spectrum_json,
+)
 
 RANDOM_PAIRS = [(1, 1), (1, 2), (2, 4), (3, 9), (5, 10), (24, 15), (24, 16), (18, 12)]
 
@@ -179,3 +186,30 @@ def test_integer_spectrum_matches_fraction_build():
             f"{eta},{l},{v.numerator},{v.denominator},{float(v)!r}" for v, eta, l in want
         ]
         assert buf.getvalue().splitlines()[1:] == rows, (a, N)
+
+
+@pytest.mark.parametrize(
+    "a, N, block",
+    [
+        (0, 1, None),  # N = 1
+        (0, 12, None),  # a = 0: D = N
+        (24, 16, None),  # a >= N
+        (10**30 + 7, 9, None),  # huge a
+        (2584, 1597, None),
+        # row counts below, at and just above a multiple of the block size
+        (5, 7, 4),
+        (6, 8, 4),
+        (5, 9, 4),
+        (3, 9, 3),
+        (1, 1, 1),
+    ],
+)
+def test_block_writers_match_oracle(monkeypatch, a, N, block):
+    if block is not None:
+        monkeypatch.setattr(spectrum, "SPECTRUM_BLOCK", block)
+    spec = eigenphases(Approximant(a, N))
+    writers = ((spectrum_to_csv, spectrum_csv), (spectrum_to_json, spectrum_json))
+    for write, oracle in writers:
+        buf = io.StringIO()
+        write(spec, buf)
+        assert buf.getvalue() == oracle(spec), (write.__name__, a, N, block)
