@@ -8,46 +8,95 @@ j, k = 0..N-1.  Substituting m = l - a factors it as U_N = diag(e(a k/N)) C
 with e(x) = exp(2 pi i x) and C circulant, C_{kj} = g_{(k-j) mod N}, whose
 first column g = ifft(e(-m^2/N)) is one inverse FFT of length N.  Every
 exponent is an exact integer residue mod N indexing a single table of N-th
-roots of unity, so no phase accumulates.  Traces of powers have a closed
-form: with D = gcd(a, N) and M = N/D,
+roots of unity, so no phase accumulates.
+
+In the momentum basis the matrix is a weighted permutation.  With F the DFT
+matrix (F_{mk} = e(-m k/N)), F diag(e(a k/N)) = P F for the cyclic shift
+P: e_m -> e_{m+a}, and F C F^-1 is diagonal, so
+
+    V = F U F^-1,   V[(m + a) mod N, m] = w_m,   zero elsewhere.
+
+The shift m -> m + a (mod N) splits the N momenta into D = gcd(a, N) cycles
+of length M = N/D, one per residue class mod D, which is how the paper
+derives the eigenphases.  The numeric checks use that structure without
+assuming it: V is computed from the dense U by two FFTs, and its weights
+w_m and off-support remainder E are measured (Propagator.momentum).
+Unitarity is bounded from |w_m| and ||E||_F, and the numeric traces are the
+power sums of the M-th roots of the D cycle products of the w_m; both are
+O(N^2 log N), with no eigensolve and no dense product.
+
+Traces of powers also have a closed form:
 
     Tr U_N^n = M delta_{n mod M, 0} sum_{eta=1}^{D}
                exp((2 pi i / N) n (-eta^2 + eta a - a^2 (M-1)(2M-1)/6)),
 
-which this module evaluates in exact rational arithmetic alongside the
-numeric traces (power sums of the eigenvalues of the dense matrix), so the
-two routes can be compared.
+which this module evaluates on exact integer residues mod 6N, so the
+matrix route and the formula can be compared.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-# Each dense complex N x N copy takes 16 N^2 bytes (268 MB at N = 4096), and
-# verify holds a few at once (U, U U^dagger, the eigenvalue solver's copy).
+# Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
+# momentum form adds one more 16 N^2 buffer plus one block of
+# MOMENTUM_BLOCK rows (16 MB at N = 4096); building U needs no index array.
+# verify --a 1 --N 4096 peaks at 575 MB (ru_maxrss, 2-vCPU VM, numpy 2.4).
 DEFAULT_MAX_N = 4096
+# Rows of F U transformed at a time by the second FFT.
+MOMENTUM_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Dense propagator matrix with its defining integers."""
+    """Dense propagator matrix with its defining integers.
+
+    entries is not modified after construction: momentum is computed from
+    it once and kept.
+    """
 
     N: int
     a: int
     entries: np.ndarray
 
+    @functools.cached_property
+    def momentum(self):
+        """(w, e): the weights w_m = V[(m + a) mod N, m] and ||E||_F.
+
+        V = F U F^-1 is the FFT of the columns of U followed by the inverse
+        FFT of the rows of the result (which carries the 1/N), so it is
+        unitarily similar to U.  E is V with the N weights set to zero.
+        The column FFT fills one N x N buffer; its rows are transformed
+        MOMENTUM_BLOCK at a time, and only w and the running sum of |E|^2
+        are kept.
+        """
+        N = self.N
+        shift = int(self.a) % N
+        half = np.fft.fft(self.entries, axis=0)
+        w = np.empty(N, dtype=complex)
+        off = 0.0
+        for start in range(0, N, MOMENTUM_BLOCK):
+            rows = np.fft.ifft(half[start : start + MOMENTUM_BLOCK], axis=1)
+            k = np.arange(start, start + len(rows))
+            i, m = k - start, (k - shift) % N
+            w[m] = rows[i, m]
+            rows[i, m] = 0
+            off += np.vdot(rows, rows).real
+        return w, math.sqrt(off)
+
 
 def build_propagator(app, max_n=DEFAULT_MAX_N):
     """Dense U_N for the approximant as diag(e(a k/N)) times a circulant.
 
-    O(N^2) work plus one length-N FFT, guarded by max_n.  The exponents are
-    invariant mod N under a -> a mod N, so a is reduced as a Python int
-    before any int64 arithmetic and the intermediates stay below N^2.
+    O(N^2) work plus one length-N FFT, guarded by max_n.  The circulant
+    C_{kj} = g_{(k-j) mod N} is a view of 2N - 1 values, so the only N x N
+    allocation is U itself.  The exponents are invariant mod N under
+    a -> a mod N, so a is reduced as a Python int before any int64
+    arithmetic and the intermediates stay below N^2.
     """
     N, a = app.N, app.a
     if N > max_n:
@@ -56,53 +105,91 @@ def build_propagator(app, max_n=DEFAULT_MAX_N):
     m = np.arange(N, dtype=np.int64)
     roots = np.exp(2j * np.pi * m / N)
     g = np.fft.ifft(roots[(-m * m) % N])
-    entries = g[(m.reshape(-1, 1) - m) % N]
-    entries *= roots[(ared * m) % N].reshape(-1, 1)
+    # row k of the circulant is h[k : k + N] reversed, h = g[1:] ++ g
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((g[1:], g)), N)
+    entries = windows[:, ::-1] * roots[(ared * m) % N].reshape(-1, 1)
     return Propagator(N, a, entries)
 
 
 def unitarity_defect(U):
-    """Max absolute entry of U U^dagger - I."""
-    G = U.entries @ U.entries.conj().T
-    G.flat[:: U.N + 1] -= 1
-    return float(np.abs(G).max())
+    """Bound on ||U U^dagger - I||_2 from the momentum form; O(N^2 log N).
+
+    Returns max|1 - |w_m|^2| + 2 ||E||_F max|w_m| + ||E||_F^2.  Write
+    V = P W + E with P W the weighted permutation of the weights.  Then
+    V V^dagger - I = P (W W^dagger - I) P^dagger + P W E^dagger
+    + E W^dagger P^dagger + E E^dagger, whose spectral norm is at most the
+    sum of the three terms (||E||_2 <= ||E||_F).  F / sqrt(N) is unitary,
+    so V V^dagger - I is unitarily similar to U U^dagger - I and has the
+    same spectral norm, which bounds every entry of U U^dagger - I.
+
+    The bound certifies the computed V.  The FFT is backward stable:
+    computed V is the exact transform of U + dU with
+    ||dU||_F <= c u log2(N) ||U||_F (u the unit roundoff), so it is a bound
+    for a matrix that differs from U by that much.  In practice the FFT's
+    rounding lands in E and the weights, and over the test sets the bound
+    is above the entries of the dense U U^dagger - I.
+    """
+    w, e = U.momentum
+    mod2 = w.real**2 + w.imag**2
+    return float(np.max(np.abs(1 - mod2)) + 2 * e * np.sqrt(mod2.max()) + e * e)
 
 
 def trace_powers(U, n_max):
-    """[Tr U^1, ..., Tr U^n_max] as power sums of the eigenvalues of U.
+    """[Tr U^1, ..., Tr U^n_max] as power sums of the momentum-form eigenvalues.
 
-    One dense eigenvalue solve (O(N^3)), then Tr U^n = sum_j lam_j^n from a
-    running elementwise power, O(N) memory and O(N n_max) work.  U is
-    unitary, hence normal, so each eigenvalue moves by no more than the
-    solver's backward error (Bauer-Fike) and the n-th trace by about n N
-    times that.
+    P W splits into D cycles of length M; on cycle r (the momenta
+    m = r mod D) its M-th power is c_r times the identity, with c_r the
+    product of the cycle's weights, so its eigenvalues are the M M-th roots
+    of c_r.  Their n-th power sum is M c_r^(n/M) when M divides n and
+    exactly 0 otherwise (the M-th roots of unity sum to zero), so
+    Tr U^n = M sum_r c_r^(n/M) on the M-lattice.  The c_r^k come from one
+    running product over the D cycles: O(N + D n_max / M) after the
+    momentum form.
+
+    U is normal, so by Bauer-Fike every eigenvalue of P W lies within
+    ||E||_2 of one of U's.  For the traces themselves,
+    Tr V^n - Tr (P W)^n is a sum of n terms Tr(V^j E (P W)^(n-1-j)), each at
+    most sqrt(N) ||E||_F in modulus while every weight has modulus near 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    lam = np.linalg.eigvals(U.entries)
-    p = np.ones_like(lam)
-    out = []
-    for _ in range(n_max):
-        p *= lam
-        out.append(complex(p.sum()))
-    return out
+    w, _ = U.momentum
+    N = U.N
+    D = math.gcd(int(U.a), N)
+    M = N // D
+    cycles = np.prod(w.reshape(M, D), axis=0)
+    out = np.zeros(n_max, dtype=complex)
+    power = np.ones(D, dtype=complex)
+    for n in range(M, n_max + 1, M):
+        power *= cycles
+        out[n - 1] = M * power.sum()
+    return out.tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_roots(size):
+    """e(k / size) for k = 0..size-1, read-only."""
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
+    roots.flags.writeable = False
+    return roots
 
 
 def trace_power_analytic(app, n):
     """Closed-form Tr(U^n); exactly 0 when n mod M != 0.
 
-    Each exponent n(-eta^2 + eta a - a^2 (M-1)(2M-1)/6)/N is reduced mod 1
-    as a Fraction before the single conversion to a phase.
+    Each exponent is r / (6N) with the integer residue
+    r = n (6 eta (a - eta) - a^2 (M-1)(2M-1)) mod 6N, vectorised over eta:
+    the eta-term in int64 with a reduced mod N, the constant as a Python
+    int, and n reduced mod 6N before the multiply, so every product stays
+    below 36 N^2.  The D residues index one table of 6N-th roots of unity.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     a, N, D, M = app.a, app.N, app.D, app.M
     if n % M:
         return 0j
-    const = Fraction(a * a * (M - 1) * (2 * M - 1), 6)
-    total = 0j
-    for eta in range(1, D + 1):
-        ex = Fraction(n) * (Fraction(eta * a - eta * eta) - const) / N
-        total += cmath.exp(2j * math.pi * float(ex % 1))
-    return M * total
-
+    size = 6 * N
+    const = a * a * (M - 1) * (2 * M - 1) % size
+    eta = np.arange(1, D + 1, dtype=np.int64)
+    base = (6 * eta * (a % N - eta) - const) % size
+    return M * complex(_unit_roots(size)[(n % size) * base % size].sum())

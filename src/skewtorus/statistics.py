@@ -49,6 +49,10 @@ _MAX_SIN_TABLE = 200_000
 
 DEFAULT_FOURIER_K = 10_000
 
+# Levels per block of the direct sweep; its temporaries are a dozen int64
+# arrays of this length, whatever N is.
+SWEEP_BLOCK = 1 << 16
+
 
 class UnsupportedClosedFormError(ValueError):
     """No closed form is implemented for this D."""
@@ -124,6 +128,12 @@ def number_variance_direct(spec, L):
     For integer d, d < w <=> d < ceil(w), so one searchsorted bounds every
     range of k and one cumulative sum of ext gives its distance total.  The
     result is an exact Fraction for any rational L, with no float.
+
+    ext is never built.  w <= S, so the range of k wraps at most once: with
+    q = [x >= S], searchsorted(ext, x) = searchsorted(t, x - q S) + q N, and
+    the cumulative sum of ext at index k' + q N is csum[k'] + q (csum[N] +
+    k' S) for csum that of t.  The levels i are taken SWEEP_BLOCK at a time,
+    so the temporaries beyond t and csum have a fixed size.
     """
     L = Fraction(L)
     if L < 0:
@@ -132,17 +142,25 @@ def number_variance_direct(spec, L):
     R = L % N
     if not R:
         return Fraction(0)
-    ext = np.concatenate((t, t + 6 * N))
-    csum = np.concatenate(([0], np.cumsum(ext)))
-    hi = np.searchsorted(ext, t + math.ceil(6 * R))
-    cnt = hi - np.arange(N)
-    # dist[i] = sum of the distances ext[k] - t[i] for k in [i, hi[i])
-    dist = csum[hi] - csum[:N] - cnt * t
-    # sum(dist) reaches about 6 N^3, past int64: its 32-bit halves are summed
-    # apart (each fits for N < 2^31) and joined as Python ints
-    total = (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
-    # (2F - N w) / S - R^2 with F = w sum(cnt) - total, w = 6R and S = 6N
-    return R * (2 * int(np.sum(cnt)) - N) / N - Fraction(total, 3 * N) - R * R
+    size, width = 6 * N, math.ceil(6 * R)
+    csum = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(t, out=csum[1:])
+    pairs = total = 0
+    for start in range(0, N, SWEEP_BLOCK):
+        ti = t[start : start + SWEEP_BLOCK]
+        i = np.arange(start, start + len(ti))
+        x = ti + width
+        q = x >= size
+        k = np.searchsorted(t, x - size * q)
+        cnt = k + N * q - i
+        # dist = sum of the distances ext[j] - t[i] over j in [i, k + q N)
+        dist = csum[k] + q * (csum[N] + k * size) - csum[i] - cnt * ti
+        # sum(dist) reaches about 6 N^3, past int64: its 32-bit halves are
+        # summed apart (each fits for N < 2^31) and joined as Python ints
+        total += (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
+        pairs += int(np.sum(cnt))
+    # (2F - N w) / S - R^2 with F = w pairs - total, w = 6R and S = 6N
+    return R * (2 * pairs - N) / N - Fraction(total, 3 * N) - R * R
 
 
 def gauss_sum(D, k):

@@ -2,18 +2,21 @@
 
 These are the direct, unstructured routes: the eigenphase formula evaluated
 with one Fraction per level, the l-sum that defines the propagator entries
-(O(N^3)), traces of powers by matrix power or from one running matrix
-product (O(N^4) for n up to 2N), eigenvalue power sums from one
-Fraction-reduced exponential per level and per n (O(N n_max)), the number
-variance by an event sweep over Fraction breakpoints with one bisection
-count per segment (O(N^2 log N)), and Sigma^2_D as the Bernoulli-B2 sum over
-pairs of D residues.  The library computes the same quantities through
-integer phases 6 phi in int64 arrays tiled from one D-level block, the
-diagonal-times-circulant factorisation, one eigenvalue solve, one FFT over
-the integer phases and a sum of window overlaps over level pairs, and writes
-the spectrum in fixed-size blocks from one row template; the tests compare
-the two.  The spectrum's CSV and JSON are written here one record per level
-from its Fraction values, with json.dumps for the JSON.
+(O(N^3)), traces of powers by matrix power, from one running matrix product
+(O(N^4) for n up to 2N) or as power sums of one dense eigensolve (O(N^3)),
+the unitarity defect as the largest entry of the dense U U^dagger - I
+(O(N^3)), eigenvalue power sums from one Fraction-reduced exponential per
+level and per n (O(N n_max)), the number variance by an event sweep over
+Fraction breakpoints with one bisection count per segment (O(N^2 log N)),
+and Sigma^2_D as the Bernoulli-B2 sum over pairs of D residues.  The
+library computes the same quantities through integer phases 6 phi in int64
+arrays tiled from one D-level block, the diagonal-times-circulant
+factorisation, the weights and off-support remainder of the momentum-basis
+matrix (two FFTs of U), one FFT over the integer phases and a sum of window
+overlaps over level pairs, and writes the spectrum in fixed-size blocks
+from one row template; the tests compare the two.  The spectrum's CSV and
+JSON are written here one record per level from its Fraction values, with
+json.dumps for the JSON.
 """
 import cmath
 import json
@@ -65,6 +68,24 @@ def traces_running_product(entries, n_max):
         out.append(complex(np.trace(V)))
         V = V @ entries
     return out
+
+
+def eigvals_power_sums(entries, n_max):
+    """[Tr U^1, ..., Tr U^n_max] as power sums of np.linalg.eigvals(U)."""
+    lam = np.linalg.eigvals(entries)
+    p = np.ones_like(lam)
+    out = []
+    for _ in range(n_max):
+        p *= lam
+        out.append(complex(p.sum()))
+    return out
+
+
+def dense_unitarity_defect(entries):
+    """Largest absolute entry of U U^dagger - I from the dense product."""
+    G = entries @ entries.conj().T
+    G.flat[:: len(G) + 1] -= 1
+    return float(np.abs(G).max())
 
 
 def power_sums_fraction(spec, n_max):

@@ -3,14 +3,18 @@
 The brute oracle below rebuilds small matrices with nothing shared with the
 library path (plain cmath loop, no exponent reduction), and the trace tests
 compare matrix powers against the closed form at the stated tolerances.
+The momentum-form unitarity bound and traces are checked against the dense
+U U^dagger and eigensolve oracles, and against corrupted matrices.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from skewtorus import cli
 from skewtorus.diophantine import Approximant
 from skewtorus.propagator import (
     Propagator,
@@ -21,7 +25,13 @@ from skewtorus.propagator import (
 )
 from skewtorus.spectrum import eigenphases, power_sums
 
-from oracles import propagator_lsum, trace_power_numeric, traces_running_product
+from oracles import (
+    dense_unitarity_defect,
+    eigvals_power_sums,
+    propagator_lsum,
+    trace_power_numeric,
+    traces_running_product,
+)
 
 UNITARITY_SET = [
     (1, 1), (1, 2), (1, 3), (2, 4), (8, 5), (3, 9), (14, 10), (24, 15),
@@ -73,9 +83,11 @@ def test_entry_magnitudes():
 
 
 def test_unitarity_across_set():
-    for a, N in UNITARITY_SET:
+    # the bound from the momentum form dominates the dense U U^dagger - I
+    for a, N in UNITARITY_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
-        assert unitarity_defect(U) < 1e-12, (a, N)
+        bound = unitarity_defect(U)
+        assert dense_unitarity_defect(U.entries) <= bound < 1e-12, (a, N, bound)
 
 
 def test_unitarity_detector_sees_corruption():
@@ -170,10 +182,56 @@ def test_circulant_build_matches_lsum_oracle():
 
 
 def test_eigenvalue_traces_match_running_product():
+    # against the running matrix product and the dense eigensolve
     for a, N in TRACE_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
         fast = trace_powers(U, 2 * N)
-        slow = traces_running_product(U.entries, 2 * N)
         assert len(fast) == 2 * N
-        gap = max(abs(x - y) for x, y in zip(fast, slow))
-        assert gap <= 1e-9 * N, (a, N, gap)
+        for slow in (traces_running_product(U.entries, 2 * N), eigvals_power_sums(U.entries, 2 * N)):
+            gap = max(abs(x - y) for x, y in zip(fast, slow))
+            assert gap <= 1e-9 * N, (a, N, gap)
+
+
+def test_momentum_form_is_computed_once():
+    U = build_propagator(Approximant(3, 9))
+    assert U.momentum is U.momentum
+    w, e = U.momentum
+    assert w.shape == (9,) and 0 <= e < 1e-14
+
+
+def _shifted(a, N):
+    # the matrix of (a + 1, N) labelled as a
+    return Propagator(N, a, build_propagator(Approximant(a + 1, N)).entries)
+
+
+def _perturbed(a, N):
+    entries = build_propagator(Approximant(a, N)).entries.copy()
+    entries[N // 2, N // 3] += 1e-9
+    return Propagator(N, a, entries)
+
+
+def _scaled(a, N):
+    return Propagator(N, a, 0.9 * build_propagator(Approximant(a, N)).entries)
+
+
+CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_unitarity_fails_on_corrupted_matrix(kind):
+    # the shifted matrix is unitary, so U U^dagger - I cannot see it; its
+    # weights sit off the support m -> m + a, which the bound charges to E
+    for a, N in [(1, 2), (3, 9), (24, 16), (0, 7), (90, 63)]:
+        bad = CORRUPTIONS[kind](a, N)
+        defect = unitarity_defect(bad)
+        assert defect > 1e-12, (a, N)
+        assert defect >= dense_unitarity_defect(bad.entries), (a, N)
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_propagator", lambda app, max_n: CORRUPTIONS[kind](app.a, app.N))
+    assert cli.main(["verify", "--a", "3", "--N", "9"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: unitarity" in captured.err
+    assert json.loads(captured.out)["checks"][0]["ok"] is False

@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from skewtorus import statistics
 from skewtorus.diophantine import Approximant, golden, sqrt2
 from skewtorus.spectrum import Spectrum, eigenphases, reduced_spectrum
 from skewtorus.statistics import (
@@ -217,6 +218,17 @@ def test_direct_sum_exceeds_int64():
     L = Fraction(1500001) - Fraction(1, 2)
     value = number_variance_direct(spec, L)
     assert value == number_variance_closed(1, L) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64])
+def test_direct_sweep_in_blocks_matches_oracle(monkeypatch, block):
+    # block sizes below, at and above N; L = N - 1/12 gives w = ceil(6R) = 6N,
+    # the widest window, whose range wraps exactly once
+    monkeypatch.setattr(statistics, "SWEEP_BLOCK", block)
+    for a, N in [(0, 1), (1, 3), (3, 9), (24, 16), (10**30 + 7, 12), (40, 100)]:
+        spec = eigenphases(Approximant(a, N))
+        for L in (Fraction(1, 2), Fraction(7, 3), N - Fraction(1, 12), 2 * N + Fraction(5, 6)):
+            assert number_variance_direct(spec, L) == number_variance_events(spec, L), (a, N, L)
 
 
 def test_number_variance_symmetry():
