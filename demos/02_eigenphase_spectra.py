@@ -12,7 +12,7 @@ from skewtorus import Approximant, degeneracy_profile, eigenphases, reduced_spec
 for a, N in ((1, 3), (2, 4), (3, 9), (24, 16)):
     app = Approximant(a, N)
     spec = eigenphases(app)
-    vals = ", ".join(str(p.value) for p in spec.phases)
+    vals = ", ".join(map(str, spec.values))
     print(f"a/N = {a}/{N}  (D={app.D}, M={app.M})")
     print(f"  phases: {vals}")
 

@@ -27,7 +27,6 @@ from .diophantine import (
     sqrt2,
 )
 from .spectrum import (
-    Eigenphase,
     Spectrum,
     degeneracy_profile,
     eigenphases,
@@ -63,7 +62,6 @@ from .classical import TorusPoint, orbit, orbit_to_csv, step, weyl_sum
 __all__ = [
     "Approximant",
     "DivergenceWitness",
-    "Eigenphase",
     "IrrationalAlpha",
     "PrecisionExhaustedError",
     "Propagator",

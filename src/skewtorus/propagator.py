@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import base_levels
+
 # Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
 # momentum form adds one more 16 N^2 buffer plus one block of
 # MOMENTUM_BLOCK rows (16 MB at N = 4096); building U needs no index array.
@@ -177,19 +179,15 @@ def _unit_roots(size):
 def trace_power_analytic(app, n):
     """Closed-form Tr(U^n); exactly 0 when n mod M != 0.
 
-    Each exponent is r / (6N) with the integer residue
-    r = n (6 eta (a - eta) - a^2 (M-1)(2M-1)) mod 6N, vectorised over eta:
-    the eta-term in int64 with a reduced mod N, the constant as a Python
-    int, and n reduced mod 6N before the multiply, so every product stays
-    below 36 N^2.  The D residues index one table of 6N-th roots of unity.
+    Each exponent is r / (6N) with the integer residue r = n t mod 6N, t the
+    D base levels 6 phi (spectrum.base_levels).  n is reduced mod 6N before
+    the multiply, so every int64 product stays below 36 N^2, and the D
+    residues index one table of 6N-th roots of unity.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, N, D, M = app.a, app.N, app.D, app.M
-    if n % M:
+    if n % app.M:
         return 0j
-    size = 6 * N
-    const = a * a * (M - 1) * (2 * M - 1) % size
-    eta = np.arange(1, D + 1, dtype=np.int64)
-    base = (6 * eta * (a % N - eta) - const) % size
-    return M * complex(_unit_roots(size)[(n % size) * base % size].sum())
+    size = 6 * app.N
+    _, t = base_levels(app)
+    return app.M * complex(_unit_roots(size)[(n % size) * t % size].sum())

@@ -8,11 +8,10 @@ eigenphases are
 eta = 1..D, l = 0..M-1, reduced into [0, N).  They are rationals whose
 denominator divides 6, so the spectrum is held exactly as the integers
 t = 6 phi in [0, 6N): three int64 arrays t, eta and l, 24 bytes per level,
-sorted by (t, eta, l).  Fractions are built only by the on-demand views
-Spectrum.values and Spectrum.phases.  Because the l-dependence is an
-additive shift by D, the spectrum is periodic with period D, and its gap
-structure is that of the D-level block {-eta^2 mod D} (reduced_spectrum)
-repeated M times.
+sorted by (t, eta, l).  Fractions are built only by the on-demand view
+Spectrum.values.  Because the l-dependence is an additive shift by D, the
+spectrum is periodic with period D, and its gap structure is that of the
+D-level block {-eta^2 mod D} (reduced_spectrum) repeated M times.
 """
 
 from __future__ import annotations
@@ -24,15 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .diophantine import Approximant
-
-
-@dataclass(frozen=True)
-class Eigenphase:
-    """One eigenphase with its (eta, l) provenance; value is in [0, N)."""
-
-    eta: int
-    l: int
-    value: Fraction
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,31 +47,31 @@ class Spectrum:
         """Sorted eigenphase values with multiplicity, as Fractions."""
         return [Fraction(t, 6) for t in self.t.tolist()]
 
-    @property
-    def phases(self):
-        """The levels as Eigenphase records, in spectrum order."""
-        return tuple(
-            Eigenphase(eta, l, value)
-            for eta, l, value in zip(self.eta.tolist(), self.l.tolist(), self.values)
-        )
+
+def base_levels(app):
+    """(eta, t): the D levels with l = 0, in eta order, t = 6 phi in [0, 6N).
+
+    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N).  The constant
+    and a are reduced mod 6N and N as Python ints, so a huge a cannot
+    overflow; every int64 intermediate stays below 6 N^2.
+    """
+    a, N, M = app.a, app.N, app.M
+    size = 6 * N
+    const = a * a * (M - 1) * (2 * M - 1) % size
+    eta = np.arange(1, app.D + 1, dtype=np.int64)
+    return eta, (6 * eta * (a % N - eta) - const) % size
 
 
 def eigenphases(app):
     """Exact spectrum of the approximant, sorted ascending in [0, N).
 
-    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N).  The constant
-    and a are reduced mod 6N and N as Python ints, so a huge a cannot
-    overflow; every int64 intermediate stays below 6 N^2.
-
     Adding 1 to l moves a level one block of length 6D, so the D levels with
-    l = 0, at base = 6 D q + r, are sorted by r (ties by eta) and tiled in
-    (t, eta, l) order: block m holds t = 6 D m + r with l = (m - q) mod M.
+    l = 0 (base_levels), at base = 6 D q + r, are sorted by r (ties by eta)
+    and tiled in (t, eta, l) order: block m holds t = 6 D m + r with
+    l = (m - q) mod M.
     """
-    a, N, D, M = app.a, app.N, app.D, app.M
-    size, block = 6 * N, 6 * D
-    const = a * a * (M - 1) * (2 * M - 1) % size
-    eta = np.arange(1, D + 1, dtype=np.int64)
-    base = (6 * eta * (a % N - eta) - const) % size
+    eta, base = base_levels(app)
+    block, M = 6 * app.D, app.M
     q, r = np.divmod(base, block)
     order = np.argsort(r, kind="stable")
     eta, q, r = eta[order], q[order], r[order]

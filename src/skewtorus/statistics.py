@@ -13,6 +13,7 @@ is computed three ways that must agree:
                  Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
+                 all D of them one FFT of the D-level block's residues,
                  truncated at K; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
                  by convexity of 1/x^2, and that bound is reported alongside;
   closed-form    for D in {1, 2}: {L} - {L}^2, and for D in {3, 6}:
@@ -41,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diophantine import approximants_with_gcd
-from .spectrum import eigenphases
+from .spectrum import eigenphases, reduced_spectrum
 
 # Largest sine lookup table the fourier route will build for exact L-phase
 # reduction; rational L with bigger D*denominator falls back to plain floats.
@@ -49,8 +50,8 @@ _MAX_SIN_TABLE = 200_000
 
 DEFAULT_FOURIER_K = 10_000
 
-# Levels per block of the direct sweep; its temporaries are a dozen int64
-# arrays of this length, whatever N is.
+# Levels per block of the direct sweep, and terms per block of the fourier
+# series; the temporaries are a dozen arrays of this length, whatever N or K is.
 SWEEP_BLOCK = 1 << 16
 
 
@@ -191,26 +192,33 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     to 1/(K + 1/2).  That exceeds sum_{k>K} 1/k^2 by a relative 1/(12 K^2)
     asymptotically.
 
+    The levels of the D-level block are r = -eta^2 mod D, so with h the
+    histogram of r, S_D(k) = sum_r h_r e(k r / D) = D ifft(h)[k mod D]: all
+    D Gauss sums from one FFT of length D.  The K terms are summed
+    SWEEP_BLOCK at a time, so K costs time and not memory.
+
     For rational L the phase k L / D mod 1 is reduced exactly with a lookup
     table of period D * denominator(L), so sin vanishes identically where it
     should (e.g. D = 1 at integer L gives exactly 0).
     """
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    h = np.bincount(reduced_spectrum(D).t // 6, minlength=D)
     if K < 1:
         raise ValueError("K must be >= 1")
-    g2 = np.array([abs(gauss_sum(D, r)) ** 2 for r in range(D)])
-    ks = np.arange(1, K + 1, dtype=np.int64)
+    g2 = np.abs(D * np.fft.ifft(h)) ** 2
     Lr = Fraction(L)
     P = D * Lr.denominator
     if P <= _MAX_SIN_TABLE:
         num = Lr.numerator % P
         tbl = np.sin(np.pi * ((np.arange(P, dtype=np.int64) * num) % P) / P) ** 2
-        sin2 = tbl[ks % P]
-    else:
-        sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
-    value = (2 / math.pi**2) * float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
-    return value, _tail_bound(D, K)
+    total = 0.0
+    for start in range(1, K + 1, SWEEP_BLOCK):
+        ks = np.arange(start, min(start + SWEEP_BLOCK, K + 1), dtype=np.int64)
+        if P <= _MAX_SIN_TABLE:
+            sin2 = tbl[ks % P]
+        else:
+            sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
+        total += float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
+    return (2 / math.pi**2) * total, _tail_bound(D, K)
 
 
 def number_variance_closed(D, L):

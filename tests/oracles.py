@@ -16,16 +16,22 @@ matrix (two FFTs of U), one FFT over the integer phases and a sum of window
 overlaps over level pairs, and writes the spectrum in fixed-size blocks
 from one row template; the tests compare the two.  The spectrum's CSV and
 JSON are written here one record per level from its Fraction values, with
-json.dumps for the JSON.
+json.dumps for the JSON.  The Gauss-sum series takes its table |S_D(r)|^2
+from one gauss_sum call per residue r < D (O(D^2)), where the library reads
+all D of them off one FFT of the D-level block.  robustness_pairs lists the
+edge-case approximants that the seeded randomized cross-checks share.
 """
 import cmath
 import json
 import math
+import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from skewtorus.statistics import _MAX_SIN_TABLE, gauss_sum
 
 
 def eigenphases_fraction(app):
@@ -160,13 +166,13 @@ def spectrum_records(spec):
     """One dict (eta, l, numerator, denominator, decimal) per level, from Fractions."""
     return [
         {
-            "eta": ph.eta,
-            "l": ph.l,
-            "numerator": ph.value.numerator,
-            "denominator": ph.value.denominator,
-            "decimal": float(ph.value),
+            "eta": eta,
+            "l": l,
+            "numerator": value.numerator,
+            "denominator": value.denominator,
+            "decimal": float(value),
         }
-        for ph in spec.phases
+        for eta, l, value in zip(spec.eta.tolist(), spec.l.tolist(), spec.values)
     ]
 
 
@@ -181,3 +187,39 @@ def spectrum_csv(spec):
 def spectrum_json(spec):
     """The spectrum JSON: the list of records through json.dumps(indent=2)."""
     return json.dumps(spectrum_records(spec), indent=2) + "\n"
+
+
+def number_variance_fourier_gauss(D, L, K):
+    """(value, bound) of the Gauss-sum series, one gauss_sum call per r < D.
+
+    The same series as the library's, summed over k = 1..K in one array.
+    """
+    g2 = np.array([abs(gauss_sum(D, r)) ** 2 for r in range(D)])
+    ks = np.arange(1, K + 1, dtype=np.int64)
+    Lr = Fraction(L)
+    P = D * Lr.denominator
+    if P <= _MAX_SIN_TABLE:
+        num = Lr.numerator % P
+        tbl = np.sin(np.pi * ((np.arange(P, dtype=np.int64) * num) % P) / P) ** 2
+        sin2 = tbl[ks % P]
+    else:
+        sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
+    value = (2 / math.pi**2) * float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
+    return value, 2 * D * D / (math.pi**2 * (K + 0.5))
+
+
+def robustness_pairs(count=40, seed=4):
+    """(a, N) with N <= 200: the listed edge cases, then seeded random pairs."""
+    pairs = [
+        (0, 1), (5, 1), (1, 3), (3, 6),  # N = 1 and the smallest N
+        (0, 6), (0, 7), (12, 12), (30, 15),  # a = 0, D = N
+        (10**30 + 7, 8), (10**30 + 7, 200),  # huge a
+        (7, 7), (14, 49), (26, 39), (11, 121),  # prime D, a >= N
+        (12, 18), (20, 30), (24, 36), (40, 100),  # composite D
+        (1, 200), (3, 197), (199, 197),
+    ]
+    rnd = random.Random(seed)
+    while len(pairs) < count:
+        N = rnd.randint(1, 200)
+        pairs.append((rnd.choice([0, rnd.randint(1, N), rnd.randint(N, 3 * N)]), N))
+    return pairs

@@ -29,6 +29,7 @@ from oracles import (
     dense_unitarity_defect,
     eigvals_power_sums,
     propagator_lsum,
+    robustness_pairs,
     trace_power_numeric,
     traces_running_product,
 )
@@ -156,6 +157,19 @@ def test_numeric_matches_analytic_sweep():
         for n in range(1, 2 * N + 1):
             gap = abs(numeric[n - 1] - trace_power_analytic(app, n))
             assert gap < 1e-9 * N, (a, N, n)
+
+
+def test_randomized_trace_routes_cross_check():
+    # N = 1, a = 0, a >= N, huge a and D = N among them; verify's tolerances
+    for a, N in robustness_pairs():
+        app = Approximant(a, N)
+        numeric = trace_powers(build_propagator(app), 2 * N)
+        for n in range(1, 2 * N + 1):
+            gap = abs(numeric[n - 1] - trace_power_analytic(app, n))
+            assert gap <= 1e-9 * N, (a, N, n)
+        sums = power_sums(eigenphases(app), N)
+        for n in range(1, N + 1):
+            assert abs(sums[n - 1] - numeric[n - 1]) <= 1e-8 * N, (a, N, n)
 
 
 def test_trace_powers_agrees_with_matrix_power():

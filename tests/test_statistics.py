@@ -36,7 +36,13 @@ from skewtorus.statistics import (
     spacings,
 )
 
-from oracles import eigenphases_fraction, number_variance_events, sigma2_exact
+from oracles import (
+    eigenphases_fraction,
+    number_variance_events,
+    number_variance_fourier_gauss,
+    robustness_pairs,
+    sigma2_exact,
+)
 
 D_PAIRS = {
     1: [(1, 3), (8, 5)],
@@ -155,23 +161,6 @@ def test_number_variance_direct_vs_oracle():
         assert number_variance_direct(spec, L) == oracle_number_variance(spec, L)
 
 
-def robustness_pairs(count=40, seed=4):
-    """(a, N) with N <= 200: the listed edge cases, then seeded random pairs."""
-    pairs = [
-        (0, 1), (5, 1), (1, 3), (3, 6),  # N = 1 and the smallest N
-        (0, 6), (0, 7), (12, 12), (30, 15),  # a = 0, D = N
-        (10**30 + 7, 8), (10**30 + 7, 200),  # huge a
-        (7, 7), (14, 49), (26, 39), (11, 121),  # prime D, a >= N
-        (12, 18), (20, 30), (24, 36), (40, 100),  # composite D
-        (1, 200), (3, 197), (199, 197),
-    ]
-    rnd = random.Random(seed)
-    while len(pairs) < count:
-        N = rnd.randint(1, 200)
-        pairs.append((rnd.choice([0, rnd.randint(1, N), rnd.randint(N, 3 * N)]), N))
-    return pairs
-
-
 def robustness_ls(N, rnd):
     """L = 0, L >= N, a huge denominator, and seeded random rationals."""
     return [
@@ -191,7 +180,7 @@ def test_randomized_sweep_and_spacing_cross_check():
         app = Approximant(a, N)
         spec = eigenphases(app)
         block = reduced_spectrum(app.D)
-        phases = [(ph.value, ph.eta, ph.l) for ph in spec.phases]
+        phases = list(zip(spec.values, spec.eta.tolist(), spec.l.tolist()))
         assert phases == eigenphases_fraction(app), (a, N)
         for L in robustness_ls(N, rnd):
             value = number_variance_direct(spec, L)
@@ -341,7 +330,7 @@ def test_fourier_tail_bound_certified_and_tight():
     digits.  The range covered is K <= 10^7: the bound's slack over the
     exact tail is a relative 1/(12 K^2), which beyond K ~ 10^8 is smaller
     than the float rounding of the bound itself, and the fourier route's
-    K-length arrays make such K impractical anyway.
+    time is linear in K, so such K is slow anyway.
     """
     with mpmath.workdps(50):
         for K in (1, 2, 10, 2000, 10**4, 10**5, 10**7):
@@ -367,6 +356,37 @@ def test_fourier_validation():
         number_variance_fourier(0, 1, 10)
     with pytest.raises(ValueError):
         number_variance_fourier(3, 1, 0)
+
+
+# 3 + 10^-7 has D * denominator > _MAX_SIN_TABLE: the float-fallback path
+FOURIER_ORACLE_LS = (Fraction(1, 2), Fraction(7, 3), Fraction(5), 3 + Fraction(1, 10**7))
+
+
+def test_fourier_fft_table_matches_gauss_sum_oracle():
+    # abs_tol admits only the oracle's rounding where the exact value is 0:
+    # D = 2 at integer L, where S_2(k) = 0 for odd k; the FFT gives that 0
+    # exactly, one gauss_sum per residue leaves about 1e-33
+    K = statistics.DEFAULT_FOURIER_K
+    for D in list(range(1, 41)) + [97, 256]:
+        for L in FOURIER_ORACLE_LS:
+            value, bound = number_variance_fourier(D, L, K)
+            want, want_bound = number_variance_fourier_gauss(D, L, K)
+            assert bound == want_bound, (D, L)
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-30), (D, L)
+    assert number_variance_fourier(2, 5) == (0.0, _tail_bound(2, K))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_fourier_series_in_blocks(monkeypatch, block):
+    # K = 1001 = 7 * 11 * 13: blocks of 1 and 7 divide it, 100 does not
+    K = 1001
+    cases = [(D, L) for D in (1, 3, 8, 9, 97) for L in FOURIER_ORACLE_LS]
+    whole = [number_variance_fourier(D, L, K) for D, L in cases]
+    monkeypatch.setattr(statistics, "SWEEP_BLOCK", block)
+    for (D, L), (want, want_bound) in zip(cases, whole):
+        value, bound = number_variance_fourier(D, L, K)
+        assert bound == want_bound
+        assert math.isclose(value, want, rel_tol=1e-13), (D, L, block)
 
 
 def test_closed_frozen_values():
