@@ -186,6 +186,8 @@ def cmd_numvar(args):
         for L in Ls:
             rows.append((L, number_variance_direct(spec, L), "direct-exact", D, None))
     else:
+        if args.a is not None or args.N is not None:
+            raise ValueError(f"--method {args.method} takes --D, not --a or --N")
         if args.D is None:
             raise ValueError(f"--method {args.method} requires --D")
         D = args.D

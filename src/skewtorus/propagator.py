@@ -40,8 +40,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .spectrum import base_levels
 
 # Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
@@ -76,6 +74,8 @@ class Propagator:
         MOMENTUM_BLOCK at a time, and only w and the running sum of |E|^2
         are kept.
         """
+        import numpy as np
+
         N = self.N
         shift = int(self.a) % N
         half = np.fft.fft(self.entries, axis=0)
@@ -100,6 +100,8 @@ def build_propagator(app, max_n=DEFAULT_MAX_N):
     a -> a mod N, so a is reduced as a Python int before any int64
     arithmetic and the intermediates stay below N^2.
     """
+    import numpy as np
+
     N, a = app.N, app.a
     if N > max_n:
         raise ValueError(f"N={N} exceeds the dimension guard max_n={max_n}")
@@ -131,6 +133,8 @@ def unitarity_defect(U):
     rounding lands in E and the weights, and over the test sets the bound
     is above the entries of the dense U U^dagger - I.
     """
+    import numpy as np
+
     w, e = U.momentum
     mod2 = w.real**2 + w.imag**2
     return float(np.max(np.abs(1 - mod2)) + 2 * e * np.sqrt(mod2.max()) + e * e)
@@ -153,6 +157,8 @@ def trace_powers(U, n_max):
     Tr V^n - Tr (P W)^n is a sum of n terms Tr(V^j E (P W)^(n-1-j)), each at
     most sqrt(N) ||E||_F in modulus while every weight has modulus near 1.
     """
+    import numpy as np
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     w, _ = U.momentum
@@ -171,6 +177,8 @@ def trace_powers(U, n_max):
 @functools.lru_cache(maxsize=1)
 def _unit_roots(size):
     """e(k / size) for k = 0..size-1, read-only."""
+    import numpy as np
+
     roots = np.exp(2j * np.pi * np.arange(size) / size)
     roots.flags.writeable = False
     return roots

@@ -17,10 +17,8 @@ D-level block {-eta^2 mod D} (reduced_spectrum) repeated M times.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .diophantine import Approximant
 
@@ -30,13 +28,16 @@ class Spectrum:
     """Sorted multiset of the N eigenphases of one approximant.
 
     t holds 6 phi as int64 in [0, 6N), ascending; eta and l are the int64
-    labels of each level.  Ties in t are ordered by (eta, l).
+    labels of each level.  Ties in t are ordered by (eta, l).  eigenphases
+    makes the three arrays read-only, so the direct number-variance sweep's
+    memo (_sweeps, one entry per window width) cannot go stale.
     """
 
     app: Approximant
     t: np.ndarray
     eta: np.ndarray
     l: np.ndarray
+    _sweeps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def N(self):
@@ -55,6 +56,8 @@ def base_levels(app):
     and a are reduced mod 6N and N as Python ints, so a huge a cannot
     overflow; every int64 intermediate stays below 6 N^2.
     """
+    import numpy as np
+
     a, N, M = app.a, app.N, app.M
     size = 6 * N
     const = a * a * (M - 1) * (2 * M - 1) % size
@@ -68,16 +71,20 @@ def eigenphases(app):
     Adding 1 to l moves a level one block of length 6D, so the D levels with
     l = 0 (base_levels), at base = 6 D q + r, are sorted by r (ties by eta)
     and tiled in (t, eta, l) order: block m holds t = 6 D m + r with
-    l = (m - q) mod M.
+    l = (m - q) mod M.  The arrays are returned read-only.
     """
+    import numpy as np
+
     eta, base = base_levels(app)
     block, M = 6 * app.D, app.M
     q, r = np.divmod(base, block)
     order = np.argsort(r, kind="stable")
     eta, q, r = eta[order], q[order], r[order]
     m = np.arange(M, dtype=np.int64)[:, None]
-    t = (block * m + r).ravel()
-    return Spectrum(app, t, np.tile(eta, M), ((m - q) % M).ravel())
+    arrays = (block * m + r).ravel(), np.tile(eta, M), ((m - q) % M).ravel()
+    for x in arrays:
+        x.flags.writeable = False
+    return Spectrum(app, *arrays)
 
 
 def reduced_spectrum(D):
@@ -106,6 +113,8 @@ def power_sums(spec, n_max):
     is exact integer arithmetic; only the FFT rounds.  These must match the
     numeric traces of U^n.
     """
+    import numpy as np
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     size = 6 * spec.N
@@ -134,6 +143,8 @@ def spectrum_rows(spec):
     division of two exactly representable integers, so it equals
     float(Fraction(t, 6)).
     """
+    import numpy as np
+
     for start in range(0, spec.N, SPECTRUM_BLOCK):
         part = slice(start, start + SPECTRUM_BLOCK)
         t = spec.t[part]

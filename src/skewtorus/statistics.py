@@ -10,7 +10,9 @@ is computed three ways that must agree:
   direct-exact   (1/N) int n^2 - R^2 (R = L mod N, n the count in a window
                  of length R), int n^2 summed over level pairs as the overlap
                  of their window ranges; O(N log N) on the integer t, exact
-                 Fraction result, no tolerance at all;
+                 Fraction result, no tolerance at all; the sweep depends on
+                 L only through the integer width ceil(6R), so it runs once
+                 per width on each spectrum;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  all D of them one FFT of the D-level block's residues,
@@ -38,8 +40,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .diophantine import approximants_with_gcd
 from .spectrum import eigenphases, reduced_spectrum
@@ -80,6 +80,8 @@ class SpacingDistribution:
 
 def spacings(spec):
     """Empirical circular spacing law of a spectrum, as exact atoms."""
+    import numpy as np
+
     t = spec.t
     if not len(t):
         raise ValueError("empty spectrum")
@@ -107,6 +109,8 @@ def spacing_distribution_closed(D):
 
 def counting_function(spec, phi):
     """Levels in [0, phi) of the N-periodically extended spectrum, exact."""
+    import numpy as np
+
     whole, rem = divmod(Fraction(phi), spec.N)
     # t < 6 rem  <=>  t < ceil(6 rem) for integer t
     return whole * spec.N + int(np.searchsorted(spec.t, math.ceil(6 * rem)))
@@ -126,24 +130,43 @@ def number_variance_direct(spec, L):
     ext = t ++ (t + S), the entries ext[k] with k >= i and
     d = ext[k] - t_i < w meet each of these terms once (k = i is the level
     itself), so with F the sum of w - d over them, int n^2 du = 2F - N w.
-    For integer d, d < w <=> d < ceil(w), so one searchsorted bounds every
-    range of k and one cumulative sum of ext gives its distance total.  The
-    result is an exact Fraction for any rational L, with no float.
-
-    ext is never built.  w <= S, so the range of k wraps at most once: with
-    q = [x >= S], searchsorted(ext, x) = searchsorted(t, x - q S) + q N, and
-    the cumulative sum of ext at index k' + q N is csum[k'] + q (csum[N] +
-    k' S) for csum that of t.  The levels i are taken SWEEP_BLOCK at a time,
-    so the temporaries beyond t and csum have a fixed size.
+    For integer d, d < w <=> d < ceil(w), so the sweep (_pair_sums) needs
+    only the integer width ceil(w): it runs once per width and spectrum,
+    and every L of that width reuses it.  The result is an exact Fraction
+    for any rational L, with no float.
     """
     L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
-    N, t = spec.N, spec.t
+    N = spec.N
     R = L % N
     if not R:
         return Fraction(0)
-    size, width = 6 * N, math.ceil(6 * R)
+    width = math.ceil(6 * R)
+    if width not in spec._sweeps:
+        spec._sweeps[width] = _pair_sums(spec, width)
+    pairs, total = spec._sweeps[width]
+    # (2F - N w) / S - R^2 with F = w pairs - total, w = 6R and S = 6N
+    return R * (2 * pairs - N) / N - Fraction(total, 3 * N) - R * R
+
+
+def _pair_sums(spec, width):
+    """(pairs, total): the entries ext[k], k >= i, within width of t_i.
+
+    pairs counts them and total sums their distances ext[k] - t_i, over
+    every level i, as Python ints; 1 <= width <= 6N.
+
+    ext is never built.  width <= S, so the range of k wraps at most once:
+    with q = [x >= S], searchsorted(ext, x) = searchsorted(t, x - q S) + q N,
+    and the cumulative sum of ext at index k' + q N is
+    csum[k'] + q (csum[N] + k' S) for csum that of t.  One searchsorted
+    bounds every range of k.  The levels i are taken SWEEP_BLOCK at a time,
+    so the temporaries beyond t and csum have a fixed size.
+    """
+    import numpy as np
+
+    N, t = spec.N, spec.t
+    size = 6 * N
     csum = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(t, out=csum[1:])
     pairs = total = 0
@@ -160,8 +183,7 @@ def number_variance_direct(spec, L):
         # summed apart (each fits for N < 2^31) and joined as Python ints
         total += (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
         pairs += int(np.sum(cnt))
-    # (2F - N w) / S - R^2 with F = w pairs - total, w = 6R and S = 6N
-    return R * (2 * pairs - N) / N - Fraction(total, 3 * N) - R * R
+    return pairs, total
 
 
 def gauss_sum(D, k):
@@ -201,6 +223,8 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     table of period D * denominator(L), so sin vanishes identically where it
     should (e.g. D = 1 at integer L gives exactly 0).
     """
+    import numpy as np
+
     h = np.bincount(reduced_spectrum(D).t // 6, minlength=D)
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -23,6 +23,20 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout; the CompletedProcess, text mode."""
+    return subprocess.run(
+        [sys.executable, *args], env=_env(), capture_output=True, text=True, timeout=60
+    )
+
+
 def test_approx_single(capsys):
     code, out, _ = run(capsys, "approx", "--alpha", "golden", "--N", "5")
     assert code == 0
@@ -310,16 +324,7 @@ def test_help_exits_zero():
 
 
 def test_python_m_skewtorus_help():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewtorus", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python("-m", "skewtorus", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: skewtorus")
 
@@ -351,6 +356,9 @@ def test_python_m_skewtorus_help():
         # --D must agree with gcd(a, N) when --N or --a is given
         ("numvar --method direct --D 8 --N 100 --L 1", 2, False),
         ("numvar --method direct --D 3 --a 3 --N 10 --L 1", 2, False),
+        # closed and fourier depend on D alone and take no approximant
+        ("numvar --method closed --D 3 --N 100 --L 1", 2, False),
+        ("numvar --method fourier --D 3 --a 5 --N 10 --L 1", 2, False),
         # verify's fourier order is fixed
         ("verify --a 3 --N 9 --K 100", 2, True),
     ],
@@ -390,30 +398,23 @@ def test_spectrum_json_out_file_matches_stdout(tmp_path, capsys):
 
 def test_closed_stdout_exits_quietly():
     # the reader stops after one line of a 3 MB output, as `| head -1` does
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "skewtorus", "spectrum", "--a", "1", "--N", "100000"],
-        env=env,
+        env=_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        assert proc.stdout.readline() == b"eta,l,numerator,denominator,decimal\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"eta,l,numerator,denominator,decimal\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
     assert err == b""
 
 
 def test_runs_without_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -422,11 +423,47 @@ def test_runs_without_scipy():
         " '--K', '1000']) == 0\n"
         "assert cli.main(['figure1', '--L', '0:9:10']) == 0\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+# Commands that build no array: each must run with numpy blocked.
+NO_NUMPY_COMMANDS = [
+    ("approx --alpha golden --N 1000", 0),
+    ("approx --alpha golden --D 3 --count 3", 0),
+    ("approx --alpha sqrt2 --N 985 --format json", 0),
+    ("numvar --D 3 --L 0:6:301 --method closed", 0),
+    ("numvar --D 1 --L 0:4:201 --method closed --poisson", 0),
+    ("numvar --D 6 --L 0:6:31 --method closed --format json", 0),
+    ("orbit --alpha 0.61803398875 --T 100 --p 0.25", 0),
+    ("approx --alpha cf:1,1,1 --N 1000", 2),
+    ("numvar --method closed --D 3 --N 100 --L 1", 2),
+    ("numvar --D 5 --L 1 --method closed", 3),
+    ("numvar --D 3 --L 3:1:5", 4),
+]
+
+
+def test_exact_commands_run_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import skewtorus\n"
+        "from skewtorus import cli\n"
+        f"for argv, code in {NO_NUMPY_COMMANDS!r}:\n"
+        "    assert cli.main(argv.split()) == code, argv\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    script = (
+        "import sys\n"
+        "import skewtorus.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert skewtorus.cli.main(['spectrum', '--a', '3', '--N', '9']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta,l,numerator,denominator,decimal\n")

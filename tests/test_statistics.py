@@ -220,6 +220,39 @@ def test_direct_sweep_in_blocks_matches_oracle(monkeypatch, block):
             assert number_variance_direct(spec, L) == number_variance_events(spec, L), (a, N, L)
 
 
+def test_direct_sweep_runs_once_per_width(monkeypatch):
+    # L depends on the sweep only through w = ceil(6 R), R = L mod N: a grid
+    # of step 1/24 puts four L on each width, and L >= N repeats every width
+    calls = []
+    sweep = statistics._pair_sums
+    monkeypatch.setattr(
+        statistics, "_pair_sums", lambda spec, w: calls.append(w) or sweep(spec, w)
+    )
+    for a, N in [(0, 1), (3, 9), (24, 16), (10**30 + 7, 12)]:
+        Ls = [Fraction(j, 24) for j in range(24 * 2 * N + 1)]
+        Ls += [N, 3 * N, 0.1, 2.5, float(N), N + 1e-3, Fraction(7 * N, 3)]
+        want = {L: number_variance_events(eigenphases(Approximant(a, N)), L) for L in Ls}
+        widths = {math.ceil(6 * (Fraction(L) % N)) for L in Ls} - {0}
+        spec = eigenphases(Approximant(a, N))
+        calls.clear()
+        for L in Ls + Ls[::-1]:
+            assert number_variance_direct(spec, L) == want[L], (a, N, L)
+        assert sorted(calls) == sorted(widths), (a, N)
+        # a fresh spectrum of the same approximant starts its own memo
+        fresh = eigenphases(Approximant(a, N))
+        for L in Ls[::-1]:
+            assert number_variance_direct(fresh, L) == want[L], (a, N, L)
+        assert len(calls) == 2 * len(widths), (a, N)
+
+
+def test_spectrum_arrays_are_read_only():
+    spec = eigenphases(Approximant(3, 9))
+    number_variance_direct(spec, Fraction(1, 2))
+    for arr in (spec.t, spec.eta, spec.l):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_number_variance_symmetry():
     rnd = random.Random(9)
     for a, N in [p for pairs in D_PAIRS.values() for p in pairs][:10]:
