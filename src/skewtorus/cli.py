@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .classical import TorusPoint, orbit, orbit_to_csv, weyl_sum
+from .classical import TorusPoint, orbit, orbit_to_csv
 from .diophantine import (
     Approximant,
     PrecisionExhaustedError,
@@ -136,9 +136,12 @@ def cmd_approx(args):
     if (args.N is None) == (args.D is None):
         raise ValueError("choose exactly one of --N (single) or --D (family)")
     if args.N is not None:
+        if args.count is not None:
+            raise ValueError("--count sizes a --D family, not a single --N")
         apps = [nearest_approximant(alpha, args.N)]
     else:
-        apps = approximants_with_gcd(alpha, args.D, args.count)
+        count = 3 if args.count is None else args.count
+        apps = approximants_with_gcd(alpha, args.D, count)
     _emit(
         args,
         lambda out: out.writelines(
@@ -171,6 +174,8 @@ def cmd_spacing(args):
 
 def cmd_numvar(args):
     Ls = _parse_lgrid(args.L)
+    if args.K is not None and args.method != "fourier":
+        raise ValueError(f"--K is for --method fourier, not {args.method}")
     rows = []
     if args.method == "direct":
         # --D alone selects the D-level block, whose statistics are those of
@@ -195,9 +200,10 @@ def cmd_numvar(args):
             for L in Ls:
                 rows.append((L, number_variance_closed(D, L), "closed-form", D, None))
         else:
+            K = DEFAULT_FOURIER_K if args.K is None else args.K
             for L in Ls:
-                v, b = number_variance_fourier(D, L, args.K)
-                rows.append((L, v, f"fourier(K={args.K})", D, b))
+                v, b = number_variance_fourier(D, L, K)
+                rows.append((L, v, f"fourier(K={K})", D, b))
     if args.poisson:
         for L in Ls:
             rows.append((L, L, "poisson", D, None))
@@ -409,7 +415,7 @@ def _build_parser():
     p = add("approx", cmd_approx, "nearest approximants a/N or a gcd family")
     p.add_argument("--N", type=int, help="single dimension N")
     p.add_argument("--D", type=int, help="family with gcd(a, N) = D")
-    p.add_argument("--count", type=int, default=3, help="family size (default 3)")
+    p.add_argument("--count", type=int, help="family size, with --D (default 3)")
 
     for name, func, help_text in (
         ("spectrum", cmd_spectrum, "exact eigenphases (eta, l, value)"),
@@ -428,7 +434,9 @@ def _build_parser():
     )
     p.add_argument("--L", required=True, help='grid "min:max:steps" or one value')
     p.add_argument(
-        "--K", type=int, default=DEFAULT_FOURIER_K, help="series truncation order"
+        "--K",
+        type=int,
+        help=f"series truncation order (method fourier; default {DEFAULT_FOURIER_K})",
     )
     p.add_argument("--poisson", action="store_true", help="append Sigma^2 = L rows")
 

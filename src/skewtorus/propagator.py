@@ -184,6 +184,16 @@ def _unit_roots(size):
     return roots
 
 
+@functools.lru_cache(maxsize=1)
+def _base_phases(app):
+    """The D base levels 6 phi (spectrum.base_levels) as read-only int64."""
+    import numpy as np
+
+    t = np.array(base_levels(app)[1], dtype=np.int64)
+    t.flags.writeable = False
+    return t
+
+
 def trace_power_analytic(app, n):
     """Closed-form Tr(U^n); exactly 0 when n mod M != 0.
 
@@ -197,5 +207,5 @@ def trace_power_analytic(app, n):
     if n % app.M:
         return 0j
     size = 6 * app.N
-    _, t = base_levels(app)
+    t = _base_phases(app)
     return app.M * complex(_unit_roots(size)[(n % size) * t % size].sum())

@@ -6,42 +6,103 @@ eigenphases are
     phi_{eta,l} = l*D - eta^2 + eta*a - a^2 (M-1)(2M-1)/6   (mod N),
 
 eta = 1..D, l = 0..M-1, reduced into [0, N).  They are rationals whose
-denominator divides 6, so the spectrum is held exactly as the integers
-t = 6 phi in [0, 6N): three int64 arrays t, eta and l, 24 bytes per level,
-sorted by (t, eta, l).  Fractions are built only by the on-demand view
-Spectrum.values.  Because the l-dependence is an additive shift by D, the
-spectrum is periodic with period D, and its gap structure is that of the
-D-level block {-eta^2 mod D} (reduced_spectrum) repeated M times.
+denominator divides 6, so every level is held exactly as the integer
+t = 6 phi in [0, 6N).  All N of them share one residue rho = t mod 6, so
+t = 6 u + rho with an integer position u in [0, N).
+
+Raising l by one moves a level by D in u, so the spectrum is M copies of
+one period: the D levels with l = 0 (base_levels), whose positions mod D
+make a histogram h over Z_D (h_r levels at every u = r mod D, sum h = D).
+A Spectrum holds that period as Python ints, O(D) memory at any N; the
+spacing law, the direct number variance and the counting function are
+read off it.  The N-level int64 arrays t, eta and l, sorted by (t, eta, l),
+are tiled from the period with numpy on first access, for the spectrum
+rows, the power sums and Spectrum.values.  The D-level block
+{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every
+spectrum with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, islice
+from operator import mul
 
 from .diophantine import Approximant
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted multiset of the N eigenphases of one approximant.
+    """The N eigenphases of one approximant, held as one period.
 
-    t holds 6 phi as int64 in [0, 6N), ascending; eta and l are the int64
-    labels of each level.  Ties in t are ordered by (eta, l).  eigenphases
-    makes the three arrays read-only, so the direct number-variance sweep's
-    memo (_sweeps, one entry per window width) cannot go stale.
+    rho is the residue t mod 6 of every level, and hist the histogram over
+    Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
+    Python ints summing to D.  The int64 arrays t, eta and l are built,
+    read-only, on first access.  _sweeps is the direct number variance's
+    memo, one entry per window width on the period; it is filled only from
+    hist, which cannot change.
     """
 
     app: Approximant
-    t: np.ndarray
-    eta: np.ndarray
-    l: np.ndarray
+    rho: int
+    hist: tuple
     _sweeps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def N(self):
         return self.app.N
+
+    @cached_property
+    def prefix(self):
+        """(C, S, B): prefix sums of the histogram over two periods.
+
+        With h_j = hist[j mod D] for j < 2D: C[k] = sum_{j<k} h_j counts the
+        levels below k and S[k] = sum_{i<k} C[i], for every k <= 2D, as
+        lists of Python ints.  B = sum_r h_r S[r + 1] = sum_{j<r<D} (r - j)
+        h_j h_r is the summed distance of the pairs of one period, unwrapped.
+        """
+        h = self.hist
+        C = list(accumulate(h * 2, initial=0))
+        S = list(accumulate(C, initial=0))
+        return C, S, sum(map(mul, h, islice(S, 1, None)))
+
+    @cached_property
+    def _arrays(self):
+        """(t, eta, l) tiled from the base levels, as read-only int64 arrays.
+
+        Adding 1 to l moves a level one block of length 6D, so the base
+        levels at t = 6 D q + r are sorted by r (ties by eta) and tiled in
+        (t, eta, l) order: block m holds t = 6 D m + r with l = (m - q) mod M.
+        """
+        import numpy as np
+
+        eta, base = (np.array(x, dtype=np.int64) for x in base_levels(self.app))
+        block, M = 6 * self.app.D, self.app.M
+        q, r = np.divmod(base, block)
+        order = np.argsort(r, kind="stable")
+        eta, q, r = eta[order], q[order], r[order]
+        m = np.arange(M, dtype=np.int64)[:, None]
+        arrays = (block * m + r).ravel(), np.tile(eta, M), ((m - q) % M).ravel()
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
+
+    @property
+    def t(self):
+        """6 phi of every level as int64 in [0, 6N), ascending."""
+        return self._arrays[0]
+
+    @property
+    def eta(self):
+        """The eta label of every level, in the order of t (ties by eta, l)."""
+        return self._arrays[1]
+
+    @property
+    def l(self):
+        """The l label of every level, in the order of t."""
+        return self._arrays[2]
 
     @property
     def values(self):
@@ -52,46 +113,37 @@ class Spectrum:
 def base_levels(app):
     """(eta, t): the D levels with l = 0, in eta order, t = 6 phi in [0, 6N).
 
-    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N).  The constant
-    and a are reduced mod 6N and N as Python ints, so a huge a cannot
-    overflow; every int64 intermediate stays below 6 N^2.
+    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N), in Python
+    ints (eta a range, t a list); a huge a or N cannot overflow.
     """
-    import numpy as np
-
     a, N, M = app.a, app.N, app.M
     size = 6 * N
     const = a * a * (M - 1) * (2 * M - 1) % size
-    eta = np.arange(1, app.D + 1, dtype=np.int64)
-    return eta, (6 * eta * (a % N - eta) - const) % size
+    a %= N
+    eta = range(1, app.D + 1)
+    return eta, [(6 * e * (a - e) - const) % size for e in eta]
 
 
 def eigenphases(app):
-    """Exact spectrum of the approximant, sorted ascending in [0, N).
+    """Exact spectrum of the approximant: its period, from base_levels.
 
-    Adding 1 to l moves a level one block of length 6D, so the D levels with
-    l = 0 (base_levels), at base = 6 D q + r, are sorted by r (ties by eta)
-    and tiled in (t, eta, l) order: block m holds t = 6 D m + r with
-    l = (m - q) mod M.  The arrays are returned read-only.
+    The base levels are reduced mod 6D; every t has the same residue mod 6,
+    so they fill the histogram over Z_D of u = (t mod 6D) // 6.
     """
-    import numpy as np
-
-    eta, base = base_levels(app)
-    block, M = 6 * app.D, app.M
-    q, r = np.divmod(base, block)
-    order = np.argsort(r, kind="stable")
-    eta, q, r = eta[order], q[order], r[order]
-    m = np.arange(M, dtype=np.int64)[:, None]
-    arrays = (block * m + r).ravel(), np.tile(eta, M), ((m - q) % M).ravel()
-    for x in arrays:
-        x.flags.writeable = False
-    return Spectrum(app, *arrays)
+    _, t = base_levels(app)
+    block = 6 * app.D
+    hist = [0] * app.D
+    for x in t:
+        hist[x % block // 6] += 1
+    return Spectrum(app, t[0] % 6, tuple(hist))
 
 
 def reduced_spectrum(D):
     """The D-level block: the spectrum of (a, N) = (0, D), with M = 1.
 
-    Its levels are t = 6 (-eta^2 mod D), sorted.  Every spectrum with
-    gcd(a, N) = D is M translates of this block, so its spacing law and its
+    Its levels are t = 6 (-eta^2 mod D), so rho = 0 and the histogram counts
+    the residues -eta^2 mod D.  Every spectrum with gcd(a, N) = D has the
+    same histogram up to a rotation of Z_D, so its spacing law and its
     number variance are the block's.
     """
     if D < 1:
@@ -100,8 +152,11 @@ def reduced_spectrum(D):
 
 
 def degeneracy_profile(spec):
-    """Multiplicity of each residue t // 6 of a D-level block, as a dict."""
-    return dict(sorted(Counter((spec.t // 6).tolist()).items()))
+    """Multiplicity of each occupied residue of the period, as a dict.
+
+    For a D-level block the residues are the levels t // 6.
+    """
+    return {r: c for r, c in enumerate(spec.hist) if c}
 
 
 def power_sums(spec, n_max):

@@ -1,7 +1,10 @@
 """Spectral statistics: level spacings and number variance by three routes.
 
-Everything here works on the exact spectra of module `spectrum`, held as
-the integers t = 6 phi.  The number variance
+Everything here works on the exact spectra of module `spectrum`: one
+period of D levels, held as the histogram h over Z_D of their integer
+positions u (t = 6 phi = 6 u + rho).  The spacing law, the direct number
+variance and the counting function are exact Python-int arithmetic on h,
+O(D) at any N, and load no numpy.  The number variance
 
     Sigma^2(L) = (1/N) int_0^N (Ncal(phi + L) - Ncal(phi) - L)^2 dphi
 
@@ -9,10 +12,11 @@ is computed three ways that must agree:
 
   direct-exact   (1/N) int n^2 - R^2 (R = L mod N, n the count in a window
                  of length R), int n^2 summed over level pairs as the overlap
-                 of their window ranges; O(N log N) on the integer t, exact
-                 Fraction result, no tolerance at all; the sweep depends on
-                 L only through the integer width ceil(6R), so it runs once
-                 per width on each spectrum;
+                 of their window ranges; the pair sums of the N levels
+                 follow from those of the period at the width
+                 (ceil(R) - 1) mod D + 1, two dot products of h with its
+                 prefix sums, made once per width on each spectrum; exact
+                 Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  all D of them one FFT of the D-level block's residues,
@@ -29,7 +33,8 @@ in print fails that gate and is rejected by the acceptance tests.
 
 Spacing distributions are exact atom lists; the circular convention closes
 the spectrum with the wrap gap phi_0 + N - phi_{N-1}, so the N spacings are
-nonnegative and sum to N.  They are counted as integer gaps of t.
+nonnegative and sum to N.  They are the gaps between the occupied residues
+of the period plus its wrap gap, each M times, and weight count/D.
 Degenerate eigenphases contribute genuine atoms at s = 0.
 """
 
@@ -40,6 +45,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
+from operator import mul, sub
 
 from .diophantine import approximants_with_gcd
 from .spectrum import eigenphases, reduced_spectrum
@@ -50,8 +57,8 @@ _MAX_SIN_TABLE = 200_000
 
 DEFAULT_FOURIER_K = 10_000
 
-# Levels per block of the direct sweep, and terms per block of the fourier
-# series; the temporaries are a dozen arrays of this length, whatever N or K is.
+# Terms per block of the fourier series; the temporaries are a few arrays of
+# this length, whatever K is.
 SWEEP_BLOCK = 1 << 16
 
 
@@ -79,19 +86,22 @@ class SpacingDistribution:
 
 
 def spacings(spec):
-    """Empirical circular spacing law of a spectrum, as exact atoms."""
-    import numpy as np
+    """Empirical circular spacing law of a spectrum, as exact atoms.
 
-    t = spec.t
-    if not len(t):
+    One period holds h_r levels at each residue r of Z_D: h_r - 1 zero gaps,
+    then the gap to the next occupied residue, the last one wrapping round
+    by D.  The N gaps are M copies of these D, so each weighs count/D.
+    """
+    h = spec.hist
+    D = len(h)
+    occupied = list(compress(range(D), h))
+    if not occupied:
         raise ValueError("empty spectrum")
-    N = spec.N
-    gaps = np.append(np.diff(t), t[0] + 6 * N - t[-1])
-    sixths, counts = np.unique(gaps, return_counts=True)
-    atoms = tuple(
-        (Fraction(s, 6), Fraction(c, N))
-        for s, c in zip(sixths.tolist(), counts.tolist())
-    )
+    gaps = Counter(map(sub, occupied[1:], occupied))
+    gaps[occupied[0] + D - occupied[-1]] += 1
+    if len(occupied) < D:
+        gaps[0] = D - len(occupied)
+    atoms = tuple((Fraction(s), Fraction(c, D)) for s, c in sorted(gaps.items()))
     return SpacingDistribution(atoms, source="empirical")
 
 
@@ -109,81 +119,84 @@ def spacing_distribution_closed(D):
 
 def counting_function(spec, phi):
     """Levels in [0, phi) of the N-periodically extended spectrum, exact."""
-    import numpy as np
-
     whole, rem = divmod(Fraction(phi), spec.N)
-    # t < 6 rem  <=>  t < ceil(6 rem) for integer t
-    return whole * spec.N + int(np.searchsorted(spec.t, math.ceil(6 * rem)))
+    # 6 u + rho < 6 rem  <=>  u < ceil(rem - rho/6) for integer u; each whole
+    # period below that holds D levels, and C[r] counts the rest
+    periods, r = divmod(math.ceil(rem - Fraction(spec.rho, 6)), spec.app.D)
+    return whole * spec.N + periods * spec.app.D + spec.prefix[0][r]
 
 
 def number_variance_direct(spec, L):
     """Exact number variance of one spectrum at window length L.
 
-    In units u = 6 phi the levels sit at the integers t_j on a circle of
-    length S = 6N.  A window of length L = k N + R (0 <= R < N) holds k N
-    levels plus the n(u) levels in [u, u + w), w = 6R.  Each level is in
-    that window for a u-range of length w, so int n du = N w and
-    Sigma^2 = (1/S) int (n - R)^2 du = (1/S) int n^2 du - R^2.  The
-    integral of n^2 counts each level once (length w) and each pair of
-    distinct levels twice, over the overlap of their two u-ranges:
-    (w - d)+ + (w - (S - d))+ for levels a forward distance d apart.  In
-    ext = t ++ (t + S), the entries ext[k] with k >= i and
-    d = ext[k] - t_i < w meet each of these terms once (k = i is the level
-    itself), so with F the sum of w - d over them, int n^2 du = 2F - N w.
-    For integer d, d < w <=> d < ceil(w), so the sweep (_pair_sums) needs
-    only the integer width ceil(w): it runs once per width and spectrum,
-    and every L of that width reuses it.  The result is an exact Fraction
-    for any rational L, with no float.
+    In units of phi the levels sit at t/6 on a circle of length N.  A window
+    of length L = k N + R (0 <= R < N) holds k N levels plus the n(x) levels
+    in [x, x + R).  Each level is in that window for an x-range of length R,
+    so int n dx = N R and Sigma^2 = (1/N) int (n - R)^2 dx = (1/N) int n^2 dx
+    - R^2.  The integral of n^2 counts each level once (length R) and each
+    pair of distinct levels twice, over the overlap of their two x-ranges:
+    (R - d)+ + (R - (N - d))+ for levels a forward distance d apart.  Count
+    each level i with the levels at forward distances d < R from it, itself
+    and its equal-position successors included once (the pairs), and let
+    total be the sum of those d; then int n^2 dx = 2 (R pairs - total) - N R.
+
+    All distances are integers, so d < R <=> d < W = ceil(R).  Write
+    W - 1 = c D + W' - 1 with 1 <= W' <= D.  The spectrum is M copies of
+    the period, and every D further of distance adds the whole period, so
+    with (G, G_t) the pairs and total of the period (a circle of length D)
+    at width W' (_pair_sums):
+
+        pairs = M (c D^2 + G)
+        total = M (c D D(D-1)/2 + G_t + D^3 c(c-1)/2 + c D G)
+
+    _pair_sums runs once per width W' and spectrum, and every L of that
+    width reuses it.  The result is an exact Fraction for any rational L,
+    with no float.
     """
     L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
-    N = spec.N
+    N, D, M = spec.N, spec.app.D, spec.app.M
     R = L % N
     if not R:
         return Fraction(0)
-    width = math.ceil(6 * R)
+    c, width = divmod(math.ceil(R) - 1, D)
+    width += 1
     if width not in spec._sweeps:
         spec._sweeps[width] = _pair_sums(spec, width)
-    pairs, total = spec._sweeps[width]
-    # (2F - N w) / S - R^2 with F = w pairs - total, w = 6R and S = 6N
-    return R * (2 * pairs - N) / N - Fraction(total, 3 * N) - R * R
+    G, Gt = spec._sweeps[width]
+    pairs = M * (c * D * D + G)
+    total = M * (Gt + c * D * D * (D - 1) // 2 + D**3 * c * (c - 1) // 2 + c * D * G)
+    # (2 (R pairs - total) - N R) / N - R^2
+    return R * (2 * pairs - N) / N - Fraction(2 * total, N) - R * R
 
 
 def _pair_sums(spec, width):
-    """(pairs, total): the entries ext[k], k >= i, within width of t_i.
+    """(G, G_t) of the period at width 1 <= width <= D, as Python ints.
 
-    pairs counts them and total sums their distances ext[k] - t_i, over
-    every level i, as Python ints; 1 <= width <= 6N.
+    On the circle Z_D with h_r levels at r, G counts, for every level,
+    itself and the levels after it at forward distances d < width
+    (h_r (h_r + 1)/2 pairs at d = 0 per residue), and G_t sums their d.
+    With C, S and B of Spectrum.prefix, the levels at j in [r, r + width)
+    of two periods number C[r + width] - C[r], and their distances j - r
+    sum to (width - 1) C[r + width] - S[r + width] + S[r + 1].  Weighted by
+    h_r and summed over r, with X = sum h_r C[r + width] and
+    Y = sum h_r S[r + width]:
 
-    ext is never built.  width <= S, so the range of k wraps at most once:
-    with q = [x >= S], searchsorted(ext, x) = searchsorted(t, x - q S) + q N,
-    and the cumulative sum of ext at index k' + q N is
-    csum[k'] + q (csum[N] + k' S) for csum that of t.  One searchsorted
-    bounds every range of k.  The levels i are taken SWEEP_BLOCK at a time,
-    so the temporaries beyond t and csum have a fixed size.
+        G = X - D(D-1)/2,   G_t = (width - 1) X - Y + B.
+
+    The two dot products run over the occupied residues only.
     """
-    import numpy as np
+    h = spec.hist
+    C, S, B = spec.prefix
+    D = len(h)
+    counts = list(filter(None, h))
 
-    N, t = spec.N, spec.t
-    size = 6 * N
-    csum = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(t, out=csum[1:])
-    pairs = total = 0
-    for start in range(0, N, SWEEP_BLOCK):
-        ti = t[start : start + SWEEP_BLOCK]
-        i = np.arange(start, start + len(ti))
-        x = ti + width
-        q = x >= size
-        k = np.searchsorted(t, x - size * q)
-        cnt = k + N * q - i
-        # dist = sum of the distances ext[j] - t[i] over j in [i, k + q N)
-        dist = csum[k] + q * (csum[N] + k * size) - csum[i] - cnt * ti
-        # sum(dist) reaches about 6 N^3, past int64: its 32-bit halves are
-        # summed apart (each fits for N < 2^31) and joined as Python ints
-        total += (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
-        pairs += int(np.sum(cnt))
-    return pairs, total
+    def dot(x):
+        return sum(map(mul, counts, compress(islice(x, width, width + D), h)))
+
+    X = dot(C)
+    return X - D * (D - 1) // 2, (width - 1) * X - dot(S) + B
 
 
 def gauss_sum(D, k):
@@ -214,10 +227,10 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     to 1/(K + 1/2).  That exceeds sum_{k>K} 1/k^2 by a relative 1/(12 K^2)
     asymptotically.
 
-    The levels of the D-level block are r = -eta^2 mod D, so with h the
-    histogram of r, S_D(k) = sum_r h_r e(k r / D) = D ifft(h)[k mod D]: all
-    D Gauss sums from one FFT of length D.  The K terms are summed
-    SWEEP_BLOCK at a time, so K costs time and not memory.
+    The levels of the D-level block are r = -eta^2 mod D, so with h their
+    histogram (reduced_spectrum(D).hist), S_D(k) = sum_r h_r e(k r / D)
+    = D ifft(h)[k mod D]: all D Gauss sums from one FFT of length D.  The K
+    terms are summed SWEEP_BLOCK at a time, so K costs time and not memory.
 
     For rational L the phase k L / D mod 1 is reduced exactly with a lookup
     table of period D * denominator(L), so sin vanishes identically where it
@@ -225,7 +238,7 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     """
     import numpy as np
 
-    h = np.bincount(reduced_spectrum(D).t // 6, minlength=D)
+    h = np.array(reduced_spectrum(D).hist)
     if K < 1:
         raise ValueError("K must be >= 1")
     g2 = np.abs(D * np.fft.ifft(h)) ** 2

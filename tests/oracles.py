@@ -8,18 +8,22 @@ the unitarity defect as the largest entry of the dense U U^dagger - I
 (O(N^3)), eigenvalue power sums from one Fraction-reduced exponential per
 level and per n (O(N n_max)), the number variance by an event sweep over
 Fraction breakpoints with one bisection count per segment (O(N^2 log N)),
-and Sigma^2_D as the Bernoulli-B2 sum over pairs of D residues.  The
-library computes the same quantities through integer phases 6 phi in int64
-arrays tiled from one D-level block, the diagonal-times-circulant
-factorisation, the weights and off-support remainder of the momentum-basis
-matrix (two FFTs of U), one FFT over the integer phases and a sum of window
-overlaps over level pairs, and writes the spectrum in fixed-size blocks
-from one row template; the tests compare the two.  The spectrum's CSV and
-JSON are written here one record per level from its Fraction values, with
-json.dumps for the JSON.  The Gauss-sum series takes its table |S_D(r)|^2
-from one gauss_sum call per residue r < D (O(D^2)), where the library reads
-all D of them off one FFT of the D-level block.  robustness_pairs lists the
-edge-case approximants that the seeded randomized cross-checks share.
+and Sigma^2_D as the Bernoulli-B2 sum over pairs of D residues.  The N
+levels are also built as int64 arrays straight from the formula, with one
+lexsort, and read by np.diff for the spacings and by a searchsorted sweep
+over all N levels for the number variance (O(N log N) per L).  The
+library computes the same quantities from one period of D levels (a
+histogram over Z_D, with the int64 arrays tiled from it), the
+diagonal-times-circulant factorisation, the weights and off-support
+remainder of the momentum-basis matrix (two FFTs of U), one FFT over the
+integer phases and a sum of window overlaps over level pairs, and writes
+the spectrum in fixed-size blocks from one row template; the tests
+compare the two.  The spectrum's CSV and JSON are written here one record
+per level from its Fraction values, with json.dumps for the JSON.  The
+Gauss-sum series takes its table |S_D(r)|^2 from one gauss_sum call per
+residue r < D (O(D^2)), where the library reads all D of them off one FFT
+of the D-level block.  robustness_pairs lists the edge-case approximants
+that the seeded randomized cross-checks share.
 """
 import cmath
 import json
@@ -105,6 +109,72 @@ def power_sums_fraction(spec, n_max):
             s += cmath.exp(2j * math.pi * float((n * v / N) % 1))
         out.append(s)
     return out
+
+
+def eigenphases_int64(app):
+    """(t, eta, l): all N levels 6 phi as int64, sorted by (t, eta, l).
+
+    Each level is evaluated from the eigenphase formula and the N of them
+    are sorted with one lexsort; the library instead holds one period and
+    tiles it.  Needs 6 D N below 2^63.
+    """
+    a, N, D, M = app.a, app.N, app.D, app.M
+    size = 6 * N
+    const = a * a * (M - 1) * (2 * M - 1) % size
+    eta = np.repeat(np.arange(1, D + 1, dtype=np.int64), M)
+    l = np.tile(np.arange(M, dtype=np.int64), D)
+    t = (6 * (l * D + eta * (a % N - eta)) - const) % size
+    order = np.lexsort((l, eta, t))
+    return t[order], eta[order], l[order]
+
+
+def spacings_int64(app):
+    """Circular spacing atoms ((s, weight), ...) from np.diff of the N levels."""
+    t, _, _ = eigenphases_int64(app)
+    N = app.N
+    gaps = np.append(np.diff(t), t[0] + 6 * N - t[-1])
+    sixths, counts = np.unique(gaps, return_counts=True)
+    return tuple(
+        (Fraction(s, 6), Fraction(c, N)) for s, c in zip(sixths.tolist(), counts.tolist())
+    )
+
+
+def _pair_sums_int64(t, N, width):
+    """(pairs, total): the entries ext[k], k >= i, within width of t_i.
+
+    ext = t ++ (t + 6N) is never built: width <= 6N, so the range of k
+    wraps at most once, and one searchsorted over t bounds every range.
+    The distance total reaches about 6 N^3, past int64, so the 32-bit
+    halves of the per-level sums are added apart as Python ints.
+    """
+    size = 6 * N
+    csum = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(t, out=csum[1:])
+    i = np.arange(N)
+    x = t + width
+    q = x >= size
+    k = np.searchsorted(t, x - size * q)
+    cnt = k + N * q - i
+    dist = csum[k] + q * (csum[N] + k * size) - csum[i] - cnt * t
+    total = (int(np.sum(dist >> 32)) << 32) + int(np.sum(dist & 0xFFFFFFFF))
+    return int(np.sum(cnt)), total
+
+
+def number_variance_sweep(app, L):
+    """Exact Sigma^2(L) by the pair sweep over all N levels in int64.
+
+    (1/S) int n^2 du - R^2 in units u = 6 phi (S = 6N, w = 6R), where
+    int n^2 du = 2 (w pairs - total) - N w over the pairs within the
+    integer width ceil(w) (number_variance_direct has the derivation).
+    """
+    L = Fraction(L)
+    N = app.N
+    R = L % N
+    if not R:
+        return Fraction(0)
+    t, _, _ = eigenphases_int64(app)
+    pairs, total = _pair_sums_int64(t, N, math.ceil(6 * R))
+    return R * (2 * pairs - N) / N - Fraction(total, 3 * N) - R * R
 
 
 def _count(vals, N, phi):

@@ -359,6 +359,10 @@ def test_python_m_skewtorus_help():
         # closed and fourier depend on D alone and take no approximant
         ("numvar --method closed --D 3 --N 100 --L 1", 2, False),
         ("numvar --method fourier --D 3 --a 5 --N 10 --L 1", 2, False),
+        # --K orders the fourier series only; --count sizes a --D family only
+        ("numvar --method closed --D 3 --L 1 --K 5", 2, False),
+        ("numvar --method direct --D 3 --L 1 --K 5", 2, False),
+        ("approx --alpha golden --N 1000 --count 7", 2, False),
         # verify's fourier order is fixed
         ("verify --a 3 --N 9 --K 100", 2, True),
     ],
@@ -427,7 +431,8 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-# Commands that build no array: each must run with numpy blocked.
+# Commands that build no array: each must run with numpy blocked.  spacing
+# and numvar --method direct read one period of D levels, at any N.
 NO_NUMPY_COMMANDS = [
     ("approx --alpha golden --N 1000", 0),
     ("approx --alpha golden --D 3 --count 3", 0),
@@ -436,8 +441,16 @@ NO_NUMPY_COMMANDS = [
     ("numvar --D 1 --L 0:4:201 --method closed --poisson", 0),
     ("numvar --D 6 --L 0:6:31 --method closed --format json", 0),
     ("orbit --alpha 0.61803398875 --T 100 --p 0.25", 0),
+    ("spacing --a 24 --N 15", 0),
+    ("spacing --alpha golden --N 1000000000000 --format json", 0),
+    ("numvar --method direct --a 13 --N 21 --L 0:6:7", 0),
+    ("numvar --method direct --alpha golden --N 1000000000000 --L 0:6:7", 0),
+    ("numvar --method direct --D 9 --L 1/3:17/3:9 --format json", 0),
+    ("numvar --method direct --D 3 --a 24 --N 15 --L 7/3", 0),
     ("approx --alpha cf:1,1,1 --N 1000", 2),
     ("numvar --method closed --D 3 --N 100 --L 1", 2),
+    ("numvar --method direct --D 3 --L 1 --K 5", 2),
+    ("approx --alpha golden --N 1000 --count 7", 2),
     ("numvar --D 5 --L 1 --method closed", 3),
     ("numvar --D 3 --L 3:1:5", 4),
 ]

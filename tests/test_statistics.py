@@ -9,6 +9,7 @@ import io
 import cmath
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import ceil, lcm
@@ -18,7 +19,12 @@ import numpy as np
 import pytest
 
 from skewtorus import statistics
-from skewtorus.diophantine import Approximant, golden, sqrt2
+from skewtorus.diophantine import (
+    Approximant,
+    golden,
+    nearest_approximant,
+    sqrt2,
+)
 from skewtorus.spectrum import Spectrum, eigenphases, reduced_spectrum
 from skewtorus.statistics import (
     UnsupportedClosedFormError,
@@ -38,10 +44,13 @@ from skewtorus.statistics import (
 
 from oracles import (
     eigenphases_fraction,
+    eigenphases_int64,
     number_variance_events,
+    number_variance_sweep,
     number_variance_fourier_gauss,
     robustness_pairs,
     sigma2_exact,
+    spacings_int64,
 )
 
 D_PAIRS = {
@@ -101,9 +110,9 @@ def test_spacings_weights_and_total():
 
 
 def test_spacings_empty_spectrum():
-    empty = np.empty(0, dtype=np.int64)
+    # a period whose histogram holds no level
     with pytest.raises(ValueError):
-        spacings(Spectrum(Approximant(1, 1), empty, empty, empty))
+        spacings(Spectrum(Approximant(1, 1), 0, (0,)))
 
 
 def test_spacing_closed_forms():
@@ -133,6 +142,22 @@ def test_counting_function():
     assert counting_function(spec4, Fraction(17, 2)) == 9
     spec9 = eigenphases(Approximant(3, 9))
     assert counting_function(spec9, Fraction(9, 2)) == 4
+
+
+def test_counting_function_matches_bisection():
+    # rho = t mod 6 is not 0 for most pairs, e.g. (1, 3) has every t = 2 mod 6
+    rnd = random.Random(3)
+    for a, N in robustness_pairs():
+        spec = eigenphases(Approximant(a, N))
+        vals = spec.values
+        phis = [Fraction(0), Fraction(N), Fraction(7 * N, 2), Fraction(1, 10**20)]
+        steps = (0, Fraction(1, 6), -Fraction(1, 12))
+        phis += [v + e for v in vals[:3] + vals[-3:] for e in steps]
+        phis += [Fraction(rnd.randint(0, 60 * N), rnd.randint(1, 30)) for _ in range(10)]
+        for phi in phis:
+            whole, rem = divmod(phi, N)
+            want = whole * N + bisect_left(vals, rem)
+            assert counting_function(spec, phi) == want, (a, N, phi)
 
 
 def test_number_variance_direct_frozen():
@@ -175,6 +200,8 @@ def robustness_ls(N, rnd):
 
 
 def test_randomized_sweep_and_spacing_cross_check():
+    # the period path against the N-level oracles: the int64 arrays built
+    # from the formula, their pair sweep and np.diff, and the Fraction build
     rnd = random.Random(17)
     for a, N in robustness_pairs():
         app = Approximant(a, N)
@@ -182,9 +209,12 @@ def test_randomized_sweep_and_spacing_cross_check():
         block = reduced_spectrum(app.D)
         phases = list(zip(spec.values, spec.eta.tolist(), spec.l.tolist()))
         assert phases == eigenphases_fraction(app), (a, N)
-        for L in robustness_ls(N, rnd):
+        for got, want in zip((spec.t, spec.eta, spec.l), eigenphases_int64(app)):
+            assert np.array_equal(got, want), (a, N)
+        for L in robustness_ls(N, rnd) + [Fraction(6 * app.D)]:
             value = number_variance_direct(spec, L)
             assert type(value) is Fraction
+            assert value == number_variance_sweep(app, L), (a, N, L)
             assert value == number_variance_events(spec, L), (a, N, L)
             assert value == number_variance_direct(block, L), (a, N, L)
             if app.D in (1, 2, 3, 6):
@@ -197,7 +227,7 @@ def test_randomized_sweep_and_spacing_cross_check():
         vals = spec.values
         gaps = [y - x for x, y in zip(vals, vals[1:])] + [vals[0] + N - vals[-1]]
         want = tuple((s, Fraction(c, N)) for s, c in sorted(Counter(gaps).items()))
-        assert spacings(spec).atoms == want, (a, N)
+        assert spacings(spec).atoms == want == spacings_int64(app), (a, N)
         assert spacings(block).atoms == want, (a, N)
 
 
@@ -209,40 +239,69 @@ def test_direct_sum_exceeds_int64():
     assert value == number_variance_closed(1, L) == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("block", [1, 2, 5, 64])
-def test_direct_sweep_in_blocks_matches_oracle(monkeypatch, block):
-    # block sizes below, at and above N; L = N - 1/12 gives w = ceil(6R) = 6N,
-    # the widest window, whose range wraps exactly once
-    monkeypatch.setattr(statistics, "SWEEP_BLOCK", block)
-    for a, N in [(0, 1), (1, 3), (3, 9), (24, 16), (10**30 + 7, 12), (40, 100)]:
-        spec = eigenphases(Approximant(a, N))
-        for L in (Fraction(1, 2), Fraction(7, 3), N - Fraction(1, 12), 2 * N + Fraction(5, 6)):
-            assert number_variance_direct(spec, L) == number_variance_events(spec, L), (a, N, L)
+@pytest.mark.parametrize("M", [1, 2, 5, 64])
+def test_direct_sweep_in_blocks_matches_oracle(M):
+    # N = M D: the period repeated M times.  The widths ceil(R) = c D + W'
+    # take c = 0, 1, M/2 and M - 1 with W' = 1, interior and D; a is D, a
+    # multiple of D at or above N, or near 10^30 (a = 0 when M = 1)
+    periods = sorted({0, 1, M // 2, M - 1} - {M})
+    for D in (1, 2, 3, 8, 9):
+        N = M * D
+        for a in (D, D * (M + 1), D * (10**30 * M + 1)) + ((0,) if M == 1 else ()):
+            app = Approximant(a, N)
+            assert app.D == D
+            spec = eigenphases(app)
+            Ls = [Fraction(1, 2), Fraction(7, 3), N - Fraction(1, 12), 2 * N + Fraction(5, 6)]
+            Ls += [c * D + w for c in periods for w in (Fraction(1, 3), Fraction(D, 2), D)]
+            for L in Ls:
+                value = number_variance_direct(spec, L)
+                assert value == number_variance_sweep(app, L), (a, N, L)
+                if N <= 64:
+                    assert value == number_variance_events(spec, L), (a, N, L)
 
 
 def test_direct_sweep_runs_once_per_width(monkeypatch):
-    # L depends on the sweep only through w = ceil(6 R), R = L mod N: a grid
-    # of step 1/24 puts four L on each width, and L >= N repeats every width
+    # L reaches the period only through its width W' = (ceil(R) - 1) mod D
+    # + 1, R = L mod N: a grid of step 1/24 puts 24 L on each ceil(R), and
+    # L >= N and every further period repeat a width
     calls = []
     sweep = statistics._pair_sums
     monkeypatch.setattr(
         statistics, "_pair_sums", lambda spec, w: calls.append(w) or sweep(spec, w)
     )
-    for a, N in [(0, 1), (3, 9), (24, 16), (10**30 + 7, 12)]:
+    for a, N in [(0, 1), (3, 9), (24, 16), (10**30 + 7, 12), (6, 18), (20, 50)]:
+        app = Approximant(a, N)
         Ls = [Fraction(j, 24) for j in range(24 * 2 * N + 1)]
         Ls += [N, 3 * N, 0.1, 2.5, float(N), N + 1e-3, Fraction(7 * N, 3)]
-        want = {L: number_variance_events(eigenphases(Approximant(a, N)), L) for L in Ls}
-        widths = {math.ceil(6 * (Fraction(L) % N)) for L in Ls} - {0}
-        spec = eigenphases(Approximant(a, N))
+        want = {L: number_variance_sweep(app, L) for L in Ls}
+        R = [Fraction(L) % N for L in Ls]
+        widths = {(math.ceil(r) - 1) % app.D + 1 for r in R if r}
+        spec = eigenphases(app)
         calls.clear()
         for L in Ls + Ls[::-1]:
             assert number_variance_direct(spec, L) == want[L], (a, N, L)
         assert sorted(calls) == sorted(widths), (a, N)
         # a fresh spectrum of the same approximant starts its own memo
-        fresh = eigenphases(Approximant(a, N))
+        fresh = eigenphases(app)
         for L in Ls[::-1]:
             assert number_variance_direct(fresh, L) == want[L], (a, N, L)
         assert len(calls) == 2 * len(widths), (a, N)
+
+
+def test_period_at_huge_n_matches_closed_forms():
+    # no N-level array fits here; the period alone gives the closed forms,
+    # for L in the first period, across periods and beyond N
+    huge = nearest_approximant(golden(), 6 * 10**17)
+    d3 = nearest_approximant(golden(), 3 * 498454011879264)  # 3 F_72, about 1.5e15
+    for app, D in ((huge, 1), (d3, 3)):
+        assert app.D == D
+        spec = eigenphases(app)
+        assert spacings(spec).atoms == spacing_distribution_closed(D).atoms
+        N = app.N
+        Ls = [Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(10**9, 7) + Fraction(1, 3)]
+        Ls += [Fraction(N, 2) + Fraction(1, 5), N - Fraction(1, 3), N, 3 * N + Fraction(13, 6)]
+        for L in Ls:
+            assert number_variance_direct(spec, L) == number_variance_closed(D, L), (app, L)
 
 
 def test_spectrum_arrays_are_read_only():
