@@ -15,20 +15,24 @@ one period: the D levels with l = 0 (base_levels), whose positions mod D
 make a histogram h over Z_D (h_r levels at every u = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
 spacing law, the direct number variance and the counting function are
-read off it.  The N-level int64 arrays t, eta and l, sorted by (t, eta, l),
-are tiled from the period with numpy on first access, for the spectrum
-rows, the power sums and Spectrum.values.  The D-level block
-{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every
-spectrum with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
+read off it.  The spectrum rows are tiled from the period in Python, at
+most SPECTRUM_BLOCK levels at a time, so writing them holds O(D) memory
+and loads no numpy.  The N-level int64 arrays t, eta and l, sorted by
+(t, eta, l), are filled from the same blocks on first access, for the
+power sums and Spectrum.values.  The D-level block {-eta^2 mod D}
+(reduced_spectrum) is the spectrum of (0, D); every spectrum with
+gcd(a, N) = D has its histogram, up to a rotation of Z_D.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
-from operator import mul
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, truediv
 
 from .diophantine import Approximant
 
@@ -56,38 +60,32 @@ class Spectrum:
 
     @cached_property
     def prefix(self):
-        """(C, S, B): prefix sums of the histogram over two periods.
+        """(C, S, B): prefix sums of the histogram over one period.
 
-        With h_j = hist[j mod D] for j < 2D: C[k] = sum_{j<k} h_j counts the
-        levels below k and S[k] = sum_{i<k} C[i], for every k <= 2D, as
-        lists of Python ints.  B = sum_r h_r S[r + 1] = sum_{j<r<D} (r - j)
-        h_j h_r is the summed distance of the pairs of one period, unwrapped.
+        C[k] = sum_{j<k} h_j counts the levels below k and S[k] = sum_{i<k}
+        C[i], for every k <= D, as lists of Python ints.  Beyond one period
+        they continue as C[k + D] = C[k] + D and S[k + D] = S[k] + S[D] + k D
+        (_pair_sums applies these).  B = sum_r h_r S[r + 1] = sum_{j<r<D}
+        (r - j) h_j h_r is the summed distance of the pairs of one period.
         """
         h = self.hist
-        C = list(accumulate(h * 2, initial=0))
-        S = list(accumulate(C, initial=0))
+        C = list(accumulate(h, initial=0))
+        S = list(accumulate(islice(C, len(h)), initial=0))
         return C, S, sum(map(mul, h, islice(S, 1, None)))
 
     @cached_property
     def _arrays(self):
-        """(t, eta, l) tiled from the base levels, as read-only int64 arrays.
-
-        Adding 1 to l moves a level one block of length 6D, so the base
-        levels at t = 6 D q + r are sorted by r (ties by eta) and tiled in
-        (t, eta, l) order: block m holds t = 6 D m + r with l = (m - q) mod M.
-        """
+        """(t, eta, l) of every level as read-only int64 arrays, from _level_blocks."""
         import numpy as np
 
-        eta, base = (np.array(x, dtype=np.int64) for x in base_levels(self.app))
-        block, M = 6 * self.app.D, self.app.M
-        q, r = np.divmod(base, block)
-        order = np.argsort(r, kind="stable")
-        eta, q, r = eta[order], q[order], r[order]
-        m = np.arange(M, dtype=np.int64)[:, None]
-        arrays = (block * m + r).ravel(), np.tile(eta, M), ((m - q) % M).ravel()
-        for x in arrays:
+        cols = array("q"), array("q"), array("q")
+        for block in _level_blocks(self):
+            for col, x in zip(cols, block):
+                col.extend(x)
+        eta, l, t = (np.frombuffer(col, dtype=np.int64) for col in cols)
+        for x in (t, eta, l):
             x.flags.writeable = False
-        return arrays
+        return t, eta, l
 
     @property
     def t(self):
@@ -138,6 +136,59 @@ def eigenphases(app):
     return Spectrum(app, t[0] % 6, tuple(hist))
 
 
+def _period(spec, g):
+    """(eta, r, l0): the D base levels in spectrum order, as array('q')s.
+
+    Base level eta sits at t = 6 D q + 6 u + rho, at position u of Z_D.  A
+    counting sort over Z_D (bucket starts from the histogram, etas in
+    increasing order) puts the levels in (u, eta) order, so the positions
+    hold hist[u] levels at r = (6 u + rho) / g for each u in turn; g must
+    divide gcd(rho, 6).  In block m of length 6D the level is at
+    t = 6 D m + 6 u + rho with l = (m - q) mod M, so l0 = -q mod M is its l
+    in block 0.
+    """
+    D, M = spec.app.D, spec.app.M
+    step = 6 * D
+    _, t = base_levels(spec.app)
+    start = array("q", accumulate(spec.hist, initial=0))
+    eta, l0 = array("q", bytes(8 * D)), array("q", bytes(8 * D))
+    for e, x in enumerate(t, 1):
+        q, x = divmod(x, step)
+        u = x // 6
+        i = start[u]
+        start[u] = i + 1
+        eta[i] = e
+        l0[i] = -q % M
+    r = ((6 * u + spec.rho) // g for u in range(D))
+    return eta, array("q", chain.from_iterable(map(repeat, r, spec.hist))), l0
+
+
+def _level_blocks(spec, g=1):
+    """Yield (eta, l, t / g) for up to SPECTRUM_BLOCK levels at a time, in order.
+
+    g must divide gcd(rho, 6), so every t / g is an int.  The N levels are
+    the period (_period) tiled M times.  With D <= SPECTRUM_BLOCK a block is
+    k = SPECTRUM_BLOCK // D whole periods, laid out once as a tile of lists
+    and shifted by 6 D m / g in t / g and by m in l; with a longer period a
+    block is a slice of one period.  l and t / g are lists of Python ints.
+    """
+    D, M = spec.app.D, spec.app.M
+    step = 6 * D // g
+    eta, r, l0 = _period(spec, g)
+    k = max(1, SPECTRUM_BLOCK // D)
+    if k > 1:
+        eta = eta.tolist() * k
+        r = [step * j + x for j in range(k) for x in r]
+        l0 = [j + x for j in range(k) for x in l0]
+    for m in range(0, M, k):
+        rows = min(k, M - m) * D
+        base = step * m
+        for s in range(0, rows, SPECTRUM_BLOCK):
+            part = slice(s, min(s + SPECTRUM_BLOCK, rows))
+            l = [(x + m) % M for x in l0[part]]
+            yield eta[part], l, [base + x for x in r[part]]
+
+
 def reduced_spectrum(D):
     """The D-level block: the spectrum of (a, N) = (0, D), with M = 1.
 
@@ -178,10 +229,10 @@ def power_sums(spec, n_max):
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")
-# Levels formatted per block: enough to amortise the numpy calls, few enough
-# that a block's Python objects and text stay near 2 MB at any N.  Blocks of
-# 2^10 to 2^13 rows ran equally fast; 2^16 rows was no faster and raised the
-# peak RSS by 15-20 MB.
+# Levels formatted per block: enough to amortise the per-block set-up, few
+# enough that a block's Python objects and text stay near 2 MB at any N.
+# Blocks of 2^8 to 2^13 rows ran equally fast; 2^16 rows was no faster and
+# raised the peak RSS by about 20 MB.
 SPECTRUM_BLOCK = 1 << 12
 # One template per row: %r of a Python int or float is the text json.dumps
 # writes for it, and the JSON row is one record in json.dumps(indent=2)'s layout.
@@ -193,24 +244,15 @@ def spectrum_rows(spec):
     """Yield the rows (eta, l, numerator, denominator, decimal) in blocks.
 
     Each block is an iterator over up to SPECTRUM_BLOCK row tuples of Python
-    scalars, in spectrum order.  phi = t/6 in lowest terms is (t/g)/(6/g)
-    with g = gcd(t, 6).  The decimal t/6 is one correctly rounded float
-    division of two exactly representable integers, so it equals
-    float(Fraction(t, 6)).
+    scalars, in spectrum order (_level_blocks).  Every t has the residue rho
+    mod 6, so phi = t/6 in lowest terms is (t/g)/(6/g) with the one
+    g = gcd(rho, 6).  The decimal is Python's correctly rounded true
+    division of these two ints, so it equals float(Fraction(t, 6)).
     """
-    import numpy as np
-
-    for start in range(0, spec.N, SPECTRUM_BLOCK):
-        part = slice(start, start + SPECTRUM_BLOCK)
-        t = spec.t[part]
-        g = np.gcd(t, 6)
-        yield zip(
-            spec.eta[part].tolist(),
-            spec.l[part].tolist(),
-            (t // g).tolist(),
-            (6 // g).tolist(),
-            (t / 6).tolist(),
-        )
+    g = math.gcd(spec.rho, 6)
+    den = 6 // g
+    for eta, l, num in _level_blocks(spec, g):
+        yield zip(eta, l, num, repeat(den), map(truediv, num, repeat(den)))
 
 
 def spectrum_to_csv(spec, out):

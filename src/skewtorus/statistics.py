@@ -4,7 +4,8 @@ Everything here works on the exact spectra of module `spectrum`: one
 period of D levels, held as the histogram h over Z_D of their integer
 positions u (t = 6 phi = 6 u + rho).  The spacing law, the direct number
 variance and the counting function are exact Python-int arithmetic on h,
-O(D) at any N, and load no numpy.  The number variance
+O(D) at any N; the Gauss-sum series is a sum of Python floats.  Nothing
+here loads numpy.  The number variance
 
     Sigma^2(L) = (1/N) int_0^N (Ncal(phi + L) - Ncal(phi) - L)^2 dphi
 
@@ -19,8 +20,9 @@ is computed three ways that must agree:
                  Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
-                 all D of them one FFT of the D-level block's residues,
-                 truncated at K; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
+                 whose |S_D(k)|^2 is an integer in closed form (gD, 0 or
+                 2gD with g = gcd(k, D)), truncated at K and summed with
+                 math.fsum; the tail is at most 2 D^2 / (pi^2 (K + 1/2))
                  by convexity of 1/x^2, and that bound is reported alongside;
   closed-form    for D in {1, 2}: {L} - {L}^2, and for D in {3, 6}:
                  -8/9 + 5 F(L/3) + 2 F((L-2)/3) + 2 F((L+2)/3),
@@ -45,21 +47,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
-from operator import mul, sub
+from itertools import chain, compress, cycle, islice
+from operator import mul, sub, truediv
 
 from .diophantine import approximants_with_gcd
-from .spectrum import eigenphases, reduced_spectrum
+from .spectrum import eigenphases
 
 # Largest sine lookup table the fourier route will build for exact L-phase
 # reduction; rational L with bigger D*denominator falls back to plain floats.
 _MAX_SIN_TABLE = 200_000
 
 DEFAULT_FOURIER_K = 10_000
-
-# Terms per block of the fourier series; the temporaries are a few arrays of
-# this length, whatever K is.
-SWEEP_BLOCK = 1 << 16
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -177,15 +175,19 @@ def _pair_sums(spec, width):
     On the circle Z_D with h_r levels at r, G counts, for every level,
     itself and the levels after it at forward distances d < width
     (h_r (h_r + 1)/2 pairs at d = 0 per residue), and G_t sums their d.
-    With C, S and B of Spectrum.prefix, the levels at j in [r, r + width)
-    of two periods number C[r + width] - C[r], and their distances j - r
+    With C, S and B of Spectrum.prefix continued past D, the levels at j in
+    [r, r + width) number C[r + width] - C[r], and their distances j - r
     sum to (width - 1) C[r + width] - S[r + width] + S[r + 1].  Weighted by
     h_r and summed over r, with X = sum h_r C[r + width] and
     Y = sum h_r S[r + width]:
 
         G = X - D(D-1)/2,   G_t = (width - 1) X - Y + B.
 
-    The two dot products run over the occupied residues only.
+    The two dot products run over the occupied residues only, with the
+    indices r + width > D wrapped into the period; the wrapped residues
+    r >= a = D - width + 1 hold H = D - C[a] levels, and by the wrap terms
+    of Spectrum.prefix they add D H to X and H S[D] + D sum_{r>=a} h_r
+    (r - a + 1) = H S[D] + D ((width - 1) D - S[D] + S[a]) to Y.
     """
     h = spec.hist
     C, S, B = spec.prefix
@@ -193,10 +195,14 @@ def _pair_sums(spec, width):
     counts = list(filter(None, h))
 
     def dot(x):
-        return sum(map(mul, counts, compress(islice(x, width, width + D), h)))
+        wrapped = chain(islice(x, width, D + 1), islice(x, 1, width))
+        return sum(map(mul, counts, compress(wrapped, h)))
 
-    X = dot(C)
-    return X - D * (D - 1) // 2, (width - 1) * X - dot(S) + B
+    a = D - width + 1
+    H = D - C[a]
+    X = dot(C) + D * H
+    Y = dot(S) + H * S[D] + D * ((width - 1) * D - S[D] + S[a])
+    return X - D * (D - 1) // 2, (width - 1) * X - Y + B
 
 
 def gauss_sum(D, k):
@@ -216,6 +222,18 @@ def _tail_bound(D, K):
     return 2 * D * D / (math.pi**2 * (K + 0.5))
 
 
+def _gauss_sum_sq(D, k):
+    """|S_D(k)|^2 as an exact int, from the classical evaluation of S_D.
+
+    With g = gcd(k, D) and n = D/g, S_D(k) = g S_n(k/g), and for k/g prime
+    to n, |S_n|^2 is n for odd n, 0 for n = 2 (mod 4) and 2n for 4 | n.
+    """
+    n = D // math.gcd(k, D)
+    if n % 2:
+        return D * D // n
+    return 0 if n % 4 == 2 else 2 * D * D // n
+
+
 def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     """Truncated Gauss-sum series for Sigma^2_D(L); returns (value, bound).
 
@@ -227,35 +245,39 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     to 1/(K + 1/2).  That exceeds sum_{k>K} 1/k^2 by a relative 1/(12 K^2)
     asymptotically.
 
-    The levels of the D-level block are r = -eta^2 mod D, so with h their
-    histogram (reduced_spectrum(D).hist), S_D(k) = sum_r h_r e(k r / D)
-    = D ifft(h)[k mod D]: all D Gauss sums from one FFT of length D.  The K
-    terms are summed SWEEP_BLOCK at a time, so K costs time and not memory.
+    |S_D(k)|^2 is an exact integer in closed form (_gauss_sum_sq) and
+    depends on k mod D only; it is tabulated for the min(D, K + 1) residues
+    the series reaches.  The K terms are summed with math.fsum, in Python
+    floats without numpy.
 
-    For rational L the phase k L / D mod 1 is reduced exactly with a lookup
-    table of period D * denominator(L), so sin vanishes identically where it
-    should (e.g. D = 1 at integer L gives exactly 0).
+    For rational L the phase k L / D mod 1 is reduced exactly, so sin
+    vanishes identically where it should (e.g. D = 1 at integer L gives
+    exactly 0), and the coefficient sin^2 |S_D|^2 is a lookup table of
+    period P = D * denominator(L), filled for the min(P, K + 1) residues
+    the series reaches.  For P above _MAX_SIN_TABLE the phase is a plain
+    float.
     """
-    import numpy as np
-
-    h = np.array(reduced_spectrum(D).hist)
+    if D < 1:
+        raise ValueError("D must be >= 1")
     if K < 1:
         raise ValueError("K must be >= 1")
-    g2 = np.abs(D * np.fft.ifft(h)) ** 2
+    ks = range(1, K + 1)
+    g2 = [_gauss_sum_sq(D, r) for r in range(min(D, K + 1))]
     Lr = Fraction(L)
     P = D * Lr.denominator
     if P <= _MAX_SIN_TABLE:
         num = Lr.numerator % P
-        tbl = np.sin(np.pi * ((np.arange(P, dtype=np.int64) * num) % P) / P) ** 2
-    total = 0.0
-    for start in range(1, K + 1, SWEEP_BLOCK):
-        ks = np.arange(start, min(start + SWEEP_BLOCK, K + 1), dtype=np.int64)
-        if P <= _MAX_SIN_TABLE:
-            sin2 = tbl[ks % P]
-        else:
-            sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
-        total += float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
-    return (2 / math.pi**2) * total, _tail_bound(D, K)
+        coef = [
+            math.sin(math.pi * (j * num % P) / P) ** 2 * g2[j % D]
+            for j in range(min(P, K + 1))
+        ]
+        coef = islice(cycle(coef), 1, None)
+    else:
+        step = math.pi * float(L) / D
+        sin2 = (math.sin(k * step) ** 2 for k in ks)
+        coef = map(mul, sin2, islice(cycle(g2), 1, None))
+    terms = map(truediv, coef, map(mul, ks, ks))
+    return (2 / math.pi**2) * math.fsum(terms), _tail_bound(D, K)
 
 
 def number_variance_closed(D, L):

@@ -13,16 +13,16 @@ levels are also built as int64 arrays straight from the formula, with one
 lexsort, and read by np.diff for the spacings and by a searchsorted sweep
 over all N levels for the number variance (O(N log N) per L).  The
 library computes the same quantities from one period of D levels (a
-histogram over Z_D, with the int64 arrays tiled from it), the
+histogram over Z_D, with the rows and int64 arrays tiled from it), the
 diagonal-times-circulant factorisation, the weights and off-support
 remainder of the momentum-basis matrix (two FFTs of U), one FFT over the
 integer phases and a sum of window overlaps over level pairs, and writes
 the spectrum in fixed-size blocks from one row template; the tests
 compare the two.  The spectrum's CSV and JSON are written here one record
-per level from its Fraction values, with json.dumps for the JSON.  The
+per level from the Fraction formula, with json.dumps for the JSON.  The
 Gauss-sum series takes its table |S_D(r)|^2 from one gauss_sum call per
-residue r < D (O(D^2)), where the library reads all D of them off one FFT
-of the D-level block.  robustness_pairs lists the edge-case approximants
+residue r < D (O(D^2)), where the library evaluates |S_D(k)|^2 in closed
+form from gcd(k, D).  robustness_pairs lists the edge-case approximants
 that the seeded randomized cross-checks share.
 """
 import cmath
@@ -233,7 +233,11 @@ def sigma2_exact(D, L):
 
 
 def spectrum_records(spec):
-    """One dict (eta, l, numerator, denominator, decimal) per level, from Fractions."""
+    """One dict (eta, l, numerator, denominator, decimal) per level, from Fractions.
+
+    The levels come from eigenphases_fraction, not from the spectrum's own
+    tiling, so the writers are checked against the formula.
+    """
     return [
         {
             "eta": eta,
@@ -242,7 +246,7 @@ def spectrum_records(spec):
             "denominator": value.denominator,
             "decimal": float(value),
         }
-        for eta, l, value in zip(spec.eta.tolist(), spec.l.tolist(), spec.values)
+        for value, eta, l in eigenphases_fraction(spec.app)
     ]
 
 

@@ -337,6 +337,47 @@ def test_python_m_skewtorus_help():
         ("witness --format json", 2, True),
         ("verify --format csv --a 3 --N 9", 2, True),
         ("figure1 --alpha sqrt2", 2, True),
+        # exit 2, precision exhausted: the cf prefix cannot round N alpha or
+        # hold the requested family
+        ("approx --alpha cf:1,1,1 --N 1000000", 2, False),
+        ("spectrum --alpha cf:1,1,1 --N 1000000", 2, False),
+        ("approx --alpha cf:0 --N 5", 2, False),
+        ("witness --alpha cf:1,1 --count 3", 2, False),
+        # exit 2, bad input: alpha specs, missing or out-of-range selectors
+        ("approx --alpha pi --N 5", 2, False),
+        ("approx --alpha cf:1,x --N 5", 2, False),
+        ("approx --alpha golden", 2, False),
+        ("approx --alpha golden --N 0", 2, False),
+        ("approx --alpha golden --D 0", 2, False),
+        ("approx --alpha golden --D 3 --count -1", 2, False),
+        ("spectrum --a 3", 2, False),
+        ("spacing", 2, False),
+        ("spectrum --a 1 --N -3", 2, False),
+        ("numvar --method direct --a 3 --N 0 --L 1", 2, False),
+        ("numvar --method fourier --D -1 --L 1", 2, False),
+        ("numvar --method direct --D -2 --L 1", 2, False),
+        ("figure1 --K 0", 2, False),
+        ("witness --count -1", 2, False),
+        ("orbit --T -1", 2, False),
+        ("verify --a 1 --N 5000", 2, False),
+        ("verify --a 1 --N 20 --max-N 10", 2, False),
+        # exit 3: no closed form for this D
+        ("numvar --method closed --D 4 --L 1", 3, False),
+        ("numvar --method closed --D 5 --L 1", 3, False),
+        ("numvar --method closed --D 7 --L 1", 3, False),
+        # exit 4: an L grid that does not parse, has steps < 2, max <= min,
+        # min < 0, or a value beyond the float range, in numvar and figure1
+        ("numvar --D 1 --method closed --L abc", 4, False),
+        ("numvar --D 1 --method closed --L 1:2", 4, False),
+        ("numvar --D 1 --method closed --L 0:3:2.5", 4, False),
+        ("numvar --D 1 --method closed --L 0:3:1", 4, False),
+        ("numvar --D 1 --method closed --L 5:1:10", 4, False),
+        ("numvar --D 1 --method closed --L 1:1:5", 4, False),
+        ("numvar --D 1 --method closed --L=-1:3:10", 4, False),
+        ("numvar --D 1 --method closed --L=-1", 4, False),
+        ("numvar --D 1 --method closed --L 1e400", 4, False),
+        ("figure1 --L 0:9:1", 4, False),
+        ("figure1 --L 3:1:4", 4, False),
         # malformed input from the classes the cli docstring lists
         ("numvar --method fourier --L 1", 2, False),
         ("numvar --D 3 --L 1 --method fourier --K 0", 2, False),
@@ -432,8 +473,19 @@ def test_runs_without_scipy():
 
 
 # Commands that build no array: each must run with numpy blocked.  spacing
-# and numvar --method direct read one period of D levels, at any N.
+# and numvar --method direct read one period of D levels, at any N;
+# spectrum tiles its rows from that period, and the fourier series (figure1,
+# numvar --method fourier) takes its Gauss sums in closed form.  Only verify
+# needs numpy.
 NO_NUMPY_COMMANDS = [
+    ("spectrum --a 24 --N 16", 0),
+    ("spectrum --a 8 --N 13 --format json", 0),
+    ("spectrum --a 0 --N 5000", 0),
+    ("spectrum --a 0 --N 4097 --format json", 0),
+    ("figure1", 0),
+    ("figure1 --format json --L 0:9:19", 0),
+    ("numvar --method fourier --D 8 --L 0:6:13", 0),
+    ("numvar --method fourier --D 9 --L 1/2 --K 1000 --format json", 0),
     ("approx --alpha golden --N 1000", 0),
     ("approx --alpha golden --D 3 --count 3", 0),
     ("approx --alpha sqrt2 --N 985 --format json", 0),
@@ -474,9 +526,9 @@ def test_cli_import_does_not_load_numpy():
         "import sys\n"
         "import skewtorus.cli\n"
         "assert 'numpy' not in sys.modules\n"
-        "assert skewtorus.cli.main(['spectrum', '--a', '3', '--N', '9']) == 0\n"
+        "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
         "assert 'numpy' in sys.modules\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("eta,l,numerator,denominator,decimal\n")
+    assert json.loads(proc.stdout)["ok"] is True

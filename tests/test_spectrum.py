@@ -27,6 +27,7 @@ from skewtorus.spectrum import (
 from oracles import (
     eigenphases_fraction,
     power_sums_fraction,
+    robustness_pairs,
     spectrum_csv,
     spectrum_json,
 )
@@ -213,3 +214,16 @@ def test_block_writers_match_oracle(monkeypatch, a, N, block):
         buf = io.StringIO()
         write(spec, buf)
         assert buf.getvalue() == oracle(spec), (write.__name__, a, N, block)
+
+
+def test_writers_match_oracle_at_default_block():
+    # D = 4097 and 5000 split one period over two blocks; (3, 8194) has
+    # D = 1 and ends on a block of two periods
+    pairs = robustness_pairs() + [(0, 4097), (0, 5000), (3, 8194)]
+    writers = ((spectrum_to_csv, spectrum_csv), (spectrum_to_json, spectrum_json))
+    for a, N in pairs:
+        spec = eigenphases(Approximant(a, N))
+        for write, oracle in writers:
+            buf = io.StringIO()
+            write(spec, buf)
+            assert buf.getvalue() == oracle(spec), (write.__name__, a, N)

@@ -288,6 +288,21 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
         assert len(calls) == 2 * len(widths), (a, N)
 
 
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 12, 97])
+def test_pair_sums_every_width_match_fraction_sweep(D):
+    # L = w - 1/2 reaches the period at width w, and the pair sums wrap past
+    # D for every w > 1.  (D, 2D) has M = 2 and rho = 3 for odd D, the block
+    # M = 1 and rho = 0
+    for app in (Approximant(0, D), Approximant(D, 2 * D)):
+        spec = eigenphases(app)
+        for w in range(1, D + 1):
+            L = w - Fraction(1, 2)
+            assert number_variance_direct(spec, L) == number_variance_events(spec, L), (
+                app, L,
+            )
+        assert sorted(spec._sweeps) == list(range(1, D + 1))
+
+
 def test_period_at_huge_n_matches_closed_forms():
     # no N-level array fits here; the period alone gives the closed forms,
     # for L in the first period, across periods and beyond N
@@ -390,6 +405,20 @@ def test_gauss_sum_matches_brute_force():
             assert abs(gauss_sum(D, k)) <= D + 1e-12
 
 
+def test_gauss_sum_sq_closed_form_matches_gauss_sum():
+    # |S_D(k)|^2 = gD, 0 or 2gD as n = D/gcd(k, D) is odd, 2 mod 4 or 0 mod 4
+    zeros = 0
+    for D in range(1, 201):
+        for k in range(2 * D + 1):
+            exact = statistics._gauss_sum_sq(D, k)
+            assert type(exact) is int
+            assert exact == round(abs(gauss_sum(D, k)) ** 2), (D, k)
+            zeros += exact == 0
+        assert statistics._gauss_sum_sq(D, 0) == statistics._gauss_sum_sq(D, D) == D * D
+    assert statistics._gauss_sum_sq(6, 1) == statistics._gauss_sum_sq(200, 4) == 0
+    assert zeros > 0
+
+
 def test_fourier_exact_zeros():
     for K in (1, 7, 100):
         v, _ = number_variance_fourier(1, 1, K)
@@ -456,29 +485,21 @@ FOURIER_ORACLE_LS = (Fraction(1, 2), Fraction(7, 3), Fraction(5), 3 + Fraction(1
 
 def test_fourier_fft_table_matches_gauss_sum_oracle():
     # abs_tol admits only the oracle's rounding where the exact value is 0:
-    # D = 2 at integer L, where S_2(k) = 0 for odd k; the FFT gives that 0
-    # exactly, one gauss_sum per residue leaves about 1e-33
+    # D = 2 at integer L, where S_2(k) = 0 for odd k; the closed form gives
+    # that 0 exactly, one gauss_sum per residue leaves about 1e-33.  K = 50
+    # stops the series inside one period of the tables for D > 50 and for
+    # P = D * den(L) > 50
     K = statistics.DEFAULT_FOURIER_K
     for D in list(range(1, 41)) + [97, 256]:
         for L in FOURIER_ORACLE_LS:
-            value, bound = number_variance_fourier(D, L, K)
-            want, want_bound = number_variance_fourier_gauss(D, L, K)
-            assert bound == want_bound, (D, L)
-            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-30), (D, L)
+            for order in (K, 50):
+                value, bound = number_variance_fourier(D, L, order)
+                want, want_bound = number_variance_fourier_gauss(D, L, order)
+                assert bound == want_bound, (D, L, order)
+                assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-30), (
+                    D, L, order,
+                )
     assert number_variance_fourier(2, 5) == (0.0, _tail_bound(2, K))
-
-
-@pytest.mark.parametrize("block", [1, 7, 100])
-def test_fourier_series_in_blocks(monkeypatch, block):
-    # K = 1001 = 7 * 11 * 13: blocks of 1 and 7 divide it, 100 does not
-    K = 1001
-    cases = [(D, L) for D in (1, 3, 8, 9, 97) for L in FOURIER_ORACLE_LS]
-    whole = [number_variance_fourier(D, L, K) for D, L in cases]
-    monkeypatch.setattr(statistics, "SWEEP_BLOCK", block)
-    for (D, L), (want, want_bound) in zip(cases, whole):
-        value, bound = number_variance_fourier(D, L, K)
-        assert bound == want_bound
-        assert math.isclose(value, want, rel_tol=1e-13), (D, L, block)
 
 
 def test_closed_frozen_values():
