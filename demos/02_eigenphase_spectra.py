@@ -19,7 +19,7 @@ for a, N in ((1, 3), (2, 4), (3, 9), (24, 16)):
 print("\nD-level blocks: the spectrum of (a, N) = (0, D), levels -eta^2 mod D")
 for D in (1, 2, 3, 6, 8, 9):
     block = reduced_spectrum(D)
-    levels = tuple((block.t // 6).tolist())
+    levels = tuple(r for r, count in enumerate(block.hist) for _ in range(count))
     print(f"  D={D}: levels {levels}  multiplicities {degeneracy_profile(block)}")
 
 print("\nwhy D=8 is special: one residue repeats 4 times, and that")

@@ -55,13 +55,13 @@ MOMENTUM_BLOCK = 256
 class Propagator:
     """Dense propagator matrix with its defining integers.
 
-    entries is not modified after construction: momentum is computed from
-    it once and kept.
+    entries is the complex N x N numpy array.  It is not modified after
+    construction: momentum is computed from it once and kept.
     """
 
     N: int
     a: int
-    entries: np.ndarray
+    entries: object
 
     @functools.cached_property
     def momentum(self):

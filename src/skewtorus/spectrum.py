@@ -14,14 +14,12 @@ Raising l by one moves a level by D in u, so the spectrum is M copies of
 one period: the D levels with l = 0 (base_levels), whose positions mod D
 make a histogram h over Z_D (h_r levels at every u = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
-spacing law, the direct number variance and the counting function are
-read off it.  The spectrum rows are tiled from the period in Python, at
-most SPECTRUM_BLOCK levels at a time, so writing them holds O(D) memory
-and loads no numpy.  The N-level int64 arrays t, eta and l, sorted by
-(t, eta, l), are filled from the same blocks on first access, for the
-power sums and Spectrum.values.  The D-level block {-eta^2 mod D}
-(reduced_spectrum) is the spectrum of (0, D); every spectrum with
-gcd(a, N) = D has its histogram, up to a rotation of Z_D.
+spacing law, the direct number variance, the counting function, the power
+sums and the sorted values are read off it.  The spectrum rows are tiled
+from the period in Python, at most SPECTRUM_BLOCK levels at a time, so
+writing them holds O(D) memory and loads no numpy.  The D-level block
+{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every spectrum
+with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ class Spectrum:
 
     rho is the residue t mod 6 of every level, and hist the histogram over
     Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
-    Python ints summing to D.  The int64 arrays t, eta and l are built,
-    read-only, on first access.  _sweeps is the direct number variance's
+    Python ints summing to D.  _sweeps is the direct number variance's
     memo, one entry per window width on the period; it is filled only from
     hist, which cannot change.
     """
@@ -73,39 +70,16 @@ class Spectrum:
         S = list(accumulate(islice(C, len(h)), initial=0))
         return C, S, sum(map(mul, h, islice(S, 1, None)))
 
-    @cached_property
-    def _arrays(self):
-        """(t, eta, l) of every level as read-only int64 arrays, from _level_blocks."""
-        import numpy as np
-
-        cols = array("q"), array("q"), array("q")
-        for block in _level_blocks(self):
-            for col, x in zip(cols, block):
-                col.extend(x)
-        eta, l, t = (np.frombuffer(col, dtype=np.int64) for col in cols)
-        for x in (t, eta, l):
-            x.flags.writeable = False
-        return t, eta, l
-
-    @property
-    def t(self):
-        """6 phi of every level as int64 in [0, 6N), ascending."""
-        return self._arrays[0]
-
-    @property
-    def eta(self):
-        """The eta label of every level, in the order of t (ties by eta, l)."""
-        return self._arrays[1]
-
-    @property
-    def l(self):
-        """The l label of every level, in the order of t."""
-        return self._arrays[2]
-
     @property
     def values(self):
-        """Sorted eigenphase values with multiplicity, as Fractions."""
-        return [Fraction(t, 6) for t in self.t.tolist()]
+        """Sorted eigenphase values with multiplicity, as Fractions.
+
+        Copy m of the period holds h_r levels at t = 6 (r + D m) + rho for
+        each residue r, so the copies in turn, each in r order, ascend.
+        """
+        D, rho = self.app.D, self.rho
+        period = list(chain.from_iterable(map(repeat, range(D), self.hist)))
+        return [Fraction(6 * (r + D * m) + rho, 6) for m in range(self.app.M) for r in period]
 
 
 def base_levels(app):
@@ -163,7 +137,7 @@ def _period(spec, g):
     return eta, array("q", chain.from_iterable(map(repeat, r, spec.hist))), l0
 
 
-def _level_blocks(spec, g=1):
+def _level_blocks(spec, g):
     """Yield (eta, l, t / g) for up to SPECTRUM_BLOCK levels at a time, in order.
 
     g must divide gcd(rho, 6), so every t / g is an int.  The N levels are
@@ -213,19 +187,24 @@ def degeneracy_profile(spec):
 def power_sums(spec, n_max):
     """Eigenvalue power sums sum_j e^(2 pi i n phi_j / N) for n = 1..n_max.
 
-    Every phase has a denominator dividing 6, so t_j = 6 phi_j is an exact
-    integer in [0, 6N) and the sums are 6N times one inverse FFT of length
-    6N over the histogram of the t_j, read at n mod 6N.  The phase reduction
-    is exact integer arithmetic; only the FFT rounds.  These must match the
-    numeric traces of U^n.
+    With t_j = 6 phi_j = 6 (r + D m) + rho and e(x) = e^(2 pi i x), the
+    sum over the M copies m vanishes unless n = k M, so every other sum is exactly 0j.  At n = k M
+    it is M e(k rho / 6D) sum_r h_r e(k r / D): N times one inverse FFT of
+    length D over the histogram, read at k mod D.  k rho is reduced mod 6D
+    in integers; only the FFT and the phase factor round.  These must match
+    the numeric traces of U^n.
     """
     import numpy as np
 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    size = 6 * spec.N
-    sums = size * np.fft.ifft(np.bincount(spec.t, minlength=size))
-    return sums[np.arange(1, n_max + 1) % size].tolist()
+    D, M = spec.app.D, spec.app.M
+    size = 6 * D
+    k = np.arange(1, n_max // M + 1)
+    phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
+    sums = [0j] * n_max
+    sums[M - 1 :: M] = (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
+    return sums
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")

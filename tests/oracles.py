@@ -11,19 +11,22 @@ Fraction breakpoints with one bisection count per segment (O(N^2 log N)),
 and Sigma^2_D as the Bernoulli-B2 sum over pairs of D residues.  The N
 levels are also built as int64 arrays straight from the formula, with one
 lexsort, and read by np.diff for the spacings and by a searchsorted sweep
-over all N levels for the number variance (O(N log N) per L).  The
-library computes the same quantities from one period of D levels (a
-histogram over Z_D, with the rows and int64 arrays tiled from it), the
-diagonal-times-circulant factorisation, the weights and off-support
-remainder of the momentum-basis matrix (two FFTs of U), one FFT over the
-integer phases and a sum of window overlaps over level pairs, and writes
-the spectrum in fixed-size blocks from one row template; the tests
-compare the two.  The spectrum's CSV and JSON are written here one record
-per level from the Fraction formula, with json.dumps for the JSON.  The
-Gauss-sum series takes its table |S_D(r)|^2 from one gauss_sum call per
-residue r < D (O(D^2)), where the library evaluates |S_D(k)|^2 in closed
-form from gcd(k, D).  robustness_pairs lists the edge-case approximants
-that the seeded randomized cross-checks share.
+over all N levels for the number variance (O(N log N) per L).  The library
+computes the same quantities from one period of D levels (a histogram over
+Z_D, with the rows tiled from it), the diagonal-times-circulant
+factorisation, the weights and off-support remainder of the momentum-basis
+matrix (two FFTs of U), one FFT of length D over the histogram and a sum of
+window overlaps over level pairs, and writes the spectrum in fixed-size
+blocks from one row template; the tests compare the two.  The oracles that
+need the levels of a spectrum take them from
+eigenphases_fraction(spec.app), never from its histogram, and level_arrays
+reads the library's own tiling back as int64 arrays.  The spectrum's CSV
+and JSON are written here one record per level from the Fraction formula,
+with json.dumps for the JSON.  The Gauss-sum series takes its table
+|S_D(r)|^2 from one gauss_sum call per residue r < D (O(D^2)), where the
+library evaluates |S_D(k)|^2 in closed form from gcd(k, D).
+robustness_pairs lists the edge-case approximants that the seeded
+randomized cross-checks share.
 """
 import cmath
 import json
@@ -35,6 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from skewtorus.spectrum import _level_blocks
 from skewtorus.statistics import _MAX_SIN_TABLE, gauss_sum
 
 
@@ -99,9 +103,13 @@ def dense_unitarity_defect(entries):
 
 
 def power_sums_fraction(spec, n_max):
-    """sum_j e(n phi_j / N) with each n phi_j / N reduced mod 1 as a Fraction."""
+    """sum_j e(n phi_j / N) with each n phi_j / N reduced mod 1 as a Fraction.
+
+    The levels come from eigenphases_fraction, not from the spectrum's
+    histogram.
+    """
     N = spec.N
-    vals = spec.values
+    vals = [v for v, _, _ in eigenphases_fraction(spec.app)]
     out = []
     for n in range(1, n_max + 1):
         s = 0j
@@ -126,6 +134,20 @@ def eigenphases_int64(app):
     t = (6 * (l * D + eta * (a % N - eta)) - const) % size
     order = np.lexsort((l, eta, t))
     return t[order], eta[order], l[order]
+
+
+def level_arrays(spec):
+    """(t, eta, l) of the spectrum's own N levels as int64, from _level_blocks.
+
+    The library holds only the period; this tiles it through the row writers'
+    blocks so the tests can compare it with eigenphases_int64.
+    """
+    cols = [], [], []
+    for block in _level_blocks(spec, 1):
+        for col, x in zip(cols, block):
+            col.extend(x)
+    eta, l, t = (np.array(col, dtype=np.int64) for col in cols)
+    return t, eta, l
 
 
 def spacings_int64(app):
@@ -188,11 +210,12 @@ def number_variance_events(spec, L):
 
     The integrand (count in [phi, phi+L) minus L)^2 is piecewise constant
     with breakpoints where a level enters or leaves the window; each segment
-    is counted at its midpoint.
+    is counted at its midpoint.  The levels come from eigenphases_fraction,
+    not from the spectrum's histogram.
     """
     L = Fraction(L)
     N = spec.N
-    vals = spec.values
+    vals = [v for v, _, _ in eigenphases_fraction(spec.app)]
     bps = {Fraction(0)}
     bps.update(vals)
     bps.update((v - L) % N for v in vals)

@@ -10,6 +10,7 @@ U U^dagger and eigensolve oracles, and against corrupted matrices.
 import cmath
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ def test_matrix_matches_brute_oracle():
     for a, N in [(1, 2), (1, 3), (2, 4), (3, 9), (24, 16)]:
         U = build_propagator(Approximant(a, N))
         assert np.max(np.abs(U.entries - brute_matrix(a, N))) < 1e-11
+
+
+def test_propagator_type_hints_resolve():
+    assert typing.get_type_hints(Propagator)["N"] is int
 
 
 def test_trivial_one_by_one():

@@ -16,6 +16,7 @@ import pytest
 from skewtorus import spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import (
+    Spectrum,
     degeneracy_profile,
     eigenphases,
     power_sums,
@@ -26,6 +27,7 @@ from skewtorus.spectrum import (
 
 from oracles import (
     eigenphases_fraction,
+    level_arrays,
     power_sums_fraction,
     robustness_pairs,
     spectrum_csv,
@@ -46,7 +48,8 @@ def rnd_pairs(count, seed=11):
 def test_spectrum_frozen_1_3():
     spec = eigenphases(Approximant(1, 3))
     assert spec.values == [Fraction(1, 3), Fraction(4, 3), Fraction(7, 3)]
-    assert list(zip(spec.eta.tolist(), spec.l.tolist())) == [(1, 2), (1, 0), (1, 1)]
+    _, eta, l = level_arrays(spec)
+    assert list(zip(eta.tolist(), l.tolist())) == [(1, 2), (1, 0), (1, 1)]
 
 
 def test_spectrum_frozen_2_4():
@@ -78,8 +81,9 @@ def test_spectrum_periodicity():
 
 def residues(block):
     """The block's levels -eta^2 mod D as a sorted tuple of ints."""
-    assert not (block.t % 6).any()
-    return tuple((block.t // 6).tolist())
+    t, _, _ = level_arrays(block)
+    assert not (t % 6).any()
+    return tuple((t // 6).tolist())
 
 
 def circular_gaps(points, circumference):
@@ -105,8 +109,9 @@ def test_reduced_frozen():
     assert residues(reduced_spectrum(9)) == (0, 0, 0, 2, 2, 5, 5, 8, 8)
     block = reduced_spectrum(9)
     assert (block.N, block.app.D, block.app.M) == (9, 9, 1)
-    assert block.eta.tolist() == [3, 6, 9, 4, 5, 2, 7, 1, 8]  # ties in eta order
-    assert block.l.tolist() == [0] * 9
+    _, eta, l = level_arrays(block)
+    assert eta.tolist() == [3, 6, 9, 4, 5, 2, 7, 1, 8]  # ties in eta order
+    assert l.tolist() == [0] * 9
     with pytest.raises(ValueError):
         reduced_spectrum(0)
 
@@ -148,17 +153,22 @@ def test_power_sums_validation():
 
 
 def test_fft_power_sums_match_fraction_loop():
-    cases = [(a, N, N) for a, N in rnd_pairs(16)]
-    # n_max beyond the FFT length 6N wraps around n mod 6N
-    cases += [(1, 1, 20), (1, 3, 6 * 3 + 7), (10**30 + 7, 4, 60), (0, 5, 2 * 6 * 5 + 1)]
-    for a, N, n_max in cases:
-        spec = eigenphases(Approximant(a, N))
+    specs = [(eigenphases(Approximant(a, N)), N) for a, N in rnd_pairs(16) + robustness_pairs()]
+    # n_max beyond 6N wraps k = n / M around the FFT length D and the phase's 6D
+    cases = [(1, 1, 20), (1, 3, 6 * 3 + 7), (10**30 + 7, 4, 60), (0, 5, 2 * 6 * 5 + 1)]
+    cases += [(1, 3, 2), (2, 200, 99)]  # n_max < M: every sum is off the M-lattice
+    specs += [(eigenphases(Approximant(a, N)), n_max) for a, N, n_max in cases]
+    # read as given: (5, 10) has rho = 3 and the levels 1.5, 1.5, 2.5, 3.5, 3.5 mod 5
+    specs.append((Spectrum(Approximant(5, 10), 3, (0, 2, 1, 2, 0)), 25))
+    for spec, n_max in specs:
+        N, M = spec.N, spec.app.M
         fast = power_sums(spec, n_max)
         slow = power_sums_fraction(spec, n_max)
         assert len(fast) == n_max
         assert all(type(z) is complex for z in fast)
+        assert all(z == 0 for n, z in enumerate(fast, 1) if n % M), (spec, n_max)
         gap = max(abs(x - y) for x, y in zip(fast, slow))
-        assert gap <= 1e-12 * N, (a, N, n_max, gap)
+        assert gap <= 1e-12 * N, (spec, n_max, gap)
 
 
 def test_spectrum_csv():
@@ -178,9 +188,10 @@ def test_integer_spectrum_matches_fraction_build():
     for a, N in pairs:
         app = Approximant(a, N)
         spec = eigenphases(app)
-        assert all(arr.dtype == np.int64 for arr in (spec.t, spec.eta, spec.l))
+        t, eta, l = level_arrays(spec)
+        assert all(arr.dtype == np.int64 for arr in (t, eta, l))
         want = eigenphases_fraction(app)
-        assert list(zip(spec.values, spec.eta.tolist(), spec.l.tolist())) == want, (a, N)
+        assert list(zip(spec.values, eta.tolist(), l.tolist())) == want, (a, N)
         buf = io.StringIO()
         spectrum_to_csv(spec, buf)
         rows = [
