@@ -37,7 +37,6 @@ from .spectrum import (
 from .propagator import (
     Propagator,
     build_propagator,
-    trace_power_analytic,
     trace_powers,
     unitarity_defect,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "spectrum_to_csv",
     "sqrt2",
     "step",
-    "trace_power_analytic",
     "trace_powers",
     "unitarity_defect",
     "weyl_sum",

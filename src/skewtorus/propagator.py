@@ -23,15 +23,8 @@ assuming it: V is computed from the dense U by two FFTs, and its weights
 w_m and off-support remainder E are measured (Propagator.momentum).
 Unitarity is bounded from |w_m| and ||E||_F, and the numeric traces are the
 power sums of the M-th roots of the D cycle products of the w_m; both are
-O(N^2 log N), with no eigensolve and no dense product.
-
-Traces of powers also have a closed form:
-
-    Tr U_N^n = M delta_{n mod M, 0} sum_{eta=1}^{D}
-               exp((2 pi i / N) n (-eta^2 + eta a - a^2 (M-1)(2M-1)/6)),
-
-which this module evaluates on exact integer residues mod 6N, so the
-matrix route and the formula can be compared.
+O(N^2 log N), with no eigensolve and no dense product.  The exact side
+they are compared with is spectrum.power_sums, the paper's trace formula.
 """
 
 from __future__ import annotations
@@ -39,8 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from .spectrum import base_levels
 
 # Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
 # momentum form adds one more 16 N^2 buffer plus one block of
@@ -172,40 +163,3 @@ def trace_powers(U, n_max):
         power *= cycles
         out[n - 1] = M * power.sum()
     return out.tolist()
-
-
-@functools.lru_cache(maxsize=1)
-def _unit_roots(size):
-    """e(k / size) for k = 0..size-1, read-only."""
-    import numpy as np
-
-    roots = np.exp(2j * np.pi * np.arange(size) / size)
-    roots.flags.writeable = False
-    return roots
-
-
-@functools.lru_cache(maxsize=1)
-def _base_phases(app):
-    """The D base levels 6 phi (spectrum.base_levels) as read-only int64."""
-    import numpy as np
-
-    t = np.array(base_levels(app)[1], dtype=np.int64)
-    t.flags.writeable = False
-    return t
-
-
-def trace_power_analytic(app, n):
-    """Closed-form Tr(U^n); exactly 0 when n mod M != 0.
-
-    Each exponent is r / (6N) with the integer residue r = n t mod 6N, t the
-    D base levels 6 phi (spectrum.base_levels).  n is reduced mod 6N before
-    the multiply, so every int64 product stays below 36 N^2, and the D
-    residues index one table of 6N-th roots of unity.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % app.M:
-        return 0j
-    size = 6 * app.N
-    t = _base_phases(app)
-    return app.M * complex(_unit_roots(size)[(n % size) * t % size].sum())

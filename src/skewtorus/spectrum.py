@@ -15,11 +15,12 @@ one period: the D levels with l = 0 (base_levels), whose positions mod D
 make a histogram h over Z_D (h_r levels at every u = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
 spacing law, the direct number variance, the counting function, the power
-sums and the sorted values are read off it.  The spectrum rows are tiled
-from the period in Python, at most SPECTRUM_BLOCK levels at a time, so
-writing them holds O(D) memory and loads no numpy.  The D-level block
-{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every spectrum
-with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
+sums (the paper's trace formula) and the sorted values are read off it.
+The spectrum rows are tiled from the period in Python, at most
+SPECTRUM_BLOCK levels at a time, so writing them holds O(D) memory and
+loads no numpy.  The D-level block {-eta^2 mod D} (reduced_spectrum) is the
+spectrum of (0, D); every spectrum with gcd(a, N) = D has its histogram, up
+to a rotation of Z_D.
 """
 
 from __future__ import annotations
@@ -185,14 +186,20 @@ def degeneracy_profile(spec):
 
 
 def power_sums(spec, n_max):
-    """Eigenvalue power sums sum_j e^(2 pi i n phi_j / N) for n = 1..n_max.
+    """[Tr U^1, ..., Tr U^n_max] by the paper's trace formula.
 
-    With t_j = 6 phi_j = 6 (r + D m) + rho and e(x) = e^(2 pi i x), the
-    sum over the M copies m vanishes unless n = k M, so every other sum is exactly 0j.  At n = k M
+    Tr U_N^n is the eigenvalue power sum sum_j e(n phi_j / N) of the exact
+    spectrum, e(x) = e^(2 pi i x), which the eigenphase formula turns into
+
+        Tr U_N^n = M delta_{n mod M, 0} sum_{eta=1}^{D}
+                   e(n (-eta^2 + eta a - a^2 (M-1)(2M-1)/6) / N).
+
+    With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m
+    vanishes unless n = k M, so every other sum is exactly 0j.  At n = k M
     it is M e(k rho / 6D) sum_r h_r e(k r / D): N times one inverse FFT of
     length D over the histogram, read at k mod D.  k rho is reduced mod 6D
-    in integers; only the FFT and the phase factor round.  These must match
-    the numeric traces of U^n.
+    in integers; only the FFT and the phase factor round.  verify compares
+    these with the numeric traces (propagator.trace_powers).
     """
     import numpy as np
 

@@ -11,7 +11,7 @@ import pytest
 
 from skewtorus import cli
 from skewtorus.diophantine import Approximant
-from skewtorus.spectrum import eigenphases
+from skewtorus.spectrum import Spectrum, eigenphases
 from skewtorus.statistics import number_variance_closed
 
 from oracles import sigma2_exact
@@ -253,9 +253,8 @@ def test_verify_green(capsys):
     assert names == [
         "unitarity",
         "trace-formula",
-        "power-sums",
         "spacing-law",
-        "numvar-direct-vs-closed",
+        "numvar-direct-vs-block",
         "numvar-direct-vs-fourier",
     ]
     assert all(c["ok"] for c in report["checks"])
@@ -269,7 +268,7 @@ def test_verify_runs_every_check_for_every_d(capsys, a, N):
     assert report["ok"] is True
     checks = {c["name"]: c for c in report["checks"]}
     assert not any("skipped" in c["detail"] for c in report["checks"])
-    for name in ("spacing-law", "numvar-direct-vs-closed"):
+    for name in ("spacing-law", "numvar-direct-vs-block"):
         assert checks[name]["ok"] is True
         assert checks[name]["residual"] == 0.0
         assert "D-level block" in checks[name]["detail"]
@@ -283,7 +282,23 @@ def test_verify_wrong_block_fails_spacing_law(capsys, monkeypatch):
     assert "FAIL: spacing-law" in err
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["spacing-law"]["ok"] is False
-    assert checks["numvar-direct-vs-closed"]["ok"] is False
+    assert checks["numvar-direct-vs-block"]["ok"] is False
+
+
+@pytest.mark.parametrize("a, N", [(3, 9), (24, 16)])
+def test_verify_rotated_spectrum_fails_trace_formula(capsys, monkeypatch, a, N):
+    # rotating the histogram over Z_D by one residue keeps the spacings and
+    # Sigma^2, so only the trace formula can see it
+    def rotated(app):
+        spec = eigenphases(app)
+        return Spectrum(app, spec.rho, spec.hist[-1:] + spec.hist[:-1])
+
+    monkeypatch.setattr(cli, "eigenphases", rotated)
+    code, out, err = run(capsys, "verify", "--a", str(a), "--N", str(N))
+    assert code == 1
+    assert err == "FAIL: trace-formula\n"
+    failing = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failing == ["trace-formula"]
 
 
 def test_orbit_reduces_alpha_exactly(capsys):
@@ -299,6 +314,10 @@ def test_orbit_reduces_alpha_exactly(capsys):
         want = run(capsys, "orbit", "--alpha", small, "--T", "3")
         assert run(capsys, "orbit", "--alpha", big, "--T", "3") == want
         assert want[0] == 0 and want[1].count("\n") == 4
+    # 1e-330 is positive, but its float underflows to 0.0 after the reduction
+    code, out, err = run(capsys, "orbit", "--alpha", "1e-330", "--T", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --alpha '1e-330' mod 1 is below the float range\n"
 
 
 def test_verify_alpha_selection(capsys):
@@ -388,6 +407,7 @@ def test_python_m_skewtorus_help():
         ("orbit --alpha 0 --T 1", 2, False),
         ("orbit --alpha 1e400", 2, False),
         ("orbit --alpha=-1e400", 2, False),
+        ("orbit --alpha 1e-330 --T 2", 2, False),
         ("orbit --p nan", 2, False),
         ("orbit --q inf", 2, False),
         ("numvar --method fourier --D 0 --L 1", 2, False),

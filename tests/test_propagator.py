@@ -1,8 +1,9 @@
-"""Propagator matrix, unitarity, and the two trace routes.
+"""Propagator matrix, unitarity, and its traces against the trace formula.
 
 The brute oracle below rebuilds small matrices with nothing shared with the
 library path (plain cmath loop, no exponent reduction), and the trace tests
-compare matrix powers against the closed form at the stated tolerances.
+compare matrix powers against the trace formula, the power sums of the
+exact spectrum (spectrum.power_sums), at the stated tolerances.
 The momentum-form unitarity bound and traces are checked against the dense
 U U^dagger and eigensolve oracles, and against corrupted matrices.
 """
@@ -20,7 +21,6 @@ from skewtorus.diophantine import Approximant
 from skewtorus.propagator import (
     Propagator,
     build_propagator,
-    trace_power_analytic,
     trace_powers,
     unitarity_defect,
 )
@@ -117,16 +117,18 @@ def test_trace_examples_1_3():
     assert abs(trace_power_numeric(U, 1)) < 1e-10
     want = 3 * cmath.exp(2j * math.pi / 3)
     assert abs(trace_power_numeric(U, 3) - want) < 1e-10
-    assert abs(trace_power_analytic(app, 3) - want) < 1e-12
-    assert trace_power_analytic(app, 1) == 0j
+    analytic = power_sums(eigenphases(app), 3)
+    assert abs(analytic[2] - want) < 1e-12
+    assert analytic[0] == 0j
 
 
 def test_trace_examples_3_9():
     app = Approximant(3, 9)
     U = build_propagator(app)
-    assert trace_power_analytic(app, 2) == 0j  # n mod M != 0 is exactly zero
+    analytic = power_sums(eigenphases(app), 3)
+    assert analytic[1] == 0j  # n mod M != 0 is exactly zero
     assert abs(trace_power_numeric(U, 2)) < 1e-9 * 9
-    assert abs(abs(trace_power_analytic(app, 3)) - 3 * math.sqrt(3)) < 1e-12
+    assert abs(abs(analytic[2]) - 3 * math.sqrt(3)) < 1e-12
     assert abs(abs(trace_power_numeric(U, 3)) - 3 * math.sqrt(3)) < 1e-9 * 9
 
 
@@ -134,22 +136,17 @@ def test_trace_power_zero_is_dimension():
     app = Approximant(8, 5)
     U = build_propagator(app)
     assert trace_power_numeric(U, 0) == 5
-    assert abs(trace_power_analytic(app, 0) - 5) < 1e-12
     with pytest.raises(ValueError):
         trace_power_numeric(U, -1)
-    with pytest.raises(ValueError):
-        trace_power_analytic(app, -1)
 
 
 def test_analytic_modulus_periodic_in_n():
     # the n-dependence of |Tr U^n| has period N (the exponent shifts by a
     # global, eta-independent phase under n -> n + N)
     for a, N in [(3, 9), (24, 16), (14, 10)]:
-        app = Approximant(a, N)
-        for n in range(0, 2 * N):
-            z1 = trace_power_analytic(app, n)
-            z2 = trace_power_analytic(app, n + N)
-            z3 = trace_power_analytic(app, n + 3 * N)
+        sums = power_sums(eigenphases(Approximant(a, N)), 5 * N)
+        for n in range(1, 2 * N + 1):
+            z1, z2, z3 = sums[n - 1], sums[n + N - 1], sums[n + 3 * N - 1]
             assert abs(abs(z1) - abs(z2)) < 1e-12
             assert abs(abs(z1) - abs(z3)) < 1e-12
 
@@ -157,11 +154,10 @@ def test_analytic_modulus_periodic_in_n():
 def test_numeric_matches_analytic_sweep():
     for a, N in TRACE_SET:
         app = Approximant(a, N)
-        U = build_propagator(app)
-        numeric = trace_powers(U, 2 * N)
+        numeric = trace_powers(build_propagator(app), 2 * N)
+        analytic = power_sums(eigenphases(app), 2 * N)
         for n in range(1, 2 * N + 1):
-            gap = abs(numeric[n - 1] - trace_power_analytic(app, n))
-            assert gap < 1e-9 * N, (a, N, n)
+            assert abs(numeric[n - 1] - analytic[n - 1]) < 1e-9 * N, (a, N, n)
 
 
 def test_randomized_trace_routes_cross_check():
@@ -169,12 +165,9 @@ def test_randomized_trace_routes_cross_check():
     for a, N in robustness_pairs():
         app = Approximant(a, N)
         numeric = trace_powers(build_propagator(app), 2 * N)
+        analytic = power_sums(eigenphases(app), 2 * N)
         for n in range(1, 2 * N + 1):
-            gap = abs(numeric[n - 1] - trace_power_analytic(app, n))
-            assert gap <= 1e-9 * N, (a, N, n)
-        sums = power_sums(eigenphases(app), N)
-        for n in range(1, N + 1):
-            assert abs(sums[n - 1] - numeric[n - 1]) <= 1e-8 * N, (a, N, n)
+            assert abs(numeric[n - 1] - analytic[n - 1]) <= 1e-9 * N, (a, N, n)
 
 
 def test_trace_powers_agrees_with_matrix_power():
@@ -254,3 +247,6 @@ def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL: unitarity" in captured.err
     assert json.loads(captured.out)["checks"][0]["ok"] is False
+    if kind == "shifted":
+        # the weights of (a + 1, N) sit off the support of a: no traces of a
+        assert "FAIL: trace-formula" in captured.err
