@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(namedtuple("TorusPoint", "p q")):
     """Point on the unit torus; both coordinates reduced mod 1 on creation."""
 
-    p: object
-    q: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", self.p % 1)
-        object.__setattr__(self, "q", self.q % 1)
+    def __new__(cls, p, q):
+        return super().__new__(cls, p % 1, q % 1)
 
 
 def step(pt, alpha):

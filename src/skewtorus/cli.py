@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -95,8 +94,14 @@ def _parse_lgrid(text):
 
 
 def _json(payload):
-    """A JSON writer of payload(), which is built only when the writer runs."""
-    return lambda out: out.write(json.dumps(payload(), indent=2) + "\n")
+    """A JSON writer of payload(); payload() and json load only when it runs."""
+
+    def write(out):
+        import json
+
+        out.write(json.dumps(payload(), indent=2) + "\n")
+
+    return write
 
 
 def _emit(args, write=None, write_json=None):

@@ -10,7 +10,7 @@ PrecisionExhaustedError instead of silently truncating or guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd
 
@@ -19,8 +19,7 @@ class PrecisionExhaustedError(ValueError):
     """The continued-fraction prefix is too short to decide the request."""
 
 
-@dataclass(frozen=True)
-class IrrationalAlpha:
+class IrrationalAlpha(namedtuple("IrrationalAlpha", "cf name")):
     """Irrational parameter given by a continued-fraction prefix.
 
     cf is the coefficient tuple (a0; a1, a2, ...) with a0 >= 0 and all later
@@ -28,18 +27,17 @@ class IrrationalAlpha:
     so the represented value is strictly between the bounds of bracket().
     """
 
-    cf: tuple
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        cf = tuple(int(c) for c in self.cf)
+    def __new__(cls, cf, name=""):
+        cf = tuple(int(c) for c in cf)
         if not cf:
             raise ValueError("continued-fraction prefix must be nonempty")
         if cf[0] < 0:
             raise ValueError("first cf coefficient must be >= 0")
         if any(c < 1 for c in cf[1:]):
             raise ValueError("cf coefficients after the first must be >= 1")
-        object.__setattr__(self, "cf", cf)
+        return super().__new__(cls, cf, name)
 
     def __repr__(self):
         tag = self.name or "cf"
@@ -125,8 +123,7 @@ def convergents(alpha, count):
     return out
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(namedtuple("Approximant", "a N")):
     """Pair (a, N) with a the nearest integer to N*alpha.
 
     D = gcd(a, N) is the spectral period and M = N/D the number of equispaced
@@ -135,14 +132,14 @@ class Approximant:
     module; building an Approximant directly skips that check.
     """
 
-    a: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __new__(cls, a, N):
+        if N < 1:
             raise ValueError("N must be >= 1")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("a must be >= 0")
+        return super().__new__(cls, a, N)
 
     @property
     def D(self):

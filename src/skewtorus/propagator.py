@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 # Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
 # momentum form adds one more 16 N^2 buffer plus one block of
@@ -42,7 +41,6 @@ DEFAULT_MAX_N = 4096
 MOMENTUM_BLOCK = 256
 
 
-@dataclass(frozen=True, eq=False)
 class Propagator:
     """Dense propagator matrix with its defining integers.
 
@@ -53,6 +51,9 @@ class Propagator:
     N: int
     a: int
     entries: object
+
+    def __init__(self, N, a, entries):
+        self.N, self.a, self.entries = N, a, entries
 
     @functools.cached_property
     def momentum(self):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
@@ -36,25 +36,24 @@ from operator import mul, truediv
 from .diophantine import Approximant
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "app rho hist")):
     """The N eigenphases of one approximant, held as one period.
 
     rho is the residue t mod 6 of every level, and hist the histogram over
     Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
     Python ints summing to D.  _sweeps is the direct number variance's
     memo, one entry per window width on the period; it is filled only from
-    hist, which cannot change.
+    hist, which cannot change.  There are no __slots__: the cached
+    properties need an instance __dict__.
     """
-
-    app: Approximant
-    rho: int
-    hist: tuple
-    _sweeps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def N(self):
         return self.app.N
+
+    @cached_property
+    def _sweeps(self):
+        return {}
 
     @cached_property
     def prefix(self):

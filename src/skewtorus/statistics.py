@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, compress, cycle, islice
 from operator import mul, sub, truediv
@@ -64,23 +63,22 @@ class UnsupportedClosedFormError(ValueError):
     """No closed form is implemented for this D."""
 
 
-@dataclass(frozen=True)
-class SpacingDistribution:
+class SpacingDistribution(namedtuple("SpacingDistribution", "atoms source")):
     """Exact atomic spacing law: ((s, weight), ...) with weights summing to 1."""
 
-    atoms: tuple
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __new__(cls, atoms, source):
+        if not atoms:
             raise ValueError("spacing distribution needs at least one atom")
-        ss = [s for s, _ in self.atoms]
+        ss = [s for s, _ in atoms]
         if ss != sorted(set(ss)):
             raise ValueError("atom spacings must be distinct and sorted")
         if any(s < 0 for s in ss):
             raise ValueError("spacings must be nonnegative")
-        if sum(w for _, w in self.atoms) != 1:
+        if sum(w for _, w in atoms) != 1:
             raise ValueError("atom weights must sum to exactly 1")
+        return super().__new__(cls, atoms, source)
 
 
 def spacings(spec):
@@ -165,8 +163,9 @@ def number_variance_direct(spec, L):
     G, Gt = spec._sweeps[width]
     pairs = M * (c * D * D + G)
     total = M * (Gt + c * D * D * (D - 1) // 2 + D**3 * c * (c - 1) // 2 + c * D * G)
-    # (2 (R pairs - total) - N R) / N - R^2
-    return R * (2 * pairs - N) / N - Fraction(2 * total, N) - R * R
+    # (2 (R pairs - total) - N R) / N - R^2 with R = p/q, as one Fraction
+    p, q = R.numerator, R.denominator
+    return Fraction(p * (2 * pairs - N) * q - 2 * total * q * q - p * p * N, N * q * q)
 
 
 def _pair_sums(spec, width):
@@ -312,8 +311,12 @@ def format_law(dist):
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
+class DivergenceWitness(
+    namedtuple(
+        "DivergenceWitness",
+        "alpha rigid_members rigid_laws three_atom_members three_atom_laws",
+    )
+):
     """Two approximant families whose spacing laws settle on different limits.
 
     Along the D=1 family every member has the rigid law delta(s - 1); along
@@ -322,11 +325,7 @@ class DivergenceWitness:
     The number variance separates the same way (0 vs 2/3 at L = 1).
     """
 
-    alpha: object
-    rigid_members: tuple
-    rigid_laws: tuple
-    three_atom_members: tuple
-    three_atom_laws: tuple
+    __slots__ = ()
 
     @property
     def rigid_closed(self):

@@ -36,6 +36,12 @@ def test_point_reduction():
     assert (pt.p, pt.q) == (0.25, 0.75)
     pt = TorusPoint(Fraction(7, 3), Fraction(-1, 3))
     assert (pt.p, pt.q) == (Fraction(1, 3), Fraction(2, 3))
+    pt = TorusPoint(0.25, 0.5)
+    assert repr(pt) == "TorusPoint(p=0.25, q=0.5)"
+    assert pt == TorusPoint(1.25, -0.5) and hash(pt) == hash(TorusPoint(1.25, -0.5))
+    for field in ("p", "q"):
+        with pytest.raises(AttributeError):
+            setattr(pt, field, 0.0)
 
 
 def test_step_validates_alpha():

@@ -532,6 +532,7 @@ def test_exact_commands_run_without_numpy():
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
+        "sys.modules['dataclasses'] = None\n"
         "import skewtorus\n"
         "from skewtorus import cli\n"
         f"for argv, code in {NO_NUMPY_COMMANDS!r}:\n"
@@ -545,9 +546,10 @@ def test_cli_import_does_not_load_numpy():
     script = (
         "import sys\n"
         "import skewtorus.cli\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert not {'numpy', 'dataclasses', 'json'} & set(sys.modules)\n"
         "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
         "assert 'numpy' in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr

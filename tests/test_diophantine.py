@@ -48,6 +48,8 @@ def test_presets():
     assert golden().name == "golden"
     assert sqrt2().cf[:4] == (1, 2, 2, 2)
     assert sqrt2(terms=10).cf == (1,) + (2,) * 9
+    assert repr(golden(3)) == "IrrationalAlpha(golden:1,1,1)"
+    assert repr(IrrationalAlpha([3, 7])) == "IrrationalAlpha(cf:3,7)"
 
 
 def test_parse_alpha():
@@ -61,13 +63,18 @@ def test_parse_alpha():
 
 
 def test_cf_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prefix must be nonempty"):
         IrrationalAlpha(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first cf coefficient must be >= 0"):
         IrrationalAlpha((-1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="after the first must be >= 1"):
         IrrationalAlpha((1, 0, 2))
-    IrrationalAlpha((0, 2))  # first coefficient may be 0
+    alpha = IrrationalAlpha((0, 2))  # first coefficient may be 0
+    assert alpha == IrrationalAlpha(["0", 2.0]) and alpha.cf == (0, 2)
+    assert hash(alpha) == hash(IrrationalAlpha((0, 2), ""))
+    for field in ("cf", "name"):
+        with pytest.raises(AttributeError):
+            setattr(alpha, field, ())
 
 
 def test_bracket_contains_true_value():
@@ -159,9 +166,15 @@ def test_approximant_fields():
     assert app.D == 3 and app.M == 5
     assert app.D * app.M == app.N
     assert app.a % app.D == 0
-    with pytest.raises(ValueError):
+    assert repr(app) == "Approximant(a=24, N=15)"
+    assert app == Approximant(24, 15) and hash(app) == hash(Approximant(24, 15))
+    assert app != Approximant(24, 16)
+    for field in ("a", "N"):
+        with pytest.raises(AttributeError):
+            setattr(app, field, 1)
+    with pytest.raises(ValueError, match="N must be >= 1"):
         Approximant(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a must be >= 0"):
         Approximant(-1, 5)
 
 

@@ -177,15 +177,6 @@ def test_trace_powers_agrees_with_matrix_power():
         assert abs(series[n - 1] - trace_power_numeric(U, n)) < 1e-12
 
 
-def test_spectrum_power_sums_match_traces():
-    for a, N in [(1, 3), (2, 4), (8, 5), (3, 9), (24, 16), (18, 12)]:
-        app = Approximant(a, N)
-        numeric = trace_powers(build_propagator(app), N)
-        analytic = power_sums(eigenphases(app), N)
-        for n in range(1, N + 1):
-            assert abs(numeric[n - 1] - analytic[n - 1]) < 1e-8 * N
-
-
 def test_circulant_build_matches_lsum_oracle():
     for a, N in TRACE_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))

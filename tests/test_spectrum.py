@@ -53,7 +53,12 @@ def test_spectrum_frozen_1_3():
 
 
 def test_spectrum_frozen_2_4():
-    assert eigenphases(Approximant(2, 4)).values == [0, 1, 2, 3]
+    spec = eigenphases(Approximant(2, 4))
+    assert spec.values == [0, 1, 2, 3]
+    assert repr(spec) == "Spectrum(app=Approximant(a=2, N=4), rho=0, hist=(1, 1))"
+    for field in ("app", "rho", "hist"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, None)
 
 
 def test_spectrum_frozen_3_9():

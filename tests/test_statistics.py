@@ -27,6 +27,7 @@ from skewtorus.diophantine import (
 )
 from skewtorus.spectrum import Spectrum, eigenphases, reduced_spectrum
 from skewtorus.statistics import (
+    SpacingDistribution,
     UnsupportedClosedFormError,
     counting_function,
     curve_to_csv,
@@ -126,6 +127,24 @@ def test_spacing_closed_forms():
     )
     with pytest.raises(UnsupportedClosedFormError):
         spacing_distribution_closed(4)
+    law = spacing_distribution_closed(1)
+    assert repr(law) == (
+        "SpacingDistribution(atoms=((Fraction(1, 1), Fraction(1, 1)),), source='closed-form-D')"
+    )
+    same = spacing_distribution_closed(2)
+    assert law == same and hash(law) == hash(same)
+    for field in ("atoms", "source"):
+        with pytest.raises(AttributeError):
+            setattr(law, field, ())
+    half = Fraction(1, 2)
+    for atoms, message in [
+        ((), "at least one atom"),
+        (((1, half), (0, half)), "distinct and sorted"),
+        (((-1, half), (0, half)), "nonnegative"),
+        (((0, half), (1, Fraction(1, 3))), "sum to exactly 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SpacingDistribution(atoms, "test")
 
 
 def test_empirical_matches_closed_on_families():
@@ -559,6 +578,11 @@ def test_divergence_witness_golden():
     assert "(1/3) delta(s) + (1/3) delta(s - 1) + (1/3) delta(s - 2)" in text
     assert "no N -> inf limit" in text
     assert "0 vs 2/3" in text
+    assert wit == divergence_witness(golden(), 3)
+    assert hash(wit) == hash(divergence_witness(golden(), 3))
+    for field in ("alpha", "rigid_members", "rigid_laws", "three_atom_members"):
+        with pytest.raises(AttributeError):
+            setattr(wit, field, ())
 
 
 def test_divergence_witness_sqrt2():
