@@ -7,7 +7,7 @@ translates of a D-point pattern, so every spectral statistic depends on D
 alone.  This script prints small spectra and the D-level blocks.
 """
 
-from skewtorus import Approximant, degeneracy_profile, eigenphases, reduced_spectrum
+from skewtorus import Approximant, eigenphases, reduced_spectrum
 
 for a, N in ((1, 3), (2, 4), (3, 9), (24, 16)):
     app = Approximant(a, N)
@@ -20,7 +20,8 @@ print("\nD-level blocks: the spectrum of (a, N) = (0, D), levels -eta^2 mod D")
 for D in (1, 2, 3, 6, 8, 9):
     block = reduced_spectrum(D)
     levels = tuple(r for r, count in enumerate(block.hist) for _ in range(count))
-    print(f"  D={D}: levels {levels}  multiplicities {degeneracy_profile(block)}")
+    multiplicities = {r: count for r, count in enumerate(block.hist) if count}
+    print(f"  D={D}: levels {levels}  multiplicities {multiplicities}")
 
 print("\nwhy D=8 is special: one residue repeats 4 times, and that")
 print("multiplicity is what inflates its number variance (see demo 04).")

@@ -28,7 +28,6 @@ from .diophantine import (
 )
 from .spectrum import (
     Spectrum,
-    degeneracy_profile,
     eigenphases,
     power_sums,
     reduced_spectrum,
@@ -75,7 +74,6 @@ __all__ = [
     "convergents",
     "counting_function",
     "curve_to_csv",
-    "degeneracy_profile",
     "divergence_witness",
     "eigenphases",
     "format_law",

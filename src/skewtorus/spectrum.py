@@ -72,14 +72,8 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
 
     @property
     def values(self):
-        """Sorted eigenphase values with multiplicity, as Fractions.
-
-        Copy m of the period holds h_r levels at t = 6 (r + D m) + rho for
-        each residue r, so the copies in turn, each in r order, ascend.
-        """
-        D, rho = self.app.D, self.rho
-        period = list(chain.from_iterable(map(repeat, range(D), self.hist)))
-        return [Fraction(6 * (r + D * m) + rho, 6) for m in range(self.app.M) for r in period]
+        """Sorted eigenphase values with multiplicity, as Fractions, in spectrum order."""
+        return [Fraction(t, 6) for _, _, ts in _level_blocks(self, 1) for t in ts]
 
 
 def base_levels(app):
@@ -174,14 +168,6 @@ def reduced_spectrum(D):
     if D < 1:
         raise ValueError("D must be >= 1")
     return eigenphases(Approximant(0, D))
-
-
-def degeneracy_profile(spec):
-    """Multiplicity of each occupied residue of the period, as a dict.
-
-    For a D-level block the residues are the levels t // 6.
-    """
-    return {r: c for r, c in enumerate(spec.hist) if c}
 
 
 def power_sums(spec, n_max):

@@ -9,15 +9,16 @@ here loads numpy.  The number variance
 
     Sigma^2(L) = (1/N) int_0^N (Ncal(phi + L) - Ncal(phi) - L)^2 dphi
 
-is computed three ways that must agree:
+is computed three ways that must agree.  The spectrum repeats with period
+D, D levels per period, so Ncal(phi + L) - Ncal(phi) - L is D-periodic in
+phi and in L, and each route reads one period:
 
-  direct-exact   (1/N) int n^2 - R^2 (R = L mod N, n the count in a window
-                 of length R), int n^2 summed over level pairs as the overlap
-                 of their window ranges; the pair sums of the N levels
-                 follow from those of the period at the width
-                 (ceil(R) - 1) mod D + 1, two dot products of h with its
-                 prefix sums, made once per width on each spectrum; exact
-                 Fraction result, no tolerance at all;
+  direct-exact   (1/D) int n^2 - R^2 on a circle of length D (R = L mod D,
+                 n the count in a window of length R), int n^2 summed over
+                 level pairs as the overlap of their window ranges; the pair
+                 sums are those of the period at the width ceil(R), two dot
+                 products of h with its prefix sums, made once per width on
+                 each spectrum; exact Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  whose |S_D(k)|^2 is an integer in closed form (gD, 0 or
@@ -63,12 +64,12 @@ class UnsupportedClosedFormError(ValueError):
     """No closed form is implemented for this D."""
 
 
-class SpacingDistribution(namedtuple("SpacingDistribution", "atoms source")):
+class SpacingDistribution(namedtuple("SpacingDistribution", "atoms")):
     """Exact atomic spacing law: ((s, weight), ...) with weights summing to 1."""
 
     __slots__ = ()
 
-    def __new__(cls, atoms, source):
+    def __new__(cls, atoms):
         if not atoms:
             raise ValueError("spacing distribution needs at least one atom")
         ss = [s for s, _ in atoms]
@@ -78,7 +79,7 @@ class SpacingDistribution(namedtuple("SpacingDistribution", "atoms source")):
             raise ValueError("spacings must be nonnegative")
         if sum(w for _, w in atoms) != 1:
             raise ValueError("atom weights must sum to exactly 1")
-        return super().__new__(cls, atoms, source)
+        return super().__new__(cls, atoms)
 
 
 def spacings(spec):
@@ -98,7 +99,7 @@ def spacings(spec):
     if len(occupied) < D:
         gaps[0] = D - len(occupied)
     atoms = tuple((Fraction(s), Fraction(c, D)) for s, c in sorted(gaps.items()))
-    return SpacingDistribution(atoms, source="empirical")
+    return SpacingDistribution(atoms)
 
 
 def spacing_distribution_closed(D):
@@ -110,62 +111,57 @@ def spacing_distribution_closed(D):
         atoms = ((Fraction(0), third), (Fraction(1), third), (Fraction(2), third))
     else:
         raise UnsupportedClosedFormError(f"no closed-form spacing law for D={D}")
-    return SpacingDistribution(atoms, source="closed-form-D")
+    return SpacingDistribution(atoms)
 
 
 def counting_function(spec, phi):
-    """Levels in [0, phi) of the N-periodically extended spectrum, exact."""
-    whole, rem = divmod(Fraction(phi), spec.N)
-    # 6 u + rho < 6 rem  <=>  u < ceil(rem - rho/6) for integer u; each whole
-    # period below that holds D levels, and C[r] counts the rest
-    periods, r = divmod(math.ceil(rem - Fraction(spec.rho, 6)), spec.app.D)
-    return whole * spec.N + periods * spec.app.D + spec.prefix[0][r]
+    """Levels in [0, phi) of the periodically extended spectrum, exact.
+
+    A level at 6 u + rho is below 6 phi iff u < ceil(phi - rho/6) for
+    integer u.  The levels repeat with period D, D of them per period, so
+    with ceil(phi - rho/6) = periods D + r that count is periods D + C[r],
+    C[r] (Spectrum.prefix) the levels of one period below r.  For phi < 0
+    it is minus the levels in [phi, 0).
+    """
+    periods, r = divmod(math.ceil(Fraction(phi) - Fraction(spec.rho, 6)), spec.app.D)
+    return periods * spec.app.D + spec.prefix[0][r]
 
 
 def number_variance_direct(spec, L):
     """Exact number variance of one spectrum at window length L.
 
-    In units of phi the levels sit at t/6 on a circle of length N.  A window
-    of length L = k N + R (0 <= R < N) holds k N levels plus the n(x) levels
-    in [x, x + R).  Each level is in that window for an x-range of length R,
-    so int n dx = N R and Sigma^2 = (1/N) int (n - R)^2 dx = (1/N) int n^2 dx
-    - R^2.  The integral of n^2 counts each level once (length R) and each
-    pair of distinct levels twice, over the overlap of their two x-ranges:
-    (R - d)+ + (R - (N - d))+ for levels a forward distance d apart.  Count
-    each level i with the levels at forward distances d < R from it, itself
-    and its equal-position successors included once (the pairs), and let
-    total be the sum of those d; then int n^2 dx = 2 (R pairs - total) - N R.
+    The levels sit at t/6 and repeat with period D, D levels per period, so
+    the count n(x) in [x, x + L) less L is D-periodic in x and in L, and
+    Sigma^2 is that of the period alone, on a circle of length D, at
+    R = L mod D.  Each level is in a window of length R for an x-range of
+    length R, so int n dx = D R and Sigma^2 = (1/D) int (n - R)^2 dx =
+    (1/D) int n^2 dx - R^2.  The integral of n^2 counts each level once
+    (length R) and each pair of distinct levels twice, over the overlap of
+    their two x-ranges: (R - d)+ + (R - (D - d))+ for levels a forward
+    distance d apart.  Count each level with the levels at forward
+    distances d < R from it, itself and its equal-position successors
+    included once (G), and let G_t be the sum of those d; then
+    int n^2 dx = 2 (R G - G_t) - D R.
 
-    All distances are integers, so d < R <=> d < W = ceil(R).  Write
-    W - 1 = c D + W' - 1 with 1 <= W' <= D.  The spectrum is M copies of
-    the period, and every D further of distance adds the whole period, so
-    with (G, G_t) the pairs and total of the period (a circle of length D)
-    at width W' (_pair_sums):
-
-        pairs = M (c D^2 + G)
-        total = M (c D D(D-1)/2 + G_t + D^3 c(c-1)/2 + c D G)
-
-    _pair_sums runs once per width W' and spectrum, and every L of that
-    width reuses it.  The result is an exact Fraction for any rational L,
-    with no float.
+    All distances are integers, so d < R <=> d < ceil(R), and (G, G_t) are
+    the pair sums of the period at the width ceil(R) in 1..D (_pair_sums).
+    They run once per width and spectrum, and every L of that width reuses
+    them.  The result is an exact Fraction for any rational L, with no float.
     """
     L = Fraction(L)
     if L < 0:
         raise ValueError("L must be >= 0")
-    N, D, M = spec.N, spec.app.D, spec.app.M
-    R = L % N
+    D = spec.app.D
+    R = L % D
     if not R:
         return Fraction(0)
-    c, width = divmod(math.ceil(R) - 1, D)
-    width += 1
+    width = math.ceil(R)
     if width not in spec._sweeps:
         spec._sweeps[width] = _pair_sums(spec, width)
     G, Gt = spec._sweeps[width]
-    pairs = M * (c * D * D + G)
-    total = M * (Gt + c * D * D * (D - 1) // 2 + D**3 * c * (c - 1) // 2 + c * D * G)
-    # (2 (R pairs - total) - N R) / N - R^2 with R = p/q, as one Fraction
+    # (2 (R G - G_t) - D R) / D - R^2 with R = p/q, as one Fraction
     p, q = R.numerator, R.denominator
-    return Fraction(p * (2 * pairs - N) * q - 2 * total * q * q - p * p * N, N * q * q)
+    return Fraction(p * (2 * G - D) * q - 2 * Gt * q * q - p * p * D, D * q * q)
 
 
 def _pair_sums(spec, width):

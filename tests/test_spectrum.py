@@ -17,7 +17,6 @@ from skewtorus import spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import (
     Spectrum,
-    degeneracy_profile,
     eigenphases,
     power_sums,
     reduced_spectrum,
@@ -131,12 +130,13 @@ def test_reduced_eta_reflection():
 
 
 def test_degeneracy_profiles():
-    assert degeneracy_profile(reduced_spectrum(1)) == {0: 1}
-    assert degeneracy_profile(reduced_spectrum(3)) == {0: 1, 2: 2}
-    prof8 = degeneracy_profile(reduced_spectrum(8))
-    assert prof8 == {0: 2, 4: 2, 7: 4}
-    assert max(prof8.values()) == 4
-    assert max(degeneracy_profile(reduced_spectrum(3)).values()) == 2
+    # the histogram of the D-level block is its degeneracy profile
+    assert reduced_spectrum(1).hist == (1,)
+    assert reduced_spectrum(3).hist == (1, 0, 2)
+    hist8 = reduced_spectrum(8).hist
+    assert hist8 == (2, 0, 0, 0, 2, 0, 0, 4)
+    assert max(hist8) == 4
+    assert max(reduced_spectrum(3).hist) == 2
 
 
 def test_spectrum_mod_d_is_m_copies():

@@ -129,13 +129,12 @@ def test_spacing_closed_forms():
         spacing_distribution_closed(4)
     law = spacing_distribution_closed(1)
     assert repr(law) == (
-        "SpacingDistribution(atoms=((Fraction(1, 1), Fraction(1, 1)),), source='closed-form-D')"
+        "SpacingDistribution(atoms=((Fraction(1, 1), Fraction(1, 1)),))"
     )
     same = spacing_distribution_closed(2)
     assert law == same and hash(law) == hash(same)
-    for field in ("atoms", "source"):
-        with pytest.raises(AttributeError):
-            setattr(law, field, ())
+    with pytest.raises(AttributeError):
+        law.atoms = ()
     half = Fraction(1, 2)
     for atoms, message in [
         ((), "at least one atom"),
@@ -144,7 +143,7 @@ def test_spacing_closed_forms():
         (((0, half), (1, Fraction(1, 3))), "sum to exactly 1"),
     ]:
         with pytest.raises(ValueError, match=message):
-            SpacingDistribution(atoms, "test")
+            SpacingDistribution(atoms)
 
 
 def test_empirical_matches_closed_on_families():
@@ -174,7 +173,7 @@ def test_counting_function_matches_bisection():
         steps = (0, Fraction(1, 6), -Fraction(1, 12))
         phis += [v + e for v in vals[:3] + vals[-3:] for e in steps]
         phis += [Fraction(rnd.randint(0, 60 * N), rnd.randint(1, 30)) for _ in range(10)]
-        for phi in phis:
+        for phi in phis + [-phi for phi in phis]:
             whole, rem = divmod(phi, N)
             want = whole * N + bisect_left(vals, rem)
             assert counting_function(spec, phi) == want, (a, N, phi)
@@ -283,9 +282,9 @@ def test_direct_sweep_in_blocks_matches_oracle(M):
 
 
 def test_direct_sweep_runs_once_per_width(monkeypatch):
-    # L reaches the period only through its width W' = (ceil(R) - 1) mod D
-    # + 1, R = L mod N: a grid of step 1/24 puts 24 L on each ceil(R), and
-    # L >= N and every further period repeat a width
+    # L reaches the period only through its width ceil(R), R = L mod D: a
+    # grid of step 1/24 puts 24 L on each ceil(R), and every further period
+    # of length D, below N or beyond it, repeats a width
     calls = []
     sweep = statistics._pair_sums
     monkeypatch.setattr(
@@ -296,8 +295,8 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
         Ls = [Fraction(j, 24) for j in range(24 * 2 * N + 1)]
         Ls += [N, 3 * N, 0.1, 2.5, float(N), N + 1e-3, Fraction(7 * N, 3)]
         want = {L: number_variance_sweep(app, L) for L in Ls}
-        R = [Fraction(L) % N for L in Ls]
-        widths = {(math.ceil(r) - 1) % app.D + 1 for r in R if r}
+        R = [Fraction(L) % app.D for L in Ls]
+        widths = {math.ceil(r) for r in R if r}
         spec = eigenphases(app)
         calls.clear()
         for L in Ls + Ls[::-1]:
@@ -308,6 +307,15 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
         for L in Ls[::-1]:
             assert number_variance_direct(fresh, L) == want[L], (a, N, L)
         assert len(calls) == 2 * len(widths), (a, N)
+    # a whole number of periods below N holds exactly D levels per period at
+    # every position: Sigma^2 is 0 with no pair sums at all
+    for a, N in [(24, 16), (6, 18)]:
+        app = Approximant(a, N)
+        spec = eigenphases(app)
+        calls.clear()
+        for L in range(app.D, N, app.D):
+            assert number_variance_direct(spec, L) == 0 == number_variance_sweep(app, L)
+        assert calls == [], (a, N)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 12, 97])
