@@ -32,7 +32,6 @@ from fractions import Fraction
 from .classical import TorusPoint, orbit, orbit_to_csv
 from .diophantine import (
     Approximant,
-    PrecisionExhaustedError,
     approximants_with_gcd,
     bracket,
     nearest_approximant,
@@ -477,9 +476,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrecisionExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

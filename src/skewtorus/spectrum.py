@@ -30,8 +30,8 @@ from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import mul, truediv
+from itertools import accumulate, chain, repeat
+from operator import truediv
 
 from .diophantine import Approximant
 
@@ -42,8 +42,9 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
     rho is the residue t mod 6 of every level, and hist the histogram over
     Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
     Python ints summing to D.  _sweeps is the direct number variance's
-    memo, one entry per window width on the period; it is filled only from
-    hist, which cannot change.  There are no __slots__: the cached
+    memo, the squared window counts Q(m) of the period for each window
+    width m it has read; like prefix, it is made only from hist, which
+    cannot change.  There are no __slots__: the cached
     properties need an instance __dict__.
     """
 
@@ -57,18 +58,12 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
 
     @cached_property
     def prefix(self):
-        """(C, S, B): prefix sums of the histogram over one period.
+        """C[k] = sum_{j<k} h_j, the levels of one period below k, for k <= D.
 
-        C[k] = sum_{j<k} h_j counts the levels below k and S[k] = sum_{i<k}
-        C[i], for every k <= D, as lists of Python ints.  Beyond one period
-        they continue as C[k + D] = C[k] + D and S[k + D] = S[k] + S[D] + k D
-        (_pair_sums applies these).  B = sum_r h_r S[r + 1] = sum_{j<r<D}
-        (r - j) h_j h_r is the summed distance of the pairs of one period.
+        A list of Python ints; beyond one period it continues as
+        C[k + D] = C[k] + D.
         """
-        h = self.hist
-        C = list(accumulate(h, initial=0))
-        S = list(accumulate(islice(C, len(h)), initial=0))
-        return C, S, sum(map(mul, h, islice(S, 1, None)))
+        return list(accumulate(self.hist, initial=0))
 
     @property
     def values(self):

@@ -14,11 +14,12 @@ D, D levels per period, so Ncal(phi + L) - Ncal(phi) - L is D-periodic in
 phi and in L, and each route reads one period:
 
   direct-exact   (1/D) int n^2 - R^2 on a circle of length D (R = L mod D,
-                 n the count in a window of length R), int n^2 summed over
-                 level pairs as the overlap of their window ranges; the pair
-                 sums are those of the period at the width ceil(R), two dot
-                 products of h with its prefix sums, made once per width on
-                 each spectrum; exact Fraction result, no tolerance at all;
+                 n the count in a window of length R), with
+                 int n^2 = (1 - f) Q(w - 1) + f Q(w) for w = ceil(R) and
+                 f = R - (w - 1): Q(m) sums the squared level counts of the
+                 D windows of m integer positions, one pass over the prefix
+                 sums of h, made once per width on each spectrum; exact
+                 Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
                  whose |S_D(k)|^2 is an integer in closed form (gD, 0 or
@@ -124,7 +125,7 @@ def counting_function(spec, phi):
     it is minus the levels in [phi, 0).
     """
     periods, r = divmod(math.ceil(Fraction(phi) - Fraction(spec.rho, 6)), spec.app.D)
-    return periods * spec.app.D + spec.prefix[0][r]
+    return periods * spec.app.D + spec.prefix[r]
 
 
 def number_variance_direct(spec, L):
@@ -135,18 +136,17 @@ def number_variance_direct(spec, L):
     Sigma^2 is that of the period alone, on a circle of length D, at
     R = L mod D.  Each level is in a window of length R for an x-range of
     length R, so int n dx = D R and Sigma^2 = (1/D) int (n - R)^2 dx =
-    (1/D) int n^2 dx - R^2.  The integral of n^2 counts each level once
-    (length R) and each pair of distinct levels twice, over the overlap of
-    their two x-ranges: (R - d)+ + (R - (D - d))+ for levels a forward
-    distance d apart.  Count each level with the levels at forward
-    distances d < R from it, itself and its equal-position successors
-    included once (G), and let G_t be the sum of those d; then
-    int n^2 dx = 2 (R G - G_t) - D R.
+    (1/D) int n^2 dx - R^2.
 
-    All distances are integers, so d < R <=> d < ceil(R), and (G, G_t) are
-    the pair sums of the period at the width ceil(R) in 1..D (_pair_sums).
-    They run once per width and spectrum, and every L of that width reuses
-    them.  The result is an exact Fraction for any rational L, with no float.
+    All levels share the offset rho/6, so measured from it their positions
+    are integers.  With w = ceil(R) and f = R - (w - 1) in (0, 1], a window starting at x
+    in (k - 1, k) holds the positions k..k+w-2 while x <= k - f and
+    k..k+w-1 after that, so int n^2 dx = (1 - f) Q(w - 1) + f Q(w), with
+    Q(m) the squared window counts of the period (_window_squares).  Each
+    Q(m) is made once per width and spectrum, and every L that needs it
+    reuses it; Q(0) = 0, and Q(w - 1) is not needed when R is an integer
+    (f = 1).  The result is an exact Fraction for any rational L, with no
+    float.
     """
     L = Fraction(L)
     if L < 0:
@@ -155,49 +155,28 @@ def number_variance_direct(spec, L):
     R = L % D
     if not R:
         return Fraction(0)
-    width = math.ceil(R)
-    if width not in spec._sweeps:
-        spec._sweeps[width] = _pair_sums(spec, width)
-    G, Gt = spec._sweeps[width]
-    # (2 (R G - G_t) - D R) / D - R^2 with R = p/q, as one Fraction
+    # ((1 - f) Q(w - 1) + f Q(w)) / D - R^2 with R = p/q, as one Fraction
     p, q = R.numerator, R.denominator
-    return Fraction(p * (2 * G - D) * q - 2 * Gt * q * q - p * p * D, D * q * q)
+    w = math.ceil(R)
+    below = w * q - p
+    inner = (p - (w - 1) * q) * _window_squares(spec, w)
+    if below and w > 1:
+        inner += below * _window_squares(spec, w - 1)
+    return Fraction(q * inner - p * p * D, D * q * q)
 
 
-def _pair_sums(spec, width):
-    """(G, G_t) of the period at width 1 <= width <= D, as Python ints.
+def _window_squares(spec, m):
+    """Q(m) = sum_{k in Z_D} (C[k + m] - C[k])^2 for 1 <= m <= D, memoised.
 
-    On the circle Z_D with h_r levels at r, G counts, for every level,
-    itself and the levels after it at forward distances d < width
-    (h_r (h_r + 1)/2 pairs at d = 0 per residue), and G_t sums their d.
-    With C, S and B of Spectrum.prefix continued past D, the levels at j in
-    [r, r + width) number C[r + width] - C[r], and their distances j - r
-    sum to (width - 1) C[r + width] - S[r + width] + S[r + 1].  Weighted by
-    h_r and summed over r, with X = sum h_r C[r + width] and
-    Y = sum h_r S[r + width]:
-
-        G = X - D(D-1)/2,   G_t = (width - 1) X - Y + B.
-
-    The two dot products run over the occupied residues only, with the
-    indices r + width > D wrapped into the period; the wrapped residues
-    r >= a = D - width + 1 hold H = D - C[a] levels, and by the wrap terms
-    of Spectrum.prefix they add D H to X and H S[D] + D sum_{r>=a} h_r
-    (r - a + 1) = H S[D] + D ((width - 1) D - S[D] + S[a]) to Y.
+    C[k + m] - C[k] counts the levels at the m positions k..k+m-1 of the
+    period, with C of Spectrum.prefix continued past D as C[k] + D.
     """
-    h = spec.hist
-    C, S, B = spec.prefix
-    D = len(h)
-    counts = list(filter(None, h))
-
-    def dot(x):
-        wrapped = chain(islice(x, width, D + 1), islice(x, 1, width))
-        return sum(map(mul, counts, compress(wrapped, h)))
-
-    a = D - width + 1
-    H = D - C[a]
-    X = dot(C) + D * H
-    Y = dot(S) + H * S[D] + D * ((width - 1) * D - S[D] + S[a])
-    return X - D * (D - 1) // 2, (width - 1) * X - Y + B
+    if m not in spec._sweeps:
+        C = spec.prefix
+        D = len(C) - 1
+        ahead = chain(islice(C, m, D), map(D.__add__, islice(C, m)))
+        spec._sweeps[m] = sum(n * n for n in map(sub, ahead, C))
+    return spec._sweeps[m]
 
 
 def gauss_sum(D, k):

@@ -15,10 +15,10 @@ over all N levels for the number variance (O(N log N) per L).  The library
 computes the same quantities from one period of D levels (a histogram over
 Z_D, with the rows tiled from it), the diagonal-times-circulant
 factorisation, the weights and off-support remainder of the momentum-basis
-matrix (two FFTs of U), one FFT of length D over the histogram and a sum of
-window overlaps over level pairs, and writes the spectrum in fixed-size
-blocks from one row template; the tests compare the two.  The oracles that
-need the levels of a spectrum take them from
+matrix (two FFTs of U), one FFT of length D over the histogram and the
+squared level counts of the period's windows of integer width, and writes
+the spectrum in fixed-size blocks from one row template; the tests compare
+the two.  The oracles that need the levels of a spectrum take them from
 eigenphases_fraction(spec.app), never from its histogram, and level_arrays
 reads the library's own tiling back as int64 arrays.  The spectrum's CSV
 and JSON are written here one record per level from the Fraction formula,
@@ -187,7 +187,10 @@ def number_variance_sweep(app, L):
 
     (1/S) int n^2 du - R^2 in units u = 6 phi (S = 6N, w = 6R), where
     int n^2 du = 2 (w pairs - total) - N w over the pairs within the
-    integer width ceil(w) (number_variance_direct has the derivation).
+    integer width ceil(w): a level lies in the window for a u-range of
+    length w, and two levels a forward distance d < w apart share w - d of
+    it.  pairs counts each level with itself and those ahead of it, and
+    total sums their d.
     """
     L = Fraction(L)
     N = app.N

@@ -282,14 +282,20 @@ def test_direct_sweep_in_blocks_matches_oracle(M):
 
 
 def test_direct_sweep_runs_once_per_width(monkeypatch):
-    # L reaches the period only through its width ceil(R), R = L mod D: a
-    # grid of step 1/24 puts 24 L on each ceil(R), and every further period
-    # of length D, below N or beyond it, repeats a width
+    # L reaches the period only through R = L mod D: a window of length R
+    # reads the squared window counts at the width w = ceil(R), and also at
+    # w - 1 unless R is an integer (Q(0) = 0 is never asked for).  A grid of
+    # step 1/24 puts 24 L on each w, and every further period of length D,
+    # below N or beyond it, repeats a width
     calls = []
-    sweep = statistics._pair_sums
-    monkeypatch.setattr(
-        statistics, "_pair_sums", lambda spec, w: calls.append(w) or sweep(spec, w)
-    )
+    sweep = statistics._window_squares
+
+    def record(spec, m):
+        if m not in spec._sweeps:
+            calls.append(m)
+        return sweep(spec, m)
+
+    monkeypatch.setattr(statistics, "_window_squares", record)
     for a, N in [(0, 1), (3, 9), (24, 16), (10**30 + 7, 12), (6, 18), (20, 50)]:
         app = Approximant(a, N)
         Ls = [Fraction(j, 24) for j in range(24 * 2 * N + 1)]
@@ -297,6 +303,7 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
         want = {L: number_variance_sweep(app, L) for L in Ls}
         R = [Fraction(L) % app.D for L in Ls]
         widths = {math.ceil(r) for r in R if r}
+        widths |= {math.ceil(r) - 1 for r in R if r.denominator > 1 and r > 1}
         spec = eigenphases(app)
         calls.clear()
         for L in Ls + Ls[::-1]:
@@ -308,7 +315,7 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
             assert number_variance_direct(fresh, L) == want[L], (a, N, L)
         assert len(calls) == 2 * len(widths), (a, N)
     # a whole number of periods below N holds exactly D levels per period at
-    # every position: Sigma^2 is 0 with no pair sums at all
+    # every position: Sigma^2 is 0 with no window counts at all
     for a, N in [(24, 16), (6, 18)]:
         app = Approximant(a, N)
         spec = eigenphases(app)
@@ -319,17 +326,18 @@ def test_direct_sweep_runs_once_per_width(monkeypatch):
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 12, 97])
-def test_pair_sums_every_width_match_fraction_sweep(D):
-    # L = w - 1/2 reaches the period at width w, and the pair sums wrap past
-    # D for every w > 1.  (D, 2D) has M = 2 and rho = 3 for odd D, the block
-    # M = 1 and rho = 0
+def test_window_squares_every_width_match_fraction_sweep(D):
+    # L = w - 1/2 reads the period at the widths w - 1 and w, and L = w at
+    # the width w alone (f = 1); the window counts wrap past D for every
+    # w > 1.  (D, 2D) has M = 2 and rho = 3 for odd D, the block M = 1 and
+    # rho = 0
     for app in (Approximant(0, D), Approximant(D, 2 * D)):
         spec = eigenphases(app)
         for w in range(1, D + 1):
-            L = w - Fraction(1, 2)
-            assert number_variance_direct(spec, L) == number_variance_events(spec, L), (
-                app, L,
-            )
+            for L in (w - Fraction(1, 2), Fraction(w)):
+                assert number_variance_direct(spec, L) == number_variance_events(
+                    spec, L
+                ), (app, L)
         assert sorted(spec._sweeps) == list(range(1, D + 1))
 
 
