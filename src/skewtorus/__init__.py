@@ -13,88 +13,68 @@ equispaced copies of the D-level block -eta^2 mod D (reduced_spectrum), so
 the statistics depend on the approximant (a_N, N) only through D.
 """
 
-from .diophantine import (
-    Approximant,
-    IrrationalAlpha,
-    PrecisionExhaustedError,
-    approximants_with_gcd,
-    bracket,
-    certify_approximant,
-    convergents,
-    golden,
-    nearest_approximant,
-    parse_alpha,
-    sqrt2,
-)
-from .spectrum import (
-    Spectrum,
-    eigenphases,
-    power_sums,
-    reduced_spectrum,
-    spectrum_to_csv,
-)
-from .propagator import (
-    Propagator,
-    build_propagator,
-    trace_powers,
-    unitarity_defect,
-)
-from .statistics import (
-    DivergenceWitness,
-    SpacingDistribution,
-    UnsupportedClosedFormError,
-    counting_function,
-    curve_to_csv,
-    divergence_witness,
-    format_law,
-    gauss_sum,
-    number_variance_closed,
-    number_variance_direct,
-    number_variance_fourier,
-    spacing_distribution_closed,
-    spacing_to_csv,
-    spacings,
-)
-from .classical import TorusPoint, orbit, orbit_to_csv, step, weyl_sum
+import importlib
 
-__all__ = [
-    "Approximant",
-    "DivergenceWitness",
-    "IrrationalAlpha",
-    "PrecisionExhaustedError",
-    "Propagator",
-    "SpacingDistribution",
-    "Spectrum",
-    "TorusPoint",
-    "UnsupportedClosedFormError",
-    "approximants_with_gcd",
-    "bracket",
-    "build_propagator",
-    "certify_approximant",
-    "convergents",
-    "counting_function",
-    "curve_to_csv",
-    "divergence_witness",
-    "eigenphases",
-    "format_law",
-    "gauss_sum",
-    "golden",
-    "nearest_approximant",
-    "number_variance_closed",
-    "number_variance_direct",
-    "number_variance_fourier",
-    "orbit",
-    "orbit_to_csv",
-    "parse_alpha",
-    "power_sums",
-    "reduced_spectrum",
-    "spacing_distribution_closed",
-    "spacing_to_csv",
-    "spacings",
-    "spectrum_to_csv",
-    "sqrt2",
-    "step",
-    "trace_powers",
-    "unitarity_defect",
-    "weyl_sum",
-]
+# layer -> the public names it defines.  A name's layer is imported on first
+# access (PEP 562), so `import skewtorus.cli` compiles no layer it does not run.
+_LAYERS = {
+    "diophantine": (
+        "Approximant",
+        "IrrationalAlpha",
+        "PrecisionExhaustedError",
+        "approximants_with_gcd",
+        "bracket",
+        "certify_approximant",
+        "convergents",
+        "golden",
+        "nearest_approximant",
+        "parse_alpha",
+        "sqrt2",
+    ),
+    "spectrum": (
+        "Spectrum",
+        "eigenphases",
+        "power_sums",
+        "reduced_spectrum",
+        "spectrum_to_csv",
+    ),
+    "propagator": (
+        "Propagator",
+        "build_propagator",
+        "trace_powers",
+        "unitarity_defect",
+    ),
+    "statistics": (
+        "DivergenceWitness",
+        "SpacingDistribution",
+        "UnsupportedClosedFormError",
+        "counting_function",
+        "curve_to_csv",
+        "divergence_witness",
+        "format_law",
+        "gauss_sum",
+        "number_variance_closed",
+        "number_variance_direct",
+        "number_variance_fourier",
+        "spacing_distribution_closed",
+        "spacing_to_csv",
+        "spacings",
+    ),
+    "classical": ("TorusPoint", "orbit", "orbit_to_csv", "step", "weyl_sum"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,42 +20,69 @@ single rational value such as "1", "0.25", or "7/3".  L is written out as a
 float, so a value beyond the float range is an invalid grid.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
+import importlib
 import math
 import os
 import sys
 from fractions import Fraction
 
-from .classical import TorusPoint, orbit, orbit_to_csv
-from .diophantine import (
-    Approximant,
-    approximants_with_gcd,
-    bracket,
-    nearest_approximant,
-    parse_alpha,
-)
-from .propagator import DEFAULT_MAX_N, build_propagator, trace_powers, unitarity_defect
-from .spectrum import (
-    eigenphases,
-    power_sums,
-    reduced_spectrum,
-    spectrum_to_csv,
-    spectrum_to_json,
-)
-from .statistics import (
-    DEFAULT_FOURIER_K,
-    UnsupportedClosedFormError,
-    curve_to_csv,
-    divergence_witness,
-    number_variance_closed,
-    number_variance_direct,
-    number_variance_fourier,
-    spacing_to_csv,
-    spacings,
-)
+# layer -> the names the commands use from it.  Each command first calls
+# _use(layer, ...), which imports those layers and binds their names here, so
+# a command pays only for the layers it runs.  The names are bound into this
+# module rather than imported inside each command because cli.<name> is the
+# seam a test or the benchmark's tracer patches: a local `from .x import y`
+# would bypass a patched cli.y.  setdefault keeps a patch made before the
+# command, and the module __getattr__ below makes cli.<name> readable (and
+# so patchable) before any command has run.
+_LAYERS = {
+    "classical": ("TorusPoint", "orbit", "orbit_to_csv"),
+    "diophantine": (
+        "Approximant",
+        "approximants_with_gcd",
+        "bracket",
+        "nearest_approximant",
+        "parse_alpha",
+    ),
+    "propagator": ("DEFAULT_MAX_N", "build_propagator", "trace_powers", "unitarity_defect"),
+    "spectrum": (
+        "eigenphases",
+        "power_sums",
+        "reduced_spectrum",
+        "spectrum_to_csv",
+        "spectrum_to_json",
+    ),
+    "statistics": (
+        "DEFAULT_FOURIER_K",
+        "curve_to_csv",
+        "divergence_witness",
+        "number_variance_closed",
+        "number_variance_direct",
+        "number_variance_fourier",
+        "spacing_to_csv",
+        "spacings",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _use(*layers):
+    """Import the layers and bind their names here, keeping any patched name."""
+    namespace = globals()
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYERS[layer]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(layer)
+    return globals()[name]
+
 
 FIGURE_DS = (1, 2, 3, 6, 8, 9)
 FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
@@ -130,6 +157,7 @@ def _approximant(args):
 
 
 def cmd_approx(args):
+    _use("diophantine")
     alpha = parse_alpha(args.alpha)
     if (args.N is None) == (args.D is None):
         raise ValueError("choose exactly one of --N (single) or --D (family)")
@@ -151,6 +179,7 @@ def cmd_approx(args):
 
 
 def cmd_spectrum(args):
+    _use("diophantine", "spectrum")
     spec = eigenphases(_approximant(args))
     _emit(
         args,
@@ -161,6 +190,7 @@ def cmd_spectrum(args):
 
 
 def cmd_spacing(args):
+    _use("diophantine", "spectrum", "statistics")
     dist = spacings(eigenphases(_approximant(args)))
     _emit(
         args,
@@ -174,6 +204,7 @@ def cmd_numvar(args):
     Ls = _parse_lgrid(args.L)
     if args.K is not None and args.method != "fourier":
         raise ValueError(f"--K is for --method fourier, not {args.method}")
+    _use("diophantine", "spectrum", "statistics")
     rows = []
     if args.method == "direct":
         # --D alone selects the D-level block, whose statistics are those of
@@ -232,7 +263,8 @@ def cmd_figure1(args):
     FIGURE_SPOT_LS, within the truncation bound recorded in the header.
     """
     Ls = _parse_lgrid(args.L)
-    K = args.K
+    _use("spectrum", "statistics")
+    K = DEFAULT_FOURIER_K if args.K is None else args.K
     blocks = {D: reduced_spectrum(D) for D in FIGURE_DS}
     cols = {
         D: [float(number_variance_direct(blocks[D], L)) for L in Ls] for D in FIGURE_DS
@@ -293,6 +325,7 @@ def cmd_figure1(args):
 
 
 def cmd_orbit(args):
+    _use("classical", "diophantine")
     # --alpha here may be a preset/cf spec or a literal number like 0.5
     try:
         alpha = Fraction(args.alpha)
@@ -316,6 +349,7 @@ def cmd_orbit(args):
 
 
 def cmd_witness(args):
+    _use("diophantine", "statistics")
     wit = divergence_witness(parse_alpha(args.alpha), args.count)
     _emit(args, lambda out: out.writelines(line + "\n" for line in wit.lines()))
     if not (wit.all_rigid_match and wit.all_three_atom_match and wit.laws_distinct):
@@ -326,6 +360,7 @@ def cmd_witness(args):
 
 def cmd_verify(args):
     """Cross-method consistency suite for one approximant."""
+    _use("diophantine", "propagator", "spectrum", "statistics")
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
     checks = []
@@ -343,7 +378,8 @@ def cmd_verify(args):
         )
         return ok
 
-    U = build_propagator(app, max_n=args.max_n)
+    max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
+    U = build_propagator(app, max_n=max_n)
     record("unitarity", unitarity_defect(U), 1e-12)
 
     # the trace formula is the power sums of the exact spectrum
@@ -431,7 +467,8 @@ def _build_parser():
     p.add_argument(
         "--K",
         type=int,
-        help=f"series truncation order (method fourier; default {DEFAULT_FOURIER_K})",
+        # statistics.DEFAULT_FOURIER_K, written out so that --help loads no layer
+        help="series truncation order (method fourier; default 10000)",
     )
     p.add_argument("--poisson", action="store_true", help="append Sigma^2 = L rows")
 
@@ -440,9 +477,7 @@ def _build_parser():
         alpha=False,
     )
     p.add_argument("--L", default="0:9:451", help="L grid (default 0:9:451)")
-    p.add_argument(
-        "--K", type=int, default=DEFAULT_FOURIER_K, help="series truncation order"
-    )
+    p.add_argument("--K", type=int, help="series truncation order")
 
     p = add(
         "witness", cmd_witness, "two approximant families, two spacing laws",
@@ -465,7 +500,6 @@ def _build_parser():
         "--max-N",
         dest="max_n",
         type=int,
-        default=DEFAULT_MAX_N,
         help="dimension guard for matrix work",
     )
 
@@ -476,15 +510,21 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UnsupportedClosedFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
+
+
+def _exit_code(exc):
+    """The exit code of a ValueError that a command raised; imports no layer."""
+    if isinstance(exc, GridError):
+        return 4
+    # only the statistics layer raises UnsupportedClosedFormError, so an
+    # instance of it exists only once that layer has loaded
+    statistics = sys.modules.get(f"{__package__}.statistics")
+    if statistics is not None and isinstance(exc, statistics.UnsupportedClosedFormError):
+        return 3
+    return 2
 
 
 def entry():

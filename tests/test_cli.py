@@ -554,3 +554,109 @@ def test_cli_import_does_not_load_numpy():
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# Each command imports only the library layers it runs; the layers that the
+# statistics layer imports itself (diophantine, spectrum) come with it.
+_LAYERS_LOADED = (
+    "import sys\n"
+    "import skewtorus.cli\n"
+    "argv = sys.argv[1:]\n"
+    "code = skewtorus.cli.main(argv) if argv else 0\n"
+    "layers = {m.split('.')[1] for m in sys.modules if m.startswith('skewtorus.')}\n"
+    "print(code, *sorted(layers - {'cli'}), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, layers",
+    [
+        ("", 0, ""),
+        ("approx --alpha golden --N 1000", 0, "diophantine"),
+        ("spectrum --a 3 --N 9", 0, "diophantine spectrum"),
+        ("spacing --a 3 --N 9", 0, "diophantine spectrum statistics"),
+        ("witness --count 2", 0, "diophantine spectrum statistics"),
+        ("numvar --D 3 --L 1", 0, "diophantine spectrum statistics"),
+        ("numvar --D 3 --L 3:1:5", 4, ""),
+        ("numvar --D 3 --L 1 --K 5", 2, ""),
+        ("figure1 --L 0:1:3", 0, "diophantine spectrum statistics"),
+        ("orbit --T 3", 0, "classical diophantine"),
+        ("orbit --alpha 0.5 --T 3", 0, "classical diophantine"),
+        ("verify --a 3 --N 9", 0, "diophantine propagator spectrum statistics"),
+    ],
+)
+def test_command_loads_only_its_layers(argv, code, layers):
+    proc = _python("-c", _LAYERS_LOADED, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} {layers}".rstrip()
+
+
+def test_cli_names_are_the_layers_objects():
+    script = (
+        "import importlib\n"
+        "from skewtorus import cli\n"
+        "for layer, names in cli._LAYERS.items():\n"
+        "    module = importlib.import_module('skewtorus.' + layer)\n"
+        "    for name in names:\n"
+        "        assert getattr(cli, name) is getattr(module, name), name\n"
+        "assert not hasattr(cli, 'trace_power_analytic')\n"
+        "import skewtorus\n"
+        "namespace = {}\n"
+        "exec('from skewtorus import *', namespace)\n"
+        "assert set(skewtorus.__all__) <= set(namespace)\n"
+        "assert set(skewtorus.__all__) <= set(dir(skewtorus))\n"
+        "assert not hasattr(skewtorus, 'trace_power_analytic')\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("approx --N 1000", "nearest_approximant"),
+        ("spectrum --a 3 --N 9", "eigenphases"),
+        ("spacing --a 3 --N 9", "spacings"),
+        ("numvar --D 3 --L 1", "number_variance_closed"),
+        ("figure1 --L 0:1:3", "number_variance_direct"),
+        ("witness", "divergence_witness"),
+        ("orbit --T 3", "orbit"),
+        ("verify --a 3 --N 9", "build_propagator"),
+    ],
+)
+def test_patch_before_first_command_is_called(argv, name):
+    # a plain assignment, made before any command has bound the layer's name
+    script = (
+        "import sys\n"
+        "from skewtorus import cli\n"
+        "def patched(*args, **kwargs):\n"
+        f"    raise ValueError('patched {name}')\n"
+        f"cli.{name} = patched\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = _python("-c", script, *argv.split())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: patched {name}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("approx --alpha cf:1,2,2 --N 1000", 2),
+        ("numvar --D 5 --L 1 --method closed", 3),
+        ("numvar --D 3 --L x", 4),
+    ],
+)
+def test_exit_code_as_first_command(argv, code):
+    proc = _python("-m", "skewtorus", *argv.split())
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_numvar_help_names_the_fourier_default(capsys):
+    from skewtorus.statistics import DEFAULT_FOURIER_K
+
+    with pytest.raises(SystemExit):
+        cli.main(["numvar", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(method fourier; default {DEFAULT_FOURIER_K})" in help_text
