@@ -10,8 +10,6 @@ Coordinates are reduced with `% 1`, which keeps Fractions exact; exactness
 is only needed by the grid-permutation test, ordinary orbits run on floats.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import namedtuple

@@ -8,8 +8,6 @@ When the prefix is too short to decide a request, operations raise
 PrecisionExhaustedError instead of silently truncating or guessing.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd

@@ -19,41 +19,57 @@ P: e_m -> e_{m+a}, and F C F^-1 is diagonal, so
 The shift m -> m + a (mod N) splits the N momenta into D = gcd(a, N) cycles
 of length M = N/D, one per residue class mod D, which is how the paper
 derives the eigenphases.  The numeric checks use that structure without
-assuming it: V is computed from the dense U by two FFTs, and its weights
-w_m and off-support remainder E are measured (Propagator.momentum).
-Unitarity is bounded from |w_m| and ||E||_F, and the numeric traces are the
-power sums of the M-th roots of the D cycle products of the w_m; both are
-O(N^2 log N), with no eigensolve and no dense product.  The exact side
-they are compared with is spectrum.power_sums, the paper's trace formula.
+assuming it: V is computed from the dense U by two FFTs in U's own buffer,
+and its weights w_m and off-support remainder E are measured
+(Propagator.momentum).  Unitarity is bounded from |w_m| and ||E||_F, and
+the numeric traces are the power sums of the M-th roots of the D cycle
+products of the w_m; both are O(N^2 log N), with no eigensolve and no
+dense product.  The exact side they are compared with is
+spectrum.power_sums, the paper's trace formula.
 """
-
-from __future__ import annotations
 
 import functools
 import math
 
-# Dense memory model: U takes 16 N^2 bytes (268 MB at N = 4096), and the
-# momentum form adds one more 16 N^2 buffer plus one block of
-# MOMENTUM_BLOCK rows (16 MB at N = 4096); building U needs no index array.
-# verify --a 1 --N 4096 peaks at 575 MB (ru_maxrss, 2-vCPU VM, numpy 2.4).
+# Dense memory model: one N x N complex buffer of 16 N^2 bytes (268 MB at
+# N = 4096) holds U, then F U, then V; the row FFTs overwrite it
+# MOMENTUM_BLOCK rows at a time, and the propagator itself keeps only g
+# and d (2N values).  verify --a 1 --N 4096 peaks at 286 MB (ru_maxrss,
+# 2-vCPU VM, numpy 2.4).
 DEFAULT_MAX_N = 4096
 # Rows of F U transformed at a time by the second FFT.
 MOMENTUM_BLOCK = 256
 
 
 class Propagator:
-    """Dense propagator matrix with its defining integers.
+    """The propagator U_N = diag(d) C by its defining integers and vectors.
 
-    entries is the complex N x N numpy array.  It is not modified after
-    construction: momentum is computed from it once and kept.
+    g is the first column of the circulant C (C_{kj} = g_{(k-j) mod N}) and
+    d the diagonal phases d_k = e(a k/N), both of length N.  No N x N array
+    is kept: dense builds U anew on each call, and momentum turns that one
+    buffer into V in place and keeps only the weights and ||E||_F.
     """
 
     N: int
     a: int
-    entries: object
+    g: object
+    d: object
 
-    def __init__(self, N, a, entries):
-        self.N, self.a, self.entries = N, a, entries
+    def __init__(self, N, a, g, d):
+        self.N, self.a, self.g, self.d = N, a, g, d
+
+    def dense(self):
+        """U as a new N x N array, row k = d_k (g_k, g_{k-1}, ..., g_{k+1}).
+
+        Row k of the circulant is h[k : k + N] reversed, h = g[1:] ++ g, so
+        C is a view of 2N - 1 values and the product is the only N x N
+        allocation.
+        """
+        import numpy as np
+
+        h = np.concatenate((self.g[1:], self.g))
+        windows = np.lib.stride_tricks.sliding_window_view(h, self.N)
+        return windows[:, ::-1] * self.d.reshape(-1, 1)
 
     @functools.cached_property
     def momentum(self):
@@ -62,19 +78,22 @@ class Propagator:
         V = F U F^-1 is the FFT of the columns of U followed by the inverse
         FFT of the rows of the result (which carries the 1/N), so it is
         unitarily similar to U.  E is V with the N weights set to zero.
-        The column FFT fills one N x N buffer; its rows are transformed
-        MOMENTUM_BLOCK at a time, and only w and the running sum of |E|^2
-        are kept.
+        Both FFTs write into the buffer of dense(): the columns in one
+        pass, then the rows MOMENTUM_BLOCK at a time, each block read for
+        w and its share of |E|^2 before the next.  The buffer is dropped on
+        return.
         """
         import numpy as np
 
         N = self.N
         shift = int(self.a) % N
-        half = np.fft.fft(self.entries, axis=0)
+        buf = self.dense()
+        np.fft.fft(buf, axis=0, out=buf)
         w = np.empty(N, dtype=complex)
         off = 0.0
         for start in range(0, N, MOMENTUM_BLOCK):
-            rows = np.fft.ifft(half[start : start + MOMENTUM_BLOCK], axis=1)
+            rows = buf[start : start + MOMENTUM_BLOCK]
+            np.fft.ifft(rows, axis=1, out=rows)
             k = np.arange(start, start + len(rows))
             i, m = k - start, (k - shift) % N
             w[m] = rows[i, m]
@@ -84,13 +103,12 @@ class Propagator:
 
 
 def build_propagator(app, max_n=DEFAULT_MAX_N):
-    """Dense U_N for the approximant as diag(e(a k/N)) times a circulant.
+    """U_N for the approximant as diag(e(a k/N)) times a circulant.
 
-    O(N^2) work plus one length-N FFT, guarded by max_n.  The circulant
-    C_{kj} = g_{(k-j) mod N} is a view of 2N - 1 values, so the only N x N
-    allocation is U itself.  The exponents are invariant mod N under
-    a -> a mod N, so a is reduced as a Python int before any int64
-    arithmetic and the intermediates stay below N^2.
+    One length-N FFT and O(N) other work, guarded by max_n; the N x N
+    matrix is made only by Propagator.dense.  The exponents are invariant
+    mod N under a -> a mod N, so a is reduced as a Python int before any
+    int64 arithmetic and the intermediates stay below N^2.
     """
     import numpy as np
 
@@ -101,10 +119,7 @@ def build_propagator(app, max_n=DEFAULT_MAX_N):
     m = np.arange(N, dtype=np.int64)
     roots = np.exp(2j * np.pi * m / N)
     g = np.fft.ifft(roots[(-m * m) % N])
-    # row k of the circulant is h[k : k + N] reversed, h = g[1:] ++ g
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((g[1:], g)), N)
-    entries = windows[:, ::-1] * roots[(ared * m) % N].reshape(-1, 1)
-    return Propagator(N, a, entries)
+    return Propagator(N, a, g, roots[(ared * m) % N])
 
 
 def unitarity_defect(U):

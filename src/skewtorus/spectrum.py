@@ -23,8 +23,6 @@ spectrum of (0, D); every spectrum with gcd(a, N) = D has its histogram, up
 to a rotation of Z_D.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from collections import namedtuple

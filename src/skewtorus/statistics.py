@@ -42,8 +42,6 @@ of the period plus its wrap gap, each M times, and weight count/D.
 Degenerate eigenphases contribute genuine atoms at s = 0.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import Counter, namedtuple

@@ -15,8 +15,9 @@ over all N levels for the number variance (O(N log N) per L).  The library
 computes the same quantities from one period of D levels (a histogram over
 Z_D, with the rows tiled from it), the diagonal-times-circulant
 factorisation, the weights and off-support remainder of the momentum-basis
-matrix (two FFTs of U), one FFT of length D over the histogram and the
-squared level counts of the period's windows of integer width, and writes
+matrix (two FFTs of U in U's own buffer, where the oracle here writes the
+first FFT into a second buffer), one FFT of length D over the histogram and
+the squared level counts of the period's windows of integer width, and writes
 the spectrum in fixed-size blocks from one row template; the tests compare
 the two.  The oracles that need the levels of a spectrum take them from
 eigenphases_fraction(spec.app), never from its histogram, and level_arrays
@@ -38,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from skewtorus.propagator import MOMENTUM_BLOCK, Propagator
 from skewtorus.spectrum import _level_blocks
 from skewtorus.statistics import _MAX_SIN_TABLE, gauss_sum
 
@@ -67,11 +69,46 @@ def propagator_lsum(a, N):
     return acc / N
 
 
+class DenseMatrix(Propagator):
+    """Any N x N array labelled (N, a), read by the library as a propagator.
+
+    Propagator.momentum overwrites the buffer that dense returns, so dense
+    returns a copy and entries stays as given.
+    """
+
+    def __init__(self, N, a, entries):
+        self.N, self.a, self.entries = N, a, entries
+
+    def dense(self):
+        return self.entries.copy()
+
+
+def momentum_two_buffer(entries, a):
+    """(w, e) of Propagator.momentum with the column FFT into a new array.
+
+    The rows of F U are inverse-transformed MOMENTUM_BLOCK at a time, each
+    block a new array, so |E|^2 adds up in the library's order.
+    """
+    N = len(entries)
+    shift = int(a) % N
+    half = np.fft.fft(entries, axis=0)
+    w = np.empty(N, dtype=complex)
+    off = 0.0
+    for start in range(0, N, MOMENTUM_BLOCK):
+        rows = np.fft.ifft(half[start : start + MOMENTUM_BLOCK], axis=1)
+        k = np.arange(start, start + len(rows))
+        i, m = k - start, (k - shift) % N
+        w[m] = rows[i, m]
+        rows[i, m] = 0
+        off += np.vdot(rows, rows).real
+    return w, math.sqrt(off)
+
+
 def trace_power_numeric(U, n):
     """Tr(U^n) by matrix power; n = 0 returns N (identity convention)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return complex(np.trace(np.linalg.matrix_power(U.entries, n)))
+    return complex(np.trace(np.linalg.matrix_power(U.dense(), n)))
 
 
 def traces_running_product(entries, n_max):

@@ -11,6 +11,7 @@ U U^dagger and eigensolve oracles, and against corrupted matrices.
 import cmath
 import json
 import math
+import tracemalloc
 import typing
 
 import numpy as np
@@ -27,8 +28,10 @@ from skewtorus.propagator import (
 from skewtorus.spectrum import eigenphases, power_sums
 
 from oracles import (
+    DenseMatrix,
     dense_unitarity_defect,
     eigvals_power_sums,
+    momentum_two_buffer,
     propagator_lsum,
     robustness_pairs,
     trace_power_numeric,
@@ -64,7 +67,7 @@ def brute_matrix(a, N):
 def test_matrix_matches_brute_oracle():
     for a, N in [(1, 2), (1, 3), (2, 4), (3, 9), (24, 16)]:
         U = build_propagator(Approximant(a, N))
-        assert np.max(np.abs(U.entries - brute_matrix(a, N))) < 1e-11
+        assert np.max(np.abs(U.dense() - brute_matrix(a, N))) < 1e-11
 
 
 def test_propagator_type_hints_resolve():
@@ -73,19 +76,19 @@ def test_propagator_type_hints_resolve():
 
 def test_trivial_one_by_one():
     U = build_propagator(Approximant(1, 1))
-    assert np.allclose(U.entries, [[1.0]], atol=1e-15)
+    assert np.allclose(U.dense(), [[1.0]], atol=1e-15)
 
 
 def test_two_by_two_hand_values():
     # the l-sum gives U = [[0, 1], [-1, 0]] exactly up to rounding
     U = build_propagator(Approximant(1, 2))
-    assert np.max(np.abs(U.entries - np.array([[0, 1], [-1, 0]]))) < 1e-15
+    assert np.max(np.abs(U.dense() - np.array([[0, 1], [-1, 0]]))) < 1e-15
 
 
 def test_entry_magnitudes():
     for a, N in [(8, 5), (3, 9), (24, 16)]:
         U = build_propagator(Approximant(a, N))
-        assert np.max(np.abs(U.entries)) <= 1 + 1e-12
+        assert np.max(np.abs(U.dense())) <= 1 + 1e-12
 
 
 def test_unitarity_across_set():
@@ -93,14 +96,14 @@ def test_unitarity_across_set():
     for a, N in UNITARITY_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
         bound = unitarity_defect(U)
-        assert dense_unitarity_defect(U.entries) <= bound < 1e-12, (a, N, bound)
+        assert dense_unitarity_defect(U.dense()) <= bound < 1e-12, (a, N, bound)
 
 
 def test_unitarity_detector_sees_corruption():
     U = build_propagator(Approximant(1, 3))
-    bad = U.entries.copy()
+    bad = U.dense()
     bad[0, 0] += 0.5
-    assert unitarity_defect(Propagator(3, 1, bad)) > 0.1
+    assert unitarity_defect(DenseMatrix(3, 1, bad)) > 0.1
 
 
 def test_dimension_guard():
@@ -181,7 +184,7 @@ def test_circulant_build_matches_lsum_oracle():
     for a, N in TRACE_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
         assert U.a == a and U.N == N
-        assert np.max(np.abs(U.entries - propagator_lsum(a, N))) <= 1e-13, (a, N)
+        assert np.max(np.abs(U.dense() - propagator_lsum(a, N))) <= 1e-13, (a, N)
 
 
 def test_eigenvalue_traces_match_running_product():
@@ -190,7 +193,7 @@ def test_eigenvalue_traces_match_running_product():
         U = build_propagator(Approximant(a, N))
         fast = trace_powers(U, 2 * N)
         assert len(fast) == 2 * N
-        for slow in (traces_running_product(U.entries, 2 * N), eigvals_power_sums(U.entries, 2 * N)):
+        for slow in (traces_running_product(U.dense(), 2 * N), eigvals_power_sums(U.dense(), 2 * N)):
             gap = max(abs(x - y) for x, y in zip(fast, slow))
             assert gap <= 1e-9 * N, (a, N, gap)
 
@@ -202,19 +205,53 @@ def test_momentum_form_is_computed_once():
     assert w.shape == (9,) and 0 <= e < 1e-14
 
 
+def test_in_place_momentum_is_bit_identical_to_two_buffers():
+    # N = 272 and 600 span two and three row blocks; the oracle's U is
+    # built after momentum has overwritten its own buffer
+    for a, N in UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]:
+        U = build_propagator(Approximant(a, N))
+        w, e = U.momentum
+        w_ref, e_ref = momentum_two_buffer(U.dense(), a)
+        assert np.array_equal(w, w_ref) and e == e_ref, (a, N)
+
+
+def test_checks_hold_one_dense_buffer():
+    # numpy reports its buffers to tracemalloc; one N x N complex array is
+    # 16 N^2 bytes, and the propagator keeps none after the checks
+    N = 512
+    one = 16 * N * N
+
+    def checks():
+        U = build_propagator(Approximant(1, N))
+        unitarity_defect(U)
+        trace_powers(U, 2 * N)
+        return U
+
+    checks()  # warm-up
+    tracemalloc.start()
+    try:
+        U = checks()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert U.N == N
+    assert peak <= 1.5 * one, peak / one
+    assert retained <= 0.1 * one, retained / one
+
+
 def _shifted(a, N):
     # the matrix of (a + 1, N) labelled as a
-    return Propagator(N, a, build_propagator(Approximant(a + 1, N)).entries)
+    return DenseMatrix(N, a, build_propagator(Approximant(a + 1, N)).dense())
 
 
 def _perturbed(a, N):
-    entries = build_propagator(Approximant(a, N)).entries.copy()
+    entries = build_propagator(Approximant(a, N)).dense()
     entries[N // 2, N // 3] += 1e-9
-    return Propagator(N, a, entries)
+    return DenseMatrix(N, a, entries)
 
 
 def _scaled(a, N):
-    return Propagator(N, a, 0.9 * build_propagator(Approximant(a, N)).entries)
+    return DenseMatrix(N, a, 0.9 * build_propagator(Approximant(a, N)).dense())
 
 
 CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled}
@@ -228,7 +265,7 @@ def test_unitarity_fails_on_corrupted_matrix(kind):
         bad = CORRUPTIONS[kind](a, N)
         defect = unitarity_defect(bad)
         assert defect > 1e-12, (a, N)
-        assert defect >= dense_unitarity_defect(bad.entries), (a, N)
+        assert defect >= dense_unitarity_defect(bad.dense()), (a, N)
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
