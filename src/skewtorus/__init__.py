@@ -11,6 +11,10 @@ closed-form expressions.  All three routes are implemented and must agree.
 Everything hinges on D = gcd(a_N, N): the spectrum consists of M = N/D
 equispaced copies of the D-level block -eta^2 mod D (reduced_spectrum), so
 the statistics depend on the approximant (a_N, N) only through D.
+
+_LAYERS below is the one map from a public name to the layer that defines
+it: the package's lazy exports and the names skewtorus.cli binds for its
+commands both read it.
 """
 
 import importlib
@@ -37,14 +41,17 @@ _LAYERS = {
         "power_sums",
         "reduced_spectrum",
         "spectrum_to_csv",
+        "spectrum_to_json",
     ),
     "propagator": (
+        "DEFAULT_MAX_N",
         "Propagator",
         "build_propagator",
         "trace_powers",
         "unitarity_defect",
     ),
     "statistics": (
+        "DEFAULT_FOURIER_K",
         "DivergenceWitness",
         "SpacingDistribution",
         "UnsupportedClosedFormError",

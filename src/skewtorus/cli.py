@@ -22,62 +22,32 @@ float, so a value beyond the float range is an invalid grid.
 
 import argparse
 import contextlib
-import importlib
 import math
 import os
 import sys
 from fractions import Fraction
 
-# layer -> the names the commands use from it.  Each command first calls
-# _use(layer, ...), which imports those layers and binds their names here, so
-# a command pays only for the layers it runs.  The names are bound into this
-# module rather than imported inside each command because cli.<name> is the
-# seam a test or the benchmark's tracer patches: a local `from .x import y`
-# would bypass a patched cli.y.  setdefault keeps a patch made before the
-# command, and the module __getattr__ below makes cli.<name> readable (and
-# so patchable) before any command has run.
-_LAYERS = {
-    "classical": ("TorusPoint", "orbit", "orbit_to_csv"),
-    "diophantine": (
-        "Approximant",
-        "approximants_with_gcd",
-        "bracket",
-        "nearest_approximant",
-        "parse_alpha",
-    ),
-    "propagator": ("DEFAULT_MAX_N", "build_propagator", "trace_powers", "unitarity_defect"),
-    "spectrum": (
-        "eigenphases",
-        "power_sums",
-        "reduced_spectrum",
-        "spectrum_to_csv",
-        "spectrum_to_json",
-    ),
-    "statistics": (
-        "DEFAULT_FOURIER_K",
-        "curve_to_csv",
-        "divergence_witness",
-        "number_variance_closed",
-        "number_variance_direct",
-        "number_variance_fourier",
-        "spacing_to_csv",
-        "spacings",
-    ),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+import skewtorus
 
-
+# Each command first calls _use(layer, ...), which binds here every name that
+# the package's table (skewtorus._LAYERS, the one name-to-layer map) lists for
+# those layers, through the package's lazy __getattr__, so a command pays only
+# for the layers it runs.  The names are bound into this module rather than
+# imported inside each command because cli.<name> is the seam a test or the
+# benchmark's tracer patches: a local `from .x import y` would bypass a
+# patched cli.y.  setdefault keeps a patch made before the command, and the
+# module __getattr__ below makes cli.<name> readable (and so patchable) before
+# any command has run.
 def _use(*layers):
-    """Import the layers and bind their names here, keeping any patched name."""
+    """Bind the layers' names here from the package, keeping any patched name."""
     namespace = globals()
     for layer in layers:
-        module = importlib.import_module(f".{layer}", __package__)
-        for name in _LAYERS[layer]:
-            namespace.setdefault(name, getattr(module, name))
+        for name in skewtorus._LAYERS[layer]:
+            namespace.setdefault(name, getattr(skewtorus, name))
 
 
 def __getattr__(name):
-    layer = _LAYER_OF.get(name)
+    layer = skewtorus._LAYER_OF.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _use(layer)

@@ -70,17 +70,17 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
 
 
 def base_levels(app):
-    """(eta, t): the D levels with l = 0, in eta order, t = 6 phi in [0, 6N).
+    """t = 6 phi in [0, 6N) of the D levels with l = 0, a list in eta order.
 
+    Entry eta - 1 is the base level eta = 1..D, at
     6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N), in Python
-    ints (eta a range, t a list); a huge a or N cannot overflow.
+    ints; a huge a or N cannot overflow.
     """
     a, N, M = app.a, app.N, app.M
     size = 6 * N
     const = a * a * (M - 1) * (2 * M - 1) % size
     a %= N
-    eta = range(1, app.D + 1)
-    return eta, [(6 * e * (a - e) - const) % size for e in eta]
+    return [(6 * e * (a - e) - const) % size for e in range(1, app.D + 1)]
 
 
 def eigenphases(app):
@@ -89,7 +89,7 @@ def eigenphases(app):
     The base levels are reduced mod 6D; every t has the same residue mod 6,
     so they fill the histogram over Z_D of u = (t mod 6D) // 6.
     """
-    _, t = base_levels(app)
+    t = base_levels(app)
     block = 6 * app.D
     hist = [0] * app.D
     for x in t:
@@ -110,7 +110,7 @@ def _period(spec, g):
     """
     D, M = spec.app.D, spec.app.M
     step = 6 * D
-    _, t = base_levels(spec.app)
+    t = base_levels(spec.app)
     start = array("q", accumulate(spec.hist, initial=0))
     eta, l0 = array("q", bytes(8 * D)), array("q", bytes(8 * D))
     for e, x in enumerate(t, 1):

@@ -592,15 +592,20 @@ def test_command_loads_only_its_layers(argv, code, layers):
 
 
 def test_cli_names_are_the_layers_objects():
+    # the package's table is the one name-to-layer map, and _use binds from it
     script = (
         "import importlib\n"
+        "import skewtorus\n"
         "from skewtorus import cli\n"
-        "for layer, names in cli._LAYERS.items():\n"
+        "layers = skewtorus._LAYERS\n"
+        "assert len(skewtorus._LAYER_OF) == sum(map(len, layers.values()))\n"
+        "assert 'spacings' not in vars(cli) and hasattr(cli, 'spacings')\n"
+        "for layer, names in layers.items():\n"
+        "    cli._use(layer)\n"
         "    module = importlib.import_module('skewtorus.' + layer)\n"
         "    for name in names:\n"
-        "        assert getattr(cli, name) is getattr(module, name), name\n"
+        "        assert vars(cli)[name] is getattr(module, name), name\n"
         "assert not hasattr(cli, 'trace_power_analytic')\n"
-        "import skewtorus\n"
         "namespace = {}\n"
         "exec('from skewtorus import *', namespace)\n"
         "assert set(skewtorus.__all__) <= set(namespace)\n"
