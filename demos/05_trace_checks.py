@@ -1,14 +1,14 @@
 """Cross-checks between the unitary propagator and the exact spectrum.
 
-The N x N propagator is built from scratch and taken to the momentum basis
-by two FFTs, where it is a weighted permutation m -> m + a (mod N): D
-cycles of length M.  The weights w_m on that support and the remainder E
-off it are measured from the matrix, and two checks follow: a bound on
-the unitarity defect from |w_m| and ||E||_F, and numeric traces of powers
-(the power sums of the M-th roots of the D cycle products of the weights)
-against the paper's trace formula, which is the eigenvalue power sums of
-the exact spectrum (exactly zero unless M divides n).  Agreement here pins
-down the explicit eigenphase formula numerically.
+The propagator is taken to the momentum basis straight from its defining
+sum, one inverse FFT per row, where it is a weighted permutation
+m -> m + a (mod N): D cycles of length M.  The weights w_m on that support
+and the remainder E off it are measured from the matrix, and two checks
+follow: a bound on the unitarity defect from |w_m| and ||E||_F, and
+numeric traces of powers (the power sums of the M-th roots of the D cycle
+products of the weights) against the paper's trace formula, which is the
+eigenvalue power sums of the exact spectrum (exactly zero unless M divides
+n).  Agreement here pins down the explicit eigenphase formula numerically.
 """
 
 from skewtorus import (

@@ -1,101 +1,93 @@
 """The unitary propagator of the quantized skew translation.
 
-In the position representation the N x N matrix is
+In the position representation the N x N matrix is the l-sum
 
-    (U_N)_{kj} = (1/N) sum_{l=0}^{N-1} exp((2 pi i / N)(l k - (l-a)^2 - (l-a) j)),
+    (U_N)_{kj} = (1/N) sum_{l=0}^{N-1} e(l k/N) X_{lj},
+    X_{lj} = e(-((l-a)^2 + (l-a) j)/N),
 
-j, k = 0..N-1.  Substituting m = l - a factors it as U_N = diag(e(a k/N)) C
-with e(x) = exp(2 pi i x) and C circulant, C_{kj} = g_{(k-j) mod N}, whose
-first column g = ifft(e(-m^2/N)) is one inverse FFT of length N.  Every
-exponent is an exact integer residue mod N indexing a single table of N-th
-roots of unity, so no phase accumulates.
+j, k = 0..N-1, with e(x) = exp(2 pi i x).  With F the DFT matrix
+(F_{mk} = e(-m k/N)) the sum says F U = X exactly, so the momentum form is
 
-In the momentum basis the matrix is a weighted permutation.  With F the DFT
-matrix (F_{mk} = e(-m k/N)), F diag(e(a k/N)) = P F for the cyclic shift
-P: e_m -> e_{m+a}, and F C F^-1 is diagonal, so
+    V = F U F^-1 = X F^-1,
 
-    V = F U F^-1,   V[(m + a) mod N, m] = w_m,   zero elsewhere.
+and row l of V is one inverse FFT of row l of X.  Every exponent of X is an
+exact integer residue mod N indexing a single table of N-th roots of unity,
+so no phase accumulates.  Rows are independent, so V is made MOMENTUM_BLOCK
+rows at a time, each block read and dropped (Propagator.momentum); the N x N
+matrix is never held.
 
-The shift m -> m + a (mod N) splits the N momenta into D = gcd(a, N) cycles
-of length M = N/D, one per residue class mod D, which is how the paper
-derives the eigenphases.  The numeric checks use that structure without
-assuming it: V is computed from the dense U by two FFTs in U's own buffer,
-and its weights w_m and off-support remainder E are measured
-(Propagator.momentum).  Unitarity is bounded from |w_m| and ||E||_F, and
-the numeric traces are the power sums of the M-th roots of the D cycle
-products of the w_m; both are O(N^2 log N), with no eigensolve and no
-dense product.  The exact side they are compared with is
-spectrum.power_sums, the paper's trace formula.
+Row l of X is the plane wave e(-m^2/N) e(-m j/N) with m = l - a, so V is
+the weighted permutation V[(m + a) mod N, m] = w_m = e(-m^2/N), zero
+elsewhere.  The shift m -> m + a (mod N) splits the N momenta into
+D = gcd(a, N) cycles of length M = N/D, one per residue class mod D, which
+is how the paper derives the eigenphases.  Unitarity is bounded from |w_m|
+and the off-support remainder ||E||_F, and the numeric traces are the power
+sums of the M-th roots of the D cycle products of the w_m: O(N^2 log N) in
+all, with no eigensolve and no dense product.
+
+What this checks, candidly: V is a weighted permutation by inspection of X,
+and E is FFT rounding.  The checks are of the chain from the defining sum to
+w_m = e(-m^2/N), to the cycle products, to the traces, which are compared
+with spectrum.power_sums, the paper's trace formula over the exact levels
+(spectrum.base_levels).  The numeric route is kept as the matrix layer of
+that chain, not as an independent proof that U is unitary.
 """
 
 import functools
 import math
 
-# Dense memory model: one N x N complex buffer of 16 N^2 bytes (268 MB at
-# N = 4096) holds U, then F U, then V; the row FFTs overwrite it
-# MOMENTUM_BLOCK rows at a time, and the propagator itself keeps only g
-# and d (2N values).  verify --a 1 --N 4096 peaks at 286 MB (ru_maxrss,
-# 2-vCPU VM, numpy 2.4).
-DEFAULT_MAX_N = 4096
-# Rows of F U transformed at a time by the second FFT.
+# Memory model, per block of B = MOMENTUM_BLOCK rows of length N: the
+# complex rows of X and of their inverse FFT, while the previous block's
+# rows are still bound, 48 B N bytes (tracemalloc reads 48.2 B N at
+# N = 512..4096); the int64 exponents and their temporaries, at most
+# 16 B N, are freed before the transform.  Plus O(N) for the table of roots
+# and the weights.  At N = 16384 that is about 200 MB; verify --a 1
+# --N 16384 takes about 10 s and 224 MB peak RSS (2-vCPU VM, one BLAS
+# thread).
+DEFAULT_MAX_N = 16384
+# Rows of X transformed at a time.
 MOMENTUM_BLOCK = 256
 
 
 class Propagator:
-    """The propagator U_N = diag(d) C by its defining integers and vectors.
+    """The propagator U_N by its defining integers (N, a).
 
-    g is the first column of the circulant C (C_{kj} = g_{(k-j) mod N}) and
-    d the diagonal phases d_k = e(a k/N), both of length N.  No N x N array
-    is kept: dense builds U anew on each call, and momentum turns that one
-    buffer into V in place and keeps only the weights and ||E||_F.
+    No N x N array is made or kept: momentum reads V = X F^-1 from the
+    defining sum in row blocks and keeps only the weights and ||E||_F.
     """
 
     N: int
     a: int
-    g: object
-    d: object
 
-    def __init__(self, N, a, g, d):
-        self.N, self.a, self.g, self.d = N, a, g, d
-
-    def dense(self):
-        """U as a new N x N array, row k = d_k (g_k, g_{k-1}, ..., g_{k+1}).
-
-        Row k of the circulant is h[k : k + N] reversed, h = g[1:] ++ g, so
-        C is a view of 2N - 1 values and the product is the only N x N
-        allocation.
-        """
-        import numpy as np
-
-        h = np.concatenate((self.g[1:], self.g))
-        windows = np.lib.stride_tricks.sliding_window_view(h, self.N)
-        return windows[:, ::-1] * self.d.reshape(-1, 1)
+    def __init__(self, N, a):
+        self.N, self.a = N, a
 
     @functools.cached_property
     def momentum(self):
         """(w, e): the weights w_m = V[(m + a) mod N, m] and ||E||_F.
 
-        V = F U F^-1 is the FFT of the columns of U followed by the inverse
-        FFT of the rows of the result (which carries the 1/N), so it is
-        unitarily similar to U.  E is V with the N weights set to zero.
-        Both FFTs write into the buffer of dense(): the columns in one
-        pass, then the rows MOMENTUM_BLOCK at a time, each block read for
-        w and its share of |E|^2 before the next.  The buffer is dropped on
-        return.
+        V = X F^-1 = F U F^-1 is unitarily similar to U; it is the inverse
+        FFT of the rows of X, which carries the 1/N.  E is V with the N
+        weights set to zero.  X is made MOMENTUM_BLOCK rows at a time, from
+        the exponents (-m^2 - m j) mod N with m = (l - a) mod N; a is
+        reduced as a Python int first, so the int64 exponents stay below
+        2 N^2.  Each block is inverse-transformed, read for w and its share
+        of |E|^2, and dropped.
         """
         import numpy as np
 
         N = self.N
         shift = int(self.a) % N
-        buf = self.dense()
-        np.fft.fft(buf, axis=0, out=buf)
+        j = np.arange(N, dtype=np.int64)
+        roots = np.exp(2j * np.pi * j / N)
         w = np.empty(N, dtype=complex)
         off = 0.0
         for start in range(0, N, MOMENTUM_BLOCK):
-            rows = buf[start : start + MOMENTUM_BLOCK]
-            np.fft.ifft(rows, axis=1, out=rows)
-            k = np.arange(start, start + len(rows))
-            i, m = k - start, (k - shift) % N
+            l = np.arange(start, min(start + MOMENTUM_BLOCK, N), dtype=np.int64)
+            m = (l - shift) % N
+            col = m.reshape(-1, 1)
+            rows = np.fft.ifft(roots[(-col * col - col * j) % N], axis=1)
+            i = l - start
             w[m] = rows[i, m]
             rows[i, m] = 0
             off += np.vdot(rows, rows).real
@@ -103,23 +95,15 @@ class Propagator:
 
 
 def build_propagator(app, max_n=DEFAULT_MAX_N):
-    """U_N for the approximant as diag(e(a k/N)) times a circulant.
+    """U_N for the approximant, guarded by max_n.
 
-    One length-N FFT and O(N) other work, guarded by max_n; the N x N
-    matrix is made only by Propagator.dense.  The exponents are invariant
-    mod N under a -> a mod N, so a is reduced as a Python int before any
-    int64 arithmetic and the intermediates stay below N^2.
+    Raises ValueError when N exceeds max_n, before any work; the momentum
+    form is computed on first use.
     """
-    import numpy as np
-
-    N, a = app.N, app.a
+    N = app.N
     if N > max_n:
         raise ValueError(f"N={N} exceeds the dimension guard max_n={max_n}")
-    ared = int(a) % N
-    m = np.arange(N, dtype=np.int64)
-    roots = np.exp(2j * np.pi * m / N)
-    g = np.fft.ifft(roots[(-m * m) % N])
-    return Propagator(N, a, g, roots[(ared * m) % N])
+    return Propagator(N, app.a)
 
 
 def unitarity_defect(U):
@@ -133,12 +117,13 @@ def unitarity_defect(U):
     so V V^dagger - I is unitarily similar to U U^dagger - I and has the
     same spectral norm, which bounds every entry of U U^dagger - I.
 
-    The bound certifies the computed V.  The FFT is backward stable:
-    computed V is the exact transform of U + dU with
-    ||dU||_F <= c u log2(N) ||U||_F (u the unit roundoff), so it is a bound
-    for a matrix that differs from U by that much.  In practice the FFT's
-    rounding lands in E and the weights, and over the test sets the bound
-    is above the entries of the dense U U^dagger - I.
+    The bound certifies the computed V.  The roots of unity are rounded to
+    the unit roundoff u and the inverse FFT is backward stable, so computed
+    V is the exact X' F^-1 of an X' with ||X' - X||_F <= c u log2(N) ||X||_F:
+    a bound for a matrix F^-1 X' that differs from U by that much relative
+    to ||U||_F.  In practice the rounding lands in E and the weights, and
+    over the test sets the bound is above the entries of the dense
+    U U^dagger - I.
     """
     import numpy as np
 
@@ -163,6 +148,14 @@ def trace_powers(U, n_max):
     ||E||_2 of one of U's.  For the traces themselves,
     Tr V^n - Tr (P W)^n is a sum of n terms Tr(V^j E (P W)^(n-1-j)), each at
     most sqrt(N) ||E||_F in modulus while every weight has modulus near 1.
+
+    Tolerance model.  Each weight is off by a few u; c_r^(n/M) compounds n
+    of them, so each of the N terms of Tr U^n is off by about n u, and the
+    residual against the trace formula over n <= 2N grows as N^2 u.
+    Measured for verify --a 1: 4.2e-9, 1.8e-8 and 7.0e-8 at N = 4096, 8192
+    and 16384.  verify's tolerance 1e-9 N grows only as N (1.6e-5 at
+    N = 16384, a margin of 235x); the two cross near N = 4e6, far above
+    DEFAULT_MAX_N.  The tolerance is not widened to reach past that.
     """
     import numpy as np
 

@@ -13,15 +13,16 @@ levels are also built as int64 arrays straight from the formula, with one
 lexsort, and read by np.diff for the spacings and by a searchsorted sweep
 over all N levels for the number variance (O(N log N) per L).  The library
 computes the same quantities from one period of D levels (a histogram over
-Z_D, with the rows tiled from it), the diagonal-times-circulant
-factorisation, the weights and off-support remainder of the momentum-basis
-matrix (two FFTs of U in U's own buffer, where the oracle here writes the
-first FFT into a second buffer), one FFT of length D over the histogram and
-the squared level counts of the period's windows of integer width, and writes
-the spectrum in fixed-size blocks from one row template; the tests compare
-the two.  The oracles that need the levels of a spectrum take them from
-eigenphases_fraction(spec.app), never from its histogram, and level_arrays
-reads the library's own tiling back as int64 arrays.  The spectrum's CSV
+Z_D, with the rows tiled from it), the weights and off-support remainder of
+the momentum-basis matrix V = X F^-1 (row blocks of the defining sum's X,
+one inverse FFT each, with no N x N array; the oracle here builds the dense
+U from its diagonal-times-circulant factorisation, proved against the
+l-sum, and takes V from it by two FFTs), one FFT of length D over the
+histogram and the squared level counts of the period's windows of integer
+width, and writes the spectrum in fixed-size blocks from one row template;
+the tests compare the two.  The oracles that need the levels of a spectrum
+take them from eigenphases_fraction(spec.app), never from its histogram,
+and level_arrays reads the library's own tiling back as int64 arrays.  The spectrum's CSV
 and JSON are written here one record per level from the Fraction formula,
 with json.dumps for the JSON.  The Gauss-sum series takes its table
 |S_D(r)|^2 from one gauss_sum call per residue r < D (O(D^2)), where the
@@ -30,6 +31,7 @@ robustness_pairs lists the edge-case approximants that the seeded
 randomized cross-checks share.
 """
 import cmath
+import functools
 import json
 import math
 import random
@@ -69,25 +71,30 @@ def propagator_lsum(a, N):
     return acc / N
 
 
-class DenseMatrix(Propagator):
-    """Any N x N array labelled (N, a), read by the library as a propagator.
+def dense_propagator(a, N):
+    """U as an N x N array from its factorisation diag(e(a k/N)) C.
 
-    Propagator.momentum overwrites the buffer that dense returns, so dense
-    returns a copy and entries stays as given.
+    Substituting m = l - a in the l-sum gives C circulant,
+    C_{kj} = g_{(k-j) mod N}, with first column g = ifft(e(-m^2/N)), one
+    inverse FFT of length N.  Row k of C is h[k : k + N] reversed,
+    h = g[1:] ++ g, so C is a view of 2N - 1 values and the product with
+    the diagonal is the only N x N allocation.
     """
-
-    def __init__(self, N, a, entries):
-        self.N, self.a, self.entries = N, a, entries
-
-    def dense(self):
-        return self.entries.copy()
+    m = np.arange(N, dtype=np.int64)
+    roots = np.exp(2j * np.pi * m / N)
+    g = np.fft.ifft(roots[(-m * m) % N])
+    d = roots[((a % N) * m) % N]
+    h = np.concatenate((g[1:], g))
+    windows = np.lib.stride_tricks.sliding_window_view(h, N)
+    return windows[:, ::-1] * d.reshape(-1, 1)
 
 
 def momentum_two_buffer(entries, a):
-    """(w, e) of Propagator.momentum with the column FFT into a new array.
+    """(w, e) of V = F U F^-1 from a dense U, by two FFTs.
 
-    The rows of F U are inverse-transformed MOMENTUM_BLOCK at a time, each
-    block a new array, so |E|^2 adds up in the library's order.
+    The column FFT of U goes into a new array, and its rows are
+    inverse-transformed MOMENTUM_BLOCK at a time, each block a new array,
+    so |E|^2 adds up in the library's order.
     """
     N = len(entries)
     shift = int(a) % N
@@ -104,11 +111,27 @@ def momentum_two_buffer(entries, a):
     return w, math.sqrt(off)
 
 
-def trace_power_numeric(U, n):
+class DenseMatrix(Propagator):
+    """Any N x N array labelled (N, a), read by the library as a propagator.
+
+    Its momentum form comes from momentum_two_buffer, so unitarity_defect
+    and trace_powers read a matrix that need not be the propagator of a.
+    """
+
+    def __init__(self, N, a, entries):
+        super().__init__(N, a)
+        self.entries = entries
+
+    @functools.cached_property
+    def momentum(self):
+        return momentum_two_buffer(self.entries, self.a)
+
+
+def trace_power_numeric(entries, n):
     """Tr(U^n) by matrix power; n = 0 returns N (identity convention)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return complex(np.trace(np.linalg.matrix_power(U.dense(), n)))
+    return complex(np.trace(np.linalg.matrix_power(entries, n)))
 
 
 def traces_running_product(entries, n_max):

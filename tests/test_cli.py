@@ -378,7 +378,7 @@ def test_python_m_skewtorus_help():
         ("figure1 --K 0", 2, False),
         ("witness --count -1", 2, False),
         ("orbit --T -1", 2, False),
-        ("verify --a 1 --N 5000", 2, False),
+        ("verify --a 1 --N 16385", 2, False),
         ("verify --a 1 --N 20 --max-N 10", 2, False),
         # exit 3: no closed form for this D
         ("numvar --method closed --D 4 --L 1", 3, False),

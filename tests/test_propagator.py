@@ -1,11 +1,14 @@
 """Propagator matrix, unitarity, and its traces against the trace formula.
 
 The brute oracle below rebuilds small matrices with nothing shared with the
-library path (plain cmath loop, no exponent reduction), and the trace tests
-compare matrix powers against the trace formula, the power sums of the
-exact spectrum (spectrum.power_sums), at the stated tolerances.
-The momentum-form unitarity bound and traces are checked against the dense
-U U^dagger and eigensolve oracles, and against corrupted matrices.
+library path (plain cmath loop, no exponent reduction) and proves the
+oracle's dense U (diagonal times circulant) and the l-sum; the library's
+momentum form, made in row blocks from the defining sum, is compared with
+the two-FFT momentum form of that dense U.  The trace tests compare matrix
+powers against the trace formula, the power sums of the exact spectrum
+(spectrum.power_sums), at the stated tolerances.  The momentum-form
+unitarity bound and traces are checked against the dense U U^dagger and
+eigensolve oracles, and against corrupted matrices.
 """
 
 import cmath
@@ -17,9 +20,10 @@ import typing
 import numpy as np
 import pytest
 
-from skewtorus import cli
+from skewtorus import cli, propagator
 from skewtorus.diophantine import Approximant
 from skewtorus.propagator import (
+    MOMENTUM_BLOCK,
     Propagator,
     build_propagator,
     trace_powers,
@@ -29,6 +33,7 @@ from skewtorus.spectrum import eigenphases, power_sums
 
 from oracles import (
     DenseMatrix,
+    dense_propagator,
     dense_unitarity_defect,
     eigvals_power_sums,
     momentum_two_buffer,
@@ -66,8 +71,7 @@ def brute_matrix(a, N):
 
 def test_matrix_matches_brute_oracle():
     for a, N in [(1, 2), (1, 3), (2, 4), (3, 9), (24, 16)]:
-        U = build_propagator(Approximant(a, N))
-        assert np.max(np.abs(U.dense() - brute_matrix(a, N))) < 1e-11
+        assert np.max(np.abs(dense_propagator(a, N) - brute_matrix(a, N))) < 1e-11
 
 
 def test_propagator_type_hints_resolve():
@@ -75,20 +79,17 @@ def test_propagator_type_hints_resolve():
 
 
 def test_trivial_one_by_one():
-    U = build_propagator(Approximant(1, 1))
-    assert np.allclose(U.dense(), [[1.0]], atol=1e-15)
+    assert np.allclose(dense_propagator(1, 1), [[1.0]], atol=1e-15)
 
 
 def test_two_by_two_hand_values():
     # the l-sum gives U = [[0, 1], [-1, 0]] exactly up to rounding
-    U = build_propagator(Approximant(1, 2))
-    assert np.max(np.abs(U.dense() - np.array([[0, 1], [-1, 0]]))) < 1e-15
+    assert np.max(np.abs(dense_propagator(1, 2) - np.array([[0, 1], [-1, 0]]))) < 1e-15
 
 
 def test_entry_magnitudes():
     for a, N in [(8, 5), (3, 9), (24, 16)]:
-        U = build_propagator(Approximant(a, N))
-        assert np.max(np.abs(U.dense())) <= 1 + 1e-12
+        assert np.max(np.abs(dense_propagator(a, N))) <= 1 + 1e-12
 
 
 def test_unitarity_across_set():
@@ -96,12 +97,11 @@ def test_unitarity_across_set():
     for a, N in UNITARITY_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
         bound = unitarity_defect(U)
-        assert dense_unitarity_defect(U.dense()) <= bound < 1e-12, (a, N, bound)
+        assert dense_unitarity_defect(dense_propagator(a, N)) <= bound < 1e-12, (a, N, bound)
 
 
 def test_unitarity_detector_sees_corruption():
-    U = build_propagator(Approximant(1, 3))
-    bad = U.dense()
+    bad = dense_propagator(1, 3)
     bad[0, 0] += 0.5
     assert unitarity_defect(DenseMatrix(3, 1, bad)) > 0.1
 
@@ -110,13 +110,13 @@ def test_dimension_guard():
     with pytest.raises(ValueError):
         build_propagator(Approximant(1, 10), max_n=8)
     with pytest.raises(ValueError):
-        build_propagator(Approximant(1, 5000))
+        build_propagator(Approximant(1, 16385))
     build_propagator(Approximant(1, 10), max_n=10)
 
 
 def test_trace_examples_1_3():
     app = Approximant(1, 3)
-    U = build_propagator(app)
+    U = dense_propagator(1, 3)
     assert abs(trace_power_numeric(U, 1)) < 1e-10
     want = 3 * cmath.exp(2j * math.pi / 3)
     assert abs(trace_power_numeric(U, 3) - want) < 1e-10
@@ -127,7 +127,7 @@ def test_trace_examples_1_3():
 
 def test_trace_examples_3_9():
     app = Approximant(3, 9)
-    U = build_propagator(app)
+    U = dense_propagator(3, 9)
     analytic = power_sums(eigenphases(app), 3)
     assert analytic[1] == 0j  # n mod M != 0 is exactly zero
     assert abs(trace_power_numeric(U, 2)) < 1e-9 * 9
@@ -136,8 +136,7 @@ def test_trace_examples_3_9():
 
 
 def test_trace_power_zero_is_dimension():
-    app = Approximant(8, 5)
-    U = build_propagator(app)
+    U = dense_propagator(8, 5)
     assert trace_power_numeric(U, 0) == 5
     with pytest.raises(ValueError):
         trace_power_numeric(U, -1)
@@ -174,17 +173,16 @@ def test_randomized_trace_routes_cross_check():
 
 
 def test_trace_powers_agrees_with_matrix_power():
-    U = build_propagator(Approximant(8, 5))
-    series = trace_powers(U, 7)
+    series = trace_powers(build_propagator(Approximant(8, 5)), 7)
     for n in (1, 2, 5, 7):
-        assert abs(series[n - 1] - trace_power_numeric(U, n)) < 1e-12
+        assert abs(series[n - 1] - trace_power_numeric(dense_propagator(8, 5), n)) < 1e-12
 
 
 def test_circulant_build_matches_lsum_oracle():
     for a, N in TRACE_SET + EDGE_SET:
         U = build_propagator(Approximant(a, N))
         assert U.a == a and U.N == N
-        assert np.max(np.abs(U.dense() - propagator_lsum(a, N))) <= 1e-13, (a, N)
+        assert np.max(np.abs(dense_propagator(a, N) - propagator_lsum(a, N))) <= 1e-13, (a, N)
 
 
 def test_eigenvalue_traces_match_running_product():
@@ -193,7 +191,8 @@ def test_eigenvalue_traces_match_running_product():
         U = build_propagator(Approximant(a, N))
         fast = trace_powers(U, 2 * N)
         assert len(fast) == 2 * N
-        for slow in (traces_running_product(U.dense(), 2 * N), eigvals_power_sums(U.dense(), 2 * N)):
+        entries = dense_propagator(a, N)
+        for slow in (traces_running_product(entries, 2 * N), eigvals_power_sums(entries, 2 * N)):
             gap = max(abs(x - y) for x, y in zip(fast, slow))
             assert gap <= 1e-9 * N, (a, N, gap)
 
@@ -205,21 +204,26 @@ def test_momentum_form_is_computed_once():
     assert w.shape == (9,) and 0 <= e < 1e-14
 
 
-def test_in_place_momentum_is_bit_identical_to_two_buffers():
-    # N = 272 and 600 span two and three row blocks; the oracle's U is
-    # built after momentum has overwritten its own buffer
+def test_row_block_momentum_matches_dense_oracle(monkeypatch):
+    # N = 272 and 600 span two and three row blocks; the weights do not
+    # depend on how the rows are blocked
     for a, N in UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]:
-        U = build_propagator(Approximant(a, N))
-        w, e = U.momentum
-        w_ref, e_ref = momentum_two_buffer(U.dense(), a)
-        assert np.array_equal(w, w_ref) and e == e_ref, (a, N)
+        w, e = build_propagator(Approximant(a, N)).momentum
+        w_ref, e_ref = momentum_two_buffer(dense_propagator(a, N), a)
+        assert np.max(np.abs(w - w_ref)) <= 1e-14, (a, N)
+        assert e < 1e-13 and e_ref < 1e-13, (a, N, e, e_ref)
+        for block in (1, 7, N):
+            monkeypatch.setattr(propagator, "MOMENTUM_BLOCK", block)
+            assert np.array_equal(build_propagator(Approximant(a, N)).momentum[0], w), (a, N, block)
+        monkeypatch.undo()
 
 
-def test_checks_hold_one_dense_buffer():
-    # numpy reports its buffers to tracemalloc; one N x N complex array is
-    # 16 N^2 bytes, and the propagator keeps none after the checks
-    N = 512
-    one = 16 * N * N
+def test_checks_hold_one_row_block():
+    # numpy reports its buffers to tracemalloc; a block of B rows costs
+    # about 48 B N bytes (the model stated in propagator.py), here 0.39 of
+    # one N x N complex array of 16 N^2 bytes, and the propagator keeps O(N)
+    N = 2048
+    model = 50 * MOMENTUM_BLOCK * N
 
     def checks():
         U = build_propagator(Approximant(1, N))
@@ -235,23 +239,23 @@ def test_checks_hold_one_dense_buffer():
     finally:
         tracemalloc.stop()
     assert U.N == N
-    assert peak <= 1.5 * one, peak / one
-    assert retained <= 0.1 * one, retained / one
+    assert peak <= model, peak / model
+    assert retained <= 0.01 * model, retained / model
 
 
 def _shifted(a, N):
     # the matrix of (a + 1, N) labelled as a
-    return DenseMatrix(N, a, build_propagator(Approximant(a + 1, N)).dense())
+    return DenseMatrix(N, a, dense_propagator(a + 1, N))
 
 
 def _perturbed(a, N):
-    entries = build_propagator(Approximant(a, N)).dense()
+    entries = dense_propagator(a, N)
     entries[N // 2, N // 3] += 1e-9
     return DenseMatrix(N, a, entries)
 
 
 def _scaled(a, N):
-    return DenseMatrix(N, a, 0.9 * build_propagator(Approximant(a, N)).dense())
+    return DenseMatrix(N, a, 0.9 * dense_propagator(a, N))
 
 
 CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled}
@@ -265,7 +269,7 @@ def test_unitarity_fails_on_corrupted_matrix(kind):
         bad = CORRUPTIONS[kind](a, N)
         defect = unitarity_defect(bad)
         assert defect > 1e-12, (a, N)
-        assert defect >= dense_unitarity_defect(bad.dense()), (a, N)
+        assert defect >= dense_unitarity_defect(bad.entries), (a, N)
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
