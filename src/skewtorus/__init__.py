@@ -56,7 +56,6 @@ _LAYERS = {
         "SpacingDistribution",
         "UnsupportedClosedFormError",
         "counting_function",
-        "curve_to_csv",
         "divergence_witness",
         "format_law",
         "gauss_sum",
@@ -64,10 +63,9 @@ _LAYERS = {
         "number_variance_direct",
         "number_variance_fourier",
         "spacing_distribution_closed",
-        "spacing_to_csv",
         "spacings",
     ),
-    "classical": ("TorusPoint", "orbit", "orbit_to_csv", "step", "weyl_sum"),
+    "classical": ("TorusPoint", "orbit", "step", "weyl_sum"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -57,9 +57,3 @@ def weyl_sum(pt0, alpha, mode, T):
         pt = step(pt, alpha)
     return acc / T
 
-
-def orbit_to_csv(points, out):
-    """Write rows "t,p,q" to a file object."""
-    out.write("t,p,q\n")
-    for t, pt in enumerate(points):
-        out.write(f"{t},{float(pt.p)!r},{float(pt.q)!r}\n")

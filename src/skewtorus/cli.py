@@ -6,6 +6,16 @@ byte-identical output.  Floating values always appear next to a method tag,
 and series values carry their truncation bound, so nothing approximate goes
 unlabeled.
 
+Every CSV and JSON table but spectrum's comes from one (fields, rows) form.
+_table writes the CSV: an optional "# comment" line, the header, and one
+line per row, each cell through %s (an int or str as itself, a Fraction as
+p/q, a float as its repr) and a None cell as an empty cell.  The JSON is the
+list of records dict(zip(fields, row)) (_records), a None cell as null.
+spectrum writes its own rows (module spectrum): it streams N rows made in
+blocks from one period, and its JSON is a template of json.dumps's layout,
+because at N = 10^6 the table cannot be built as N records.  verify's JSON
+report and witness's text are not tables.
+
 Exit codes:
     0  success
     1  a verification or spot check failed (the failing check is named)
@@ -100,6 +110,27 @@ def _json(payload):
     return write
 
 
+def _table(fields, rows, comment=None):
+    """The CSV writer of a table of row tuples; rows may be a generator."""
+    template = ",".join(["%s"] * len(fields)) + "\n"
+
+    def write(out):
+        if comment is not None:
+            out.write(f"# {comment}\n")
+        out.write(",".join(fields) + "\n")
+        for row in rows:
+            if None in row:
+                row = tuple("" if cell is None else cell for cell in row)
+            out.write(template % row)
+
+    return write
+
+
+def _records(fields, rows):
+    """The same table as JSON records, one dict per row."""
+    return [dict(zip(fields, row)) for row in rows]
+
+
 def _emit(args, write=None, write_json=None):
     """Write to --out or stdout through write(out) for CSV or write_json(out).
 
@@ -138,12 +169,12 @@ def cmd_approx(args):
     else:
         count = 3 if args.count is None else args.count
         apps = approximants_with_gcd(alpha, args.D, count)
+    fields = ("a", "N", "D", "M")
+    rows = [(x.a, x.N, x.D, x.M) for x in apps]
     _emit(
         args,
-        lambda out: out.writelines(
-            ["a,N,D\n"] + [f"{x.a},{x.N},{x.D}\n" for x in apps]
-        ),
-        _json(lambda: [{"a": x.a, "N": x.N, "D": x.D, "M": x.M} for x in apps]),
+        _table(fields[:3], [row[:3] for row in rows]),
+        _json(lambda: _records(fields, rows)),
     )
     return 0
 
@@ -164,8 +195,13 @@ def cmd_spacing(args):
     dist = spacings(eigenphases(_approximant(args)))
     _emit(
         args,
-        lambda out: spacing_to_csv(dist, out),
-        _json(lambda: [{"s": str(s), "weight": str(w)} for s, w in dist.atoms]),
+        _table(
+            ("s_numerator", "s_denominator", "weight"),
+            [(s.numerator, s.denominator, w) for s, w in dist.atoms],
+        ),
+        _json(
+            lambda: _records(("s", "weight"), [(str(s), str(w)) for s, w in dist.atoms])
+        ),
     )
     return 0
 
@@ -206,22 +242,9 @@ def cmd_numvar(args):
     if args.poisson:
         for L in Ls:
             rows.append((L, L, "poisson", D, None))
-    _emit(
-        args,
-        lambda out: curve_to_csv(rows, out),
-        _json(
-            lambda: [
-                {
-                    "L": float(L),
-                    "value": float(v),
-                    "method": m,
-                    "D": d,
-                    "truncation_bound": None if b is None else float(b),
-                }
-                for L, v, m, d, b in rows
-            ]
-        ),
-    )
+    fields = ("L", "value", "method", "D", "truncation_bound")
+    rows = [(float(L), float(v), m, d, b) for L, v, m, d, b in rows]
+    _emit(args, _table(fields, rows), _json(lambda: _records(fields, rows)))
     return 0
 
 
@@ -236,9 +259,11 @@ def cmd_figure1(args):
     _use("spectrum", "statistics")
     K = DEFAULT_FOURIER_K if args.K is None else args.K
     blocks = {D: reduced_spectrum(D) for D in FIGURE_DS}
-    cols = {
-        D: [float(number_variance_direct(blocks[D], L)) for L in Ls] for D in FIGURE_DS
-    }
+    fields = ("L", *(f"D{D}" for D in FIGURE_DS))
+    rows = [
+        (float(L), *(float(number_variance_direct(blocks[D], L)) for D in FIGURE_DS))
+        for L in Ls
+    ]
 
     bounds = {}
     failures = []
@@ -263,17 +288,9 @@ def cmd_figure1(args):
         f"fourier(K={K}) spot checks, truncation bound D8<={bounds[8]!r}, "
         f"D9<={bounds[9]!r}; spot checks max |direct - fourier| = {spot_worst!r}"
     )
-
-    def write_csv(out):
-        out.write(f"# {meta}\n")
-        out.write("L,D1,D2,D3,D6,D8,D9\n")
-        for i, L in enumerate(Ls):
-            vals = ",".join(repr(cols[D][i]) for D in FIGURE_DS)
-            out.write(f"{float(L)!r},{vals}\n")
-
     _emit(
         args,
-        write_csv,
+        _table(fields, rows, comment=meta),
         _json(
             lambda: {
                 "meta": {
@@ -281,13 +298,7 @@ def cmd_figure1(args):
                     "truncation_bounds": {f"D{D}": b for D, b in bounds.items()},
                     "spot_check_worst": spot_worst,
                 },
-                "rows": [
-                    {
-                        "L": float(L),
-                        **{f"D{D}": cols[D][i] for D in FIGURE_DS},
-                    }
-                    for i, L in enumerate(Ls)
-                ],
+                "rows": _records(fields, rows),
             }
         ),
     )
@@ -314,7 +325,7 @@ def cmd_orbit(args):
     if alpha == 0.0:
         raise ValueError(f"--alpha {args.alpha!r} mod 1 is below the float range")
     pts = orbit(TorusPoint(args.p, args.q), alpha, args.T)
-    _emit(args, lambda out: orbit_to_csv(pts, out))
+    _emit(args, _table(("t", "p", "q"), ((t, pt.p, pt.q) for t, pt in enumerate(pts))))
     return 0
 
 

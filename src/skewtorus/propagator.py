@@ -37,12 +37,12 @@ import functools
 import math
 
 # Memory model, per block of B = MOMENTUM_BLOCK rows of length N: the
-# complex rows of X and of their inverse FFT, while the previous block's
-# rows are still bound, 48 B N bytes (tracemalloc reads 48.2 B N at
-# N = 512..4096); the int64 exponents and their temporaries, at most
+# complex rows of X and of their inverse FFT, 32 B N bytes (tracemalloc
+# reads 32.2 B N at N = 1024..4096), the previous block's rows being
+# dropped first; the int64 exponents and their temporaries, at most
 # 16 B N, are freed before the transform.  Plus O(N) for the table of roots
-# and the weights.  At N = 16384 that is about 200 MB; verify --a 1
-# --N 16384 takes about 10 s and 224 MB peak RSS (2-vCPU VM, one BLAS
+# and the weights.  At N = 16384 that is about 134 MB; verify --a 1
+# --N 16384 takes about 10 s and 160 MB peak RSS (2-vCPU VM, one BLAS
 # thread).
 DEFAULT_MAX_N = 16384
 # Rows of X transformed at a time.
@@ -91,6 +91,7 @@ class Propagator:
             w[m] = rows[i, m]
             rows[i, m] = 0
             off += np.vdot(rows, rows).real
+            del rows
         return w, math.sqrt(off)
 
 

@@ -363,17 +363,3 @@ def divergence_witness(alpha, count):
     laws3 = tuple(spacings(eigenphases(m)) for m in d3)
     return DivergenceWitness(alpha, d1, laws1, d3, laws3)
 
-
-def spacing_to_csv(dist, out):
-    """Write rows "s_numerator,s_denominator,weight" (weight exact, e.g. 1/3)."""
-    out.write("s_numerator,s_denominator,weight\n")
-    for s, w in dist.atoms:
-        out.write(f"{s.numerator},{s.denominator},{w}\n")
-
-
-def curve_to_csv(rows, out):
-    """Write rows "L,value,method,D,truncation_bound"; bound empty if None."""
-    out.write("L,value,method,D,truncation_bound\n")
-    for L, value, method, D, bound in rows:
-        btxt = "" if bound is None else repr(float(bound))
-        out.write(f"{float(L)!r},{float(value)!r},{method},{D},{btxt}\n")

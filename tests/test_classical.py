@@ -5,13 +5,12 @@ stable across platforms while still separating irrational from rational
 rotation numbers.
 """
 
-import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from skewtorus.classical import TorusPoint, orbit, orbit_to_csv, step, weyl_sum
+from skewtorus.classical import TorusPoint, orbit, step, weyl_sum
 
 GOLDEN_FLOAT = (1 + 5**0.5) / 2
 
@@ -99,8 +98,3 @@ def test_weyl_sum_trend():
     long = sum(abs(weyl_sum(s, GOLDEN_FLOAT, (1, 1), 30_000)) for s in starts) / 10
     assert long < short
 
-
-def test_orbit_csv():
-    buf = io.StringIO()
-    orbit_to_csv(orbit(TorusPoint(0.0, 0.0), 0.5, 3), buf)
-    assert buf.getvalue() == "t,p,q\n0,0.0,0.0\n1,0.5,0.0\n2,0.0,0.0\n"

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -244,6 +245,52 @@ def test_orbit_rows(capsys):
     assert out == "t,p,q\n0,0.0,0.0\n1,0.5,0.0\n2,0.0,0.0\n"
 
 
+@pytest.mark.parametrize(
+    "fields, rows, text",
+    [
+        pytest.param(
+            ("s_numerator", "s_denominator", "weight"),
+            [(s, 1, Fraction(1, 3)) for s in range(3)],
+            "s_numerator,s_denominator,weight\n0,1,1/3\n1,1,1/3\n2,1,1/3\n",
+            id="spacing",
+        ),
+        pytest.param(
+            ("L", "value", "method", "D", "truncation_bound"),
+            [(0.5, 0.25, "direct-exact", 1, None), (1.0, 0.25, "fourier(K=10)", 1, 0.02)],
+            "L,value,method,D,truncation_bound\n"
+            "0.5,0.25,direct-exact,1,\n"
+            "1.0,0.25,fourier(K=10),1,0.02\n",
+            id="curve",
+        ),
+        pytest.param(
+            ("t", "p", "q"),
+            iter([(0, 0.0, 0.0), (1, 0.5, 0.0), (2, 0.0, 0.0)]),
+            "t,p,q\n0,0.0,0.0\n1,0.5,0.0\n2,0.0,0.0\n",
+            id="orbit",
+        ),
+    ],
+)
+def test_table_csv(fields, rows, text):
+    # a Fraction cell is p/q, a float its repr, None an empty cell; the orbit
+    # rows are an iterator, read once as they are written
+    buf = io.StringIO()
+    cli._table(fields, rows)(buf)
+    assert buf.getvalue() == text
+
+
+def test_table_none_is_an_empty_cell_and_null(capsys):
+    argv = ["numvar", "--D", "1", "--method", "closed", "--L", "1/2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "L,value,method,D,truncation_bound\n0.5,0.25,closed-form,1,\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert '"truncation_bound": null' in out
+    assert json.loads(out) == [
+        {"L": 0.5, "value": 0.25, "method": "closed-form", "D": 1, "truncation_bound": None}
+    ]
+
+
 def test_verify_green(capsys):
     code, out, _ = run(capsys, "verify", "--a", "3", "--N", "9")
     assert code == 0
@@ -340,6 +387,29 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+def _readme_commands():
+    """The argument lists of the `skewtorus ...` lines of README's usage block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("skewtorus ")
+    ]
+
+
+def test_readme_usage_block_runs(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        # figure1 --out writes into the test's directory, not the checkout
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "figure1.csv").read_text().startswith("# D1,D2,D3,D6,D8,D9")
 
 
 def test_python_m_skewtorus_help():

@@ -2,8 +2,9 @@
 
 bench/refs.json holds the stdout length and SHA-256 of every exact-output
 command the benchmark runs, recorded once from a known-good build.  Every
-spectrum, spacing and numvar command in it is replayed here in-process, so a
-change that alters a single byte of that output fails the tier-1 suite.
+command in it (approx, spectrum, spacing, numvar and witness) is replayed
+here in-process, so a change that alters a single byte of that output fails
+the tier-1 suite.
 """
 
 import hashlib
@@ -16,11 +17,13 @@ from skewtorus import cli
 
 REFS_PATH = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 REFS = json.loads(REFS_PATH.read_text())
-COMMANDS = sorted(k for k in REFS if k.split()[0] in ("spectrum", "spacing", "numvar"))
+COMMANDS = sorted(REFS)
 
 
 def test_refs_cover_every_exact_command():
-    assert {k.split()[0] for k in COMMANDS} == {"spectrum", "spacing", "numvar"}
+    assert {k.split()[0] for k in COMMANDS} == {
+        "approx", "spectrum", "spacing", "numvar", "witness"
+    }
 
 
 @pytest.mark.parametrize("command", COMMANDS)

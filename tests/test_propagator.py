@@ -220,10 +220,10 @@ def test_row_block_momentum_matches_dense_oracle(monkeypatch):
 
 def test_checks_hold_one_row_block():
     # numpy reports its buffers to tracemalloc; a block of B rows costs
-    # about 48 B N bytes (the model stated in propagator.py), here 0.39 of
+    # about 32 B N bytes (the model stated in propagator.py), here 0.27 of
     # one N x N complex array of 16 N^2 bytes, and the propagator keeps O(N)
     N = 2048
-    model = 50 * MOMENTUM_BLOCK * N
+    model = 34 * MOMENTUM_BLOCK * N
 
     def checks():
         U = build_propagator(Approximant(1, N))

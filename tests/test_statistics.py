@@ -5,7 +5,6 @@ exact lattice where the integrand is constant, counting window occupancy
 per level with ceil arithmetic; it shares no code with the library sweep.
 """
 
-import io
 import cmath
 import math
 import random
@@ -30,7 +29,6 @@ from skewtorus.statistics import (
     SpacingDistribution,
     UnsupportedClosedFormError,
     counting_function,
-    curve_to_csv,
     divergence_witness,
     format_law,
     gauss_sum,
@@ -39,7 +37,6 @@ from skewtorus.statistics import (
     number_variance_fourier,
     _tail_bound,
     spacing_distribution_closed,
-    spacing_to_csv,
     spacings,
 )
 
@@ -623,29 +620,3 @@ def test_format_law():
         == "(1/3) delta(s) + (1/3) delta(s - 1) + (1/3) delta(s - 2)"
     )
 
-
-def test_spacing_csv():
-    buf = io.StringIO()
-    spacing_to_csv(spacings(eigenphases(Approximant(3, 9))), buf)
-    assert buf.getvalue() == (
-        "s_numerator,s_denominator,weight\n"
-        "0,1,1/3\n"
-        "1,1,1/3\n"
-        "2,1,1/3\n"
-    )
-
-
-def test_curve_csv():
-    buf = io.StringIO()
-    curve_to_csv(
-        [
-            (Fraction(1, 2), Fraction(1, 4), "direct-exact", 1, None),
-            (1.0, 0.25, "fourier(K=10)", 1, 0.02),
-        ],
-        buf,
-    )
-    assert buf.getvalue() == (
-        "L,value,method,D,truncation_bound\n"
-        "0.5,0.25,direct-exact,1,\n"
-        "1.0,0.25,fourier(K=10),1,0.02\n"
-    )
