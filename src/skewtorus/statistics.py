@@ -284,82 +284,54 @@ def format_law(dist):
     return " + ".join(parts)
 
 
-class DivergenceWitness(
-    namedtuple(
-        "DivergenceWitness",
-        "alpha rigid_members rigid_laws three_atom_members three_atom_laws",
-    )
-):
-    """Two approximant families whose spacing laws settle on different limits.
+class DivergenceWitness(namedtuple("DivergenceWitness", "alpha families")):
+    """Approximant families whose spacing laws settle on different limits.
 
-    Along the D=1 family every member has the rigid law delta(s - 1); along
-    the D=3 family every member has the three-atom law.  Two distinct
-    constant subsequences means the spacing law has no limit as N grows.
-    The number variance separates the same way (0 vs 2/3 at L = 1).
+    families holds one (D, members, laws) record per gcd family: the
+    approximants with gcd(a, N) = D and their spacing laws.  Along the D=1
+    family every member has the rigid law delta(s - 1); along the D=3 family
+    every member has the three-atom law.  Two distinct constant subsequences
+    means the spacing law has no limit as N grows.  The number variance
+    separates the same way (0 vs 2/3 at L = 1).
     """
 
     __slots__ = ()
 
     @property
-    def rigid_closed(self):
-        return spacing_distribution_closed(1)
-
-    @property
-    def three_atom_closed(self):
-        return spacing_distribution_closed(3)
-
-    @property
-    def all_rigid_match(self):
-        want = self.rigid_closed.atoms
-        return all(law.atoms == want for law in self.rigid_laws)
-
-    @property
-    def all_three_atom_match(self):
-        want = self.three_atom_closed.atoms
-        return all(law.atoms == want for law in self.three_atom_laws)
-
-    @property
-    def laws_distinct(self):
-        return self.rigid_closed.atoms != self.three_atom_closed.atoms
+    def ok(self):
+        """Every law is its family's closed law, and those closed laws differ."""
+        closed = [spacing_distribution_closed(D).atoms for D, _, _ in self.families]
+        return len(set(closed)) == len(closed) and all(
+            law.atoms == atoms
+            for atoms, (_, _, laws) in zip(closed, self.families)
+            for law in laws
+        )
 
     def lines(self):
         name = getattr(self.alpha, "name", "") or repr(self.alpha)
         out = [f"alpha = {name}: spacing laws along two gcd families"]
-        out.append(
-            "D=1 family: " + ", ".join(f"({m.a},{m.N})" for m in self.rigid_members)
-        )
-        for m, law in zip(self.rigid_members, self.rigid_laws):
-            out.append(f"  N={m.N}: P(s) = {format_law(law)}")
-        out.append(
-            "D=3 family: "
-            + ", ".join(f"({m.a},{m.N})" for m in self.three_atom_members)
-        )
-        for m, law in zip(self.three_atom_members, self.three_atom_laws):
-            out.append(f"  N={m.N}: P(s) = {format_law(law)}")
-        if self.rigid_members and self.three_atom_members:
-            out.append(
-                "constant laws: "
-                f"[{format_law(self.rigid_closed)}] vs "
-                f"[{format_law(self.three_atom_closed)}]"
-            )
-            out.append(
-                "two distinct accumulation points, so P(s) has no N -> inf limit"
-            )
-            v1 = number_variance_closed(1, Fraction(1))
-            v3 = number_variance_closed(3, Fraction(1))
-            out.append(
-                f"number variance at L=1 separates the same way: {v1} vs {v3}"
-            )
+        for D, members, laws in self.families:
+            out.append(f"D={D} family: " + ", ".join(f"({m.a},{m.N})" for m in members))
+            for m, law in zip(members, laws):
+                out.append(f"  N={m.N}: P(s) = {format_law(law)}")
+        if all(members for _, members, _ in self.families):
+            Ds = [D for D, _, _ in self.families]
+            closed = (f"[{format_law(spacing_distribution_closed(D))}]" for D in Ds)
+            sigma = (str(number_variance_closed(D, Fraction(1))) for D in Ds)
+            out += [
+                "constant laws: " + " vs ".join(closed),
+                "two distinct accumulation points, so P(s) has no N -> inf limit",
+                "number variance at L=1 separates the same way: " + " vs ".join(sigma),
+            ]
         return out
 
 
 def divergence_witness(alpha, count):
-    """Build the two-family non-convergence report for a given alpha."""
+    """Build the non-convergence report of the D=1 and D=3 families of alpha."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    d1 = tuple(approximants_with_gcd(alpha, 1, count))
-    d3 = tuple(approximants_with_gcd(alpha, 3, count))
-    laws1 = tuple(spacings(eigenphases(m)) for m in d1)
-    laws3 = tuple(spacings(eigenphases(m)) for m in d3)
-    return DivergenceWitness(alpha, d1, laws1, d3, laws3)
-
+    families = []
+    for D in (1, 3):
+        members = tuple(approximants_with_gcd(alpha, D, count))
+        families.append((D, members, tuple(spacings(eigenphases(m)) for m in members)))
+    return DivergenceWitness(alpha, tuple(families))

@@ -93,11 +93,12 @@ def test_criterion_1_spacing_laws():
 def test_criterion_2_nonexistence_witness():
     def body():
         wit = divergence_witness(golden(), 3)
-        assert len(wit.rigid_members) == 3
-        assert len(wit.three_atom_members) == 3
-        assert wit.all_rigid_match
-        assert wit.all_three_atom_match
-        assert wit.laws_distinct
+        assert [(D, len(members)) for D, members, _ in wit.families] == [(1, 3), (3, 3)]
+        assert wit.ok
+        for D, _, laws in wit.families:
+            for law in laws:
+                assert law.atoms == spacing_distribution_closed(D).atoms
+        assert spacing_distribution_closed(1).atoms != spacing_distribution_closed(3).atoms
         text = "\n".join(wit.lines())
         assert "delta(s - 1)" in text
         assert "(1/3) delta(s) + (1/3) delta(s - 1) + (1/3) delta(s - 2)" in text

@@ -239,6 +239,57 @@ def test_witness_reports_both_laws(capsys):
     assert "(1/3) delta(s)" in out
 
 
+# 40 terms of a periodic continued fraction, enough for two members per family
+CF_PREFIX = "cf:" + ",".join(["2,1,1"] * 13 + ["2"])
+THREE_ATOM = "(1/3) delta(s) + (1/3) delta(s - 1) + (1/3) delta(s - 2)"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # no members: the family lines only, no conclusion
+        (
+            "witness --count 0",
+            "alpha = golden: spacing laws along two gcd families\n"
+            "D=1 family: \n"
+            "D=3 family: \n",
+        ),
+        # a cf: alpha has no preset name and is written as its repr
+        (
+            f"witness --alpha {CF_PREFIX} --count 2",
+            f"alpha = IrrationalAlpha({CF_PREFIX}): spacing laws along two gcd families\n"
+            "D=1 family: (5,2), (13,5)\n"
+            "  N=2: P(s) = delta(s - 1)\n"
+            "  N=5: P(s) = delta(s - 1)\n"
+            "D=3 family: (54,21), (93,36)\n"
+            f"  N=21: P(s) = {THREE_ATOM}\n"
+            f"  N=36: P(s) = {THREE_ATOM}\n"
+            f"constant laws: [delta(s - 1)] vs [{THREE_ATOM}]\n"
+            "two distinct accumulation points, so P(s) has no N -> inf limit\n"
+            "number variance at L=1 separates the same way: 0 vs 2/3\n",
+        ),
+    ],
+)
+def test_witness_report_bytes(capsys, argv, text):
+    assert run(capsys, *argv.split()) == (0, text, "")
+
+
+def test_witness_inconsistent_exits_1(capsys, monkeypatch):
+    witness = cli.divergence_witness
+
+    def one_wrong_law(alpha, count):
+        wit = witness(alpha, count)
+        (D, members, laws), three_atom = wit.families
+        laws = laws[:-1] + three_atom[2][-1:]
+        return wit._replace(families=((D, members, laws), three_atom))
+
+    monkeypatch.setattr(cli, "divergence_witness", one_wrong_law)
+    code, out, err = run(capsys, "witness", "--count", "2")
+    assert code == 1
+    assert out.startswith("alpha = golden") and f"N=3: P(s) = {THREE_ATOM}\n" in out
+    assert err == "FAIL: divergence witness inconsistent\n"
+
+
 def test_orbit_rows(capsys):
     code, out, _ = run(capsys, "orbit", "--alpha", "0.5", "--T", "3")
     assert code == 0
@@ -448,6 +499,9 @@ def test_python_m_skewtorus_help():
         ("figure1 --K 0", 2, False),
         ("witness --count -1", 2, False),
         ("orbit --T -1", 2, False),
+        # exit 2: orbit --T above MAX_ORBIT_T, refused before any point is made
+        ("orbit --alpha 0.7 --T 1000001", 2, False),
+        ("orbit --alpha 0.7 --T 100000000", 2, False),
         ("verify --a 1 --N 16385", 2, False),
         ("verify --a 1 --N 20 --max-N 10", 2, False),
         # exit 3: no closed form for this D
@@ -467,6 +521,10 @@ def test_python_m_skewtorus_help():
         ("numvar --D 1 --method closed --L 1e400", 4, False),
         ("figure1 --L 0:9:1", 4, False),
         ("figure1 --L 3:1:4", 4, False),
+        # exit 4: more than MAX_L_STEPS steps, refused before any L is made
+        ("numvar --D 3 --L 0:6:100001", 4, False),
+        ("numvar --D 3 --L 0:6:100000000", 4, False),
+        ("figure1 --L 0:9:100001", 4, False),
         # malformed input from the classes the cli docstring lists
         ("numvar --method fourier --L 1", 2, False),
         ("numvar --D 3 --L 1 --method fourier --K 0", 2, False),
@@ -509,6 +567,20 @@ def test_exit_code_table(capsys, argv, code, usage):
     assert out == "" and err
     if not usage:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_size_caps_admit_the_cap(capsys, monkeypatch):
+    # the caps are the exit-code table's refused values less one; the layer
+    # calls are stubbed, since the real work at the caps takes seconds
+    assert (cli.MAX_L_STEPS, cli.MAX_ORBIT_T) == (100_000, 1_000_000)
+    monkeypatch.setattr(cli, "number_variance_closed", lambda D, L: 0)
+    code, out, _ = run(capsys, "numvar", "--D", "3", "--L", "0:6:100000")
+    assert code == 0 and out.count("\n") == 1 + 100_000
+    assert out.endswith("\n6.0,0.0,closed-form,3,\n")
+    seen = []
+    monkeypatch.setattr(cli, "orbit", lambda pt, alpha, T: seen.append(T) or [pt])
+    code, out, _ = run(capsys, "orbit", "--alpha", "0.7", "--T", "1000000")
+    assert (code, out, seen) == (0, "t,p,q\n0,0.0,0.0\n", [1_000_000])
 
 
 @pytest.mark.parametrize("name", ["missing/x.csv", "."])

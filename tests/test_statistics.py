@@ -577,15 +577,26 @@ def test_closed_periodicity():
             assert number_variance_closed(D, L + D) == number_variance_closed(D, L)
 
 
+def _assert_laws_are_closed(wit):
+    """Each family's laws equal its closed law, and the two closed laws differ."""
+    for D, _, laws in wit.families:
+        for law in laws:
+            assert law.atoms == spacing_distribution_closed(D).atoms
+    assert spacing_distribution_closed(1).atoms != spacing_distribution_closed(3).atoms
+
+
 def test_divergence_witness_golden():
     wit = divergence_witness(golden(), 3)
-    assert [(m.a, m.N) for m in wit.rigid_members] == [(3, 2), (5, 3), (8, 5)]
-    assert [(m.a, m.N) for m in wit.three_atom_members] == [
+    (d1, rigid, _), (d3, three_atom, _) = wit.families
+    assert (d1, d3) == (1, 3)
+    assert [(m.a, m.N) for m in rigid] == [(3, 2), (5, 3), (8, 5)]
+    assert [(m.a, m.N) for m in three_atom] == [
         (39, 24),
         (63, 39),
         (102, 63),
     ]
-    assert wit.all_rigid_match and wit.all_three_atom_match and wit.laws_distinct
+    assert wit.ok
+    _assert_laws_are_closed(wit)
     text = "\n".join(wit.lines())
     assert "delta(s - 1)" in text
     assert "(1/3) delta(s) + (1/3) delta(s - 1) + (1/3) delta(s - 2)" in text
@@ -593,24 +604,31 @@ def test_divergence_witness_golden():
     assert "0 vs 2/3" in text
     assert wit == divergence_witness(golden(), 3)
     assert hash(wit) == hash(divergence_witness(golden(), 3))
-    for field in ("alpha", "rigid_members", "rigid_laws", "three_atom_members"):
+    for field in ("alpha", "families"):
         with pytest.raises(AttributeError):
             setattr(wit, field, ())
 
 
 def test_divergence_witness_sqrt2():
     wit = divergence_witness(sqrt2(), 2)
-    assert wit.all_rigid_match and wit.all_three_atom_match and wit.laws_distinct
-    for law in wit.rigid_laws:
-        assert law.atoms == spacing_distribution_closed(1).atoms
-    for law in wit.three_atom_laws:
-        assert law.atoms == spacing_distribution_closed(3).atoms
+    assert [len(members) for _, members, _ in wit.families] == [2, 2]
+    assert wit.ok
+    _assert_laws_are_closed(wit)
 
 
 def test_divergence_witness_empty():
     wit = divergence_witness(golden(), 0)
-    assert wit.rigid_members == () and wit.three_atom_members == ()
+    assert wit.families == ((1, (), ()), (3, (), ()))
     assert wit.lines()  # still renders without error
+
+
+def test_divergence_witness_not_ok_on_a_wrong_law():
+    wit = divergence_witness(golden(), 2)
+    (d1, rigid, rigid_laws), three_atom = wit.families
+    wrong = rigid_laws[:1] + three_atom[2][:1]
+    assert not wit._replace(families=((d1, rigid, wrong), three_atom)).ok
+    # two families with one closed law do not witness two limits
+    assert not wit._replace(families=(wit.families[0], (2, rigid, rigid_laws))).ok
 
 
 def test_format_law():
