@@ -29,10 +29,13 @@ The L grid syntax is "min:max:steps" (steps >= 2, max > min >= 0), or a
 single rational value such as "1", "0.25", or "7/3".  L is written out as a
 float, so a value beyond the float range is an invalid grid.
 
-Two sizes taken from the command line are capped, and checked before
+Four sizes taken from the command line are capped, and checked before
 anything is built, so an oversized value is refused rather than ending in a
-MemoryError: an L grid has at most MAX_L_STEPS = 100000 steps (exit 4), and
-orbit --T at most MAX_ORBIT_T = 1000000 points (exit 2).
+MemoryError or running without end: an L grid has at most MAX_L_STEPS =
+100000 steps (exit 4); orbit --T at most MAX_ORBIT_T = 1000000 points, the
+series order --K of numvar --method fourier and figure1 at most
+MAX_FOURIER_K = 1000000 terms, and a spectrum's period D = gcd(a, N) at most
+spectrum.MAX_PERIOD = 2000000 levels (each exit 2).
 """
 
 import argparse
@@ -74,9 +77,11 @@ FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
 # Series order of verify's fourier check; its tail bound is the tolerance.
 VERIFY_FOURIER_K = 2000
 # Size caps (module docstring); each value takes a few seconds and well under
-# 200 MB: numvar --method closed over 100000 steps, orbit over 10^6 points.
+# 200 MB: numvar --method closed over 100000 steps, orbit over 10^6 points,
+# the series over 10^6 terms (its phase table holds up to K + 1 floats).
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
+MAX_FOURIER_K = 1_000_000
 
 
 class GridError(ValueError):
@@ -108,6 +113,15 @@ def _parse_lgrid(text):
         raise GridError(f"L grid {text!r} has more than {MAX_L_STEPS} steps")
     span = hi - lo
     return [lo + span * i / (steps - 1) for i in range(steps)]
+
+
+def _series_order(K):
+    """--K, or the default order when it is not given, within 1..MAX_FOURIER_K."""
+    if K is None:
+        return DEFAULT_FOURIER_K
+    if not 1 <= K <= MAX_FOURIER_K:
+        raise ValueError(f"--K {K} is outside 1..{MAX_FOURIER_K}")
+    return K
 
 
 def _json(payload):
@@ -246,7 +260,7 @@ def cmd_numvar(args):
             for L in Ls:
                 rows.append((L, number_variance_closed(D, L), "closed-form", D, None))
         else:
-            K = DEFAULT_FOURIER_K if args.K is None else args.K
+            K = _series_order(args.K)
             for L in Ls:
                 v, b = number_variance_fourier(D, L, K)
                 rows.append((L, v, f"fourier(K={K})", D, b))
@@ -268,7 +282,7 @@ def cmd_figure1(args):
     """
     Ls = _parse_lgrid(args.L)
     _use("spectrum", "statistics")
-    K = DEFAULT_FOURIER_K if args.K is None else args.K
+    K = _series_order(args.K)
     blocks = {D: reduced_spectrum(D) for D in FIGURE_DS}
     fields = ("L", *(f"D{D}" for D in FIGURE_DS))
     rows = [

@@ -52,10 +52,6 @@ from operator import mul, sub, truediv
 from .diophantine import approximants_with_gcd
 from .spectrum import eigenphases
 
-# Largest sine lookup table the fourier route will build for exact L-phase
-# reduction; rational L with bigger D*denominator falls back to plain floats.
-_MAX_SIN_TABLE = 200_000
-
 DEFAULT_FOURIER_K = 10_000
 
 
@@ -222,12 +218,11 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     the series reaches.  The K terms are summed with math.fsum, in Python
     floats without numpy.
 
-    For rational L the phase k L / D mod 1 is reduced exactly, so sin
-    vanishes identically where it should (e.g. D = 1 at integer L gives
-    exactly 0), and the coefficient sin^2 |S_D|^2 is a lookup table of
-    period P = D * denominator(L), filled for the min(P, K + 1) residues
-    the series reaches.  For P above _MAX_SIN_TABLE the phase is a plain
-    float.
+    The phase k L / D mod 1 is reduced exactly for every L (a float L is
+    the rational it holds), so sin vanishes identically where it should
+    (e.g. D = 1 at integer L gives exactly 0), and the coefficient
+    sin^2 |S_D|^2 is a lookup table of period P = D * denominator(L): it
+    holds min(P, K + 1) floats, one per residue the series reaches.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
@@ -235,20 +230,14 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
         raise ValueError("K must be >= 1")
     ks = range(1, K + 1)
     g2 = [_gauss_sum_sq(D, r) for r in range(min(D, K + 1))]
-    Lr = Fraction(L)
-    P = D * Lr.denominator
-    if P <= _MAX_SIN_TABLE:
-        num = Lr.numerator % P
-        coef = [
-            math.sin(math.pi * (j * num % P) / P) ** 2 * g2[j % D]
-            for j in range(min(P, K + 1))
-        ]
-        coef = islice(cycle(coef), 1, None)
-    else:
-        step = math.pi * float(L) / D
-        sin2 = (math.sin(k * step) ** 2 for k in ks)
-        coef = map(mul, sin2, islice(cycle(g2), 1, None))
-    terms = map(truediv, coef, map(mul, ks, ks))
+    L = Fraction(L)
+    P = D * L.denominator
+    num = L.numerator % P
+    coef = [
+        math.sin(math.pi * (j * num % P) / P) ** 2 * g2[j % D]
+        for j in range(min(P, K + 1))
+    ]
+    terms = map(truediv, islice(cycle(coef), 1, None), map(mul, ks, ks))
     return (2 / math.pi**2) * math.fsum(terms), _tail_bound(D, K)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from skewtorus.propagator import MOMENTUM_BLOCK, Propagator
 from skewtorus.spectrum import _level_blocks
-from skewtorus.statistics import _MAX_SIN_TABLE, gauss_sum
+from skewtorus.statistics import gauss_sum
 
 
 def eigenphases_fraction(app):
@@ -356,14 +356,11 @@ def number_variance_fourier_gauss(D, L, K):
     """
     g2 = np.array([abs(gauss_sum(D, r)) ** 2 for r in range(D)])
     ks = np.arange(1, K + 1, dtype=np.int64)
-    Lr = Fraction(L)
-    P = D * Lr.denominator
-    if P <= _MAX_SIN_TABLE:
-        num = Lr.numerator % P
-        tbl = np.sin(np.pi * ((np.arange(P, dtype=np.int64) * num) % P) / P) ** 2
-        sin2 = tbl[ks % P]
-    else:
-        sin2 = np.sin(ks * (math.pi * float(L) / D)) ** 2
+    L = Fraction(L)
+    P = D * L.denominator
+    # k num mod P in Python ints: P may exceed the int64 range
+    phases = [k * L.numerator % P for k in range(1, K + 1)]
+    sin2 = np.sin(np.pi * np.array(phases, dtype=float) / P) ** 2
     value = (2 / math.pi**2) * float(np.sum(sin2 * g2[ks % D] / ks.astype(float) ** 2))
     return value, 2 * D * D / (math.pi**2 * (K + 0.5))
 

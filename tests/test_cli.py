@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewtorus import cli
+from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import Spectrum, eigenphases
 from skewtorus.statistics import number_variance_closed
@@ -502,6 +502,13 @@ def test_python_m_skewtorus_help():
         # exit 2: orbit --T above MAX_ORBIT_T, refused before any point is made
         ("orbit --alpha 0.7 --T 1000001", 2, False),
         ("orbit --alpha 0.7 --T 100000000", 2, False),
+        # exit 2: --K above MAX_FOURIER_K, refused before the series is summed
+        ("numvar --D 3 --L 1 --method fourier --K 1000001", 2, False),
+        ("figure1 --K 1000001", 2, False),
+        # exit 2: a period D = gcd(a, N) above spectrum.MAX_PERIOD, refused
+        # before any level is made
+        ("numvar --method direct --D 2000001 --L 1", 2, False),
+        ("spacing --a 0 --N 2000001", 2, False),
         ("verify --a 1 --N 16385", 2, False),
         ("verify --a 1 --N 20 --max-N 10", 2, False),
         # exit 3: no closed form for this D
@@ -572,15 +579,39 @@ def test_exit_code_table(capsys, argv, code, usage):
 def test_size_caps_admit_the_cap(capsys, monkeypatch):
     # the caps are the exit-code table's refused values less one; the layer
     # calls are stubbed, since the real work at the caps takes seconds
-    assert (cli.MAX_L_STEPS, cli.MAX_ORBIT_T) == (100_000, 1_000_000)
+    caps = (cli.MAX_L_STEPS, cli.MAX_ORBIT_T, cli.MAX_FOURIER_K)
+    assert caps == (100_000, 1_000_000, 1_000_000)
     monkeypatch.setattr(cli, "number_variance_closed", lambda D, L: 0)
     code, out, _ = run(capsys, "numvar", "--D", "3", "--L", "0:6:100000")
     assert code == 0 and out.count("\n") == 1 + 100_000
     assert out.endswith("\n6.0,0.0,closed-form,3,\n")
+    monkeypatch.setattr(cli, "number_variance_fourier", lambda D, L, K: (0, K))
+    argv = ("numvar", "--method", "fourier", "--D", "3", "--L", "1", "--K", "1000000")
+    assert run(capsys, *argv) == (
+        0,
+        "L,value,method,D,truncation_bound\n1.0,0.0,fourier(K=1000000),3,1000000\n",
+        "",
+    )
     seen = []
     monkeypatch.setattr(cli, "orbit", lambda pt, alpha, T: seen.append(T) or [pt])
     code, out, _ = run(capsys, "orbit", "--alpha", "0.7", "--T", "1000000")
     assert (code, out, seen) == (0, "t,p,q\n0,0.0,0.0\n", [1_000_000])
+
+
+def test_period_cap_boundary(capsys, monkeypatch):
+    # eigenphases makes every spectrum, so its one check covers spectrum,
+    # spacing and numvar --method direct, with --a/--N or with --D
+    monkeypatch.setattr(spectrum, "MAX_PERIOD", 12)
+    for argv in (
+        ("spectrum", "--a", "0", "--N"),
+        ("spacing", "--a", "0", "--N"),
+        ("numvar", "--method", "direct", "--L", "1", "--a", "0", "--N"),
+        ("numvar", "--method", "direct", "--L", "1", "--D"),
+    ):
+        assert run(capsys, *argv, "12")[0] == 0, argv
+        assert run(capsys, *argv, "13") == (
+            2, "", "error: period D = 13 exceeds the cap of 12 levels\n"
+        ), argv
 
 
 @pytest.mark.parametrize("name", ["missing/x.csv", "."])

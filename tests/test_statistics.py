@@ -492,8 +492,9 @@ def test_fourier_tail_bound_certified_and_tight():
                     assert number_variance_fourier(D, Fraction(1, 2), K)[1] == bound
 
 
-def test_fourier_float_fallback_path():
-    # irrational-looking float L: denominator too large for the sine table
+def test_fourier_float_L_exact_phase():
+    # a float L is the rational it holds, here with denominator 2^52:
+    # P = D * den(L) far exceeds K, so the phase table holds K + 1 floats
     L = math.pi / 3
     v, bound = number_variance_fourier(1, L, 50_000)
     assert abs(v - float(number_variance_closed(1, L))) <= bound + 1e-7
@@ -506,7 +507,8 @@ def test_fourier_validation():
         number_variance_fourier(3, 1, 0)
 
 
-# 3 + 10^-7 has D * denominator > _MAX_SIN_TABLE: the float-fallback path
+# 3 + 10^-7 has P = D * denominator > K at either order: its phase table holds
+# K + 1 floats and never cycles
 FOURIER_ORACLE_LS = (Fraction(1, 2), Fraction(7, 3), Fraction(5), 3 + Fraction(1, 10**7))
 
 
