@@ -508,7 +508,8 @@ def _build_parser():
         "--max-N",
         dest="max_n",
         type=int,
-        help="dimension guard for matrix work",
+        # propagator.DEFAULT_MAX_N, written out so that --help loads no layer
+        help="dimension guard for matrix work (default 16384)",
     )
 
     return parser

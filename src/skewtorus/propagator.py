@@ -36,17 +36,20 @@ that chain, not as an independent proof that U is unitary.
 import functools
 import math
 
-# Memory model, per block of B = MOMENTUM_BLOCK rows of length N: the
-# complex rows of X and of their inverse FFT, 32 B N bytes (tracemalloc
-# reads 32.2 B N at N = 1024..4096), the previous block's rows being
-# dropped first; the int64 exponents and their temporaries, at most
-# 16 B N, are freed before the transform.  Plus O(N) for the table of roots
-# and the weights.  At N = 16384 that is about 134 MB; verify --a 1
-# --N 16384 takes about 10 s and 160 MB peak RSS (2-vCPU VM, one BLAS
-# thread).
+# Memory model: 40 B N bytes for a block of B = MOMENTUM_BLOCK rows of
+# length N, plus O(N) for the table of roots and the weights.  A block holds
+# its int64 exponents (8 B N) and X (16 B N), in two buffers made once and
+# reused, and the inverse FFT of X (16 B N), dropped before the next
+# block's is made; tracemalloc reads 42.7 B N at B = 16, N = 2048, the O(N)
+# terms included.  At B = 16 that is 10.5 MB even at N = 16384, so
+# memory does not bound N: the guard caps run time, which grows as
+# N^2 log N.  verify --a 1 --N 16384 takes about 6 s at 42 MB peak RSS
+# (2-vCPU VM, one BLAS thread).
 DEFAULT_MAX_N = 16384
-# Rows of X transformed at a time.
-MOMENTUM_BLOCK = 256
+# Rows of X transformed at a time, sized for memory: from 8 to 256 rows the
+# momentum time does not grow as the block shrinks (N = 16384: 5.3 s at 16
+# rows, 7.8 s at 256), while peak RSS grows with it (41 and 191 MB).
+MOMENTUM_BLOCK = 16
 
 
 class Propagator:
@@ -72,7 +75,8 @@ class Propagator:
         the exponents (-m^2 - m j) mod N with m = (l - a) mod N; a is
         reduced as a Python int first, so the int64 exponents stay below
         2 N^2.  Each block is inverse-transformed, read for w and its share
-        of |E|^2, and dropped.
+        of |E|^2, and dropped; the exponents and X are written into two
+        buffers that every block reuses.
         """
         import numpy as np
 
@@ -82,11 +86,22 @@ class Propagator:
         roots = np.exp(2j * np.pi * j / N)
         w = np.empty(N, dtype=complex)
         off = 0.0
+        # Blocks made afresh go back to the OS when dropped and are faulted
+        # in again: verify --a 1 --N 4096 took 160000 minor page faults
+        # that way, 5500 with the two buffers reused.
+        exps = np.empty((MOMENTUM_BLOCK, N), dtype=np.int64)
+        x = np.empty((MOMENTUM_BLOCK, N), dtype=complex)
         for start in range(0, N, MOMENTUM_BLOCK):
             l = np.arange(start, min(start + MOMENTUM_BLOCK, N), dtype=np.int64)
             m = (l - shift) % N
             col = m.reshape(-1, 1)
-            rows = np.fft.ifft(roots[(-col * col - col * j) % N], axis=1)
+            e, xb = exps[: len(l)], x[: len(l)]
+            np.add(j, col, out=e)
+            np.multiply(e, -col, out=e)
+            np.remainder(e, N, out=e)
+            # mode="clip" never clips a residue; it spares take the copy
+            # it makes for out= in the default mode
+            rows = np.fft.ifft(np.take(roots, e, out=xb, mode="clip"), axis=1)
             i = l - start
             w[m] = rows[i, m]
             rows[i, m] = 0

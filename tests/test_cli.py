@@ -838,3 +838,12 @@ def test_numvar_help_names_the_fourier_default(capsys):
         cli.main(["numvar", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"(method fourier; default {DEFAULT_FOURIER_K})" in help_text
+
+
+def test_verify_help_names_the_guard_default(capsys):
+    from skewtorus.propagator import DEFAULT_MAX_N
+
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"dimension guard for matrix work (default {DEFAULT_MAX_N})" in help_text

@@ -205,9 +205,13 @@ def test_momentum_form_is_computed_once():
 
 
 def test_row_block_momentum_matches_dense_oracle(monkeypatch):
-    # N = 272 and 600 span two and three row blocks; the weights do not
-    # depend on how the rows are blocked
-    for a, N in UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]:
+    # the weights do not depend on how the rows are blocked; the cases
+    # hold N below one block and N > B that ends in a part block
+    cases = UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]
+    sizes = [N for _, N in cases]
+    assert min(sizes) < MOMENTUM_BLOCK
+    assert any(N > MOMENTUM_BLOCK and N % MOMENTUM_BLOCK for N in sizes)
+    for a, N in cases:
         w, e = build_propagator(Approximant(a, N)).momentum
         w_ref, e_ref = momentum_two_buffer(dense_propagator(a, N), a)
         assert np.max(np.abs(w - w_ref)) <= 1e-14, (a, N)
@@ -219,11 +223,13 @@ def test_row_block_momentum_matches_dense_oracle(monkeypatch):
 
 
 def test_checks_hold_one_row_block():
-    # numpy reports its buffers to tracemalloc; a block of B rows costs
-    # about 32 B N bytes (the model stated in propagator.py), here 0.27 of
-    # one N x N complex array of 16 N^2 bytes, and the propagator keeps O(N)
+    # numpy reports its buffers to tracemalloc.  The budget is 48 B N bytes
+    # at B = 16 rows: a block's 40 B N (the model stated in propagator.py)
+    # and the O(N) terms.  It is fixed, so that larger blocks fail it:
+    # 16-row blocks read 1.4 MB here, 32-row blocks 2.7 MB and 256-row
+    # blocks 21.1 MB.  The propagator keeps the weights, 16 N bytes.
     N = 2048
-    model = 34 * MOMENTUM_BLOCK * N
+    budget = 48 * 16 * N
 
     def checks():
         U = build_propagator(Approximant(1, N))
@@ -239,8 +245,8 @@ def test_checks_hold_one_row_block():
     finally:
         tracemalloc.stop()
     assert U.N == N
-    assert peak <= model, peak / model
-    assert retained <= 0.01 * model, retained / model
+    assert peak <= budget, peak / budget
+    assert retained <= 20 * N, retained / N
 
 
 def _shifted(a, N):
