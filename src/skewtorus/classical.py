@@ -32,14 +32,22 @@ def step(pt, alpha):
 
 
 def orbit(pt0, alpha, T):
-    """The first T points of the orbit, starting at pt0."""
+    """The first T points of the orbit, starting at pt0.
+
+    The points are step's, iterated: each coordinate is reduced once per
+    step by the same % 1, and the point is made with tuple.__new__, which
+    skips TorusPoint.__new__'s reduction of values already reduced.
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     pts = [pt0]
+    p, q = pt0
+    new = tuple.__new__
     for _ in range(T - 1):
-        pts.append(step(pts[-1], alpha))
+        p, q = (p + alpha) % 1, (q + 2 * p) % 1
+        pts.append(new(TorusPoint, (p, q)))
     return pts
 
 

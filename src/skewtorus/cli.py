@@ -9,8 +9,9 @@ unlabeled.
 Every CSV and JSON table but spectrum's comes from one (fields, rows) form.
 _table writes the CSV: an optional "# comment" line, the header, and one
 line per row, each cell through %s (an int or str as itself, a Fraction as
-p/q, a float as its repr) and a None cell as an empty cell.  The JSON is the
-list of records dict(zip(fields, row)) (_records), a None cell as null.
+p/q, a float as its repr) and a None cell as an empty cell, TABLE_BLOCK
+lines to a write.  The JSON is the list of records dict(zip(fields, row))
+(_records), a None cell as null.
 spectrum writes its own rows (module spectrum): it streams N rows made in
 blocks from one period, and its JSON is a template of json.dumps's layout,
 because at N = 10^6 the table cannot be built as N records.  verify's JSON
@@ -44,6 +45,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import skewtorus
 
@@ -82,6 +84,8 @@ VERIFY_FOURIER_K = 2000
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
+# Lines per write of a _table CSV: a few hundred KB of text at most.
+TABLE_BLOCK = 4096
 
 
 class GridError(ValueError):
@@ -136,17 +140,25 @@ def _json(payload):
 
 
 def _table(fields, rows, comment=None):
-    """The CSV writer of a table of row tuples; rows may be a generator."""
+    """The CSV writer of a table of row tuples; rows may be a generator.
+
+    The lines go out TABLE_BLOCK at a time, so an unbuffered stdout
+    (python -u, PYTHONUNBUFFERED) makes one write call per block, not one
+    per row.
+    """
     template = ",".join(["%s"] * len(fields)) + "\n"
 
     def write(out):
         if comment is not None:
             out.write(f"# {comment}\n")
         out.write(",".join(fields) + "\n")
-        for row in rows:
-            if None in row:
-                row = tuple("" if cell is None else cell for cell in row)
-            out.write(template % row)
+        lines = (
+            template
+            % (tuple("" if cell is None else cell for cell in row) if None in row else row)
+            for row in rows
+        )
+        for block in iter(lambda: "".join(islice(lines, TABLE_BLOCK)), ""):
+            out.write(block)
 
     return write
 

@@ -18,18 +18,21 @@ spacing law, the direct number variance, the counting function, the power
 sums (the paper's trace formula) and the sorted values are read off it.
 The spectrum rows are tiled from the period in Python, at most
 SPECTRUM_BLOCK levels at a time, so writing them holds O(D) memory and
-loads no numpy.  The D-level block {-eta^2 mod D} (reduced_spectrum) is the
-spectrum of (0, D); every spectrum with gcd(a, N) = D has its histogram, up
-to a rotation of Z_D.
+loads no numpy.  A block becomes text in one % format, with no float made
+per level: phi = t/6 is num/den with one den and one num mod den for the
+whole spectrum, so its decimal is the digits of q = floor(phi) and a tail
+that depends only on q's bit length (_tail).  The D-level block
+{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every spectrum
+with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
 """
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, repeat
-from operator import truediv
 
 from .diophantine import Approximant
 
@@ -112,8 +115,8 @@ def _period(spec, g):
     Base level eta sits at t = 6 D q + 6 u + rho, at position u of Z_D.  A
     counting sort over Z_D (bucket starts from the histogram, etas in
     increasing order) puts the levels in (u, eta) order, hist[u] levels at
-    each u in turn, and a level at u has r = (6 u + rho) / g, its t mod 6D
-    over g; g must divide gcd(rho, 6).  In block m of length 6D the level
+    each u in turn, and a level at u has r = (6 u + rho) // g, its t mod 6D
+    over g rounded down; g divides 6.  In block m of length 6D the level
     is at t = 6 D m + 6 u + rho with l = (m - q) mod M, so l0 = -q mod M is
     its l in block 0.
     """
@@ -134,13 +137,14 @@ def _period(spec, g):
 
 
 def _level_blocks(spec, g):
-    """Yield (eta, l, t / g) for up to SPECTRUM_BLOCK levels at a time, in order.
+    """Yield (eta, l, t // g) for up to SPECTRUM_BLOCK levels at a time, in order.
 
-    g must divide gcd(rho, 6), so every t / g is an int.  The N levels are
-    the period (_period) tiled M times.  With D <= SPECTRUM_BLOCK a block is
-    k = SPECTRUM_BLOCK // D whole periods, laid out once as a tile of lists
-    and shifted by 6 D m / g in t / g and by m in l; with a longer period a
-    block is a slice of one period.  l and t / g are lists of Python ints.
+    g divides 6; t // g is t / g when g divides gcd(rho, 6), and g = 6 gives
+    floor(phi).  The N levels are the period (_period) tiled M times.  With
+    D <= SPECTRUM_BLOCK a block is k = SPECTRUM_BLOCK // D whole periods,
+    laid out once as a tile of lists and shifted by 6 D m / g in t // g and
+    by m in l; with a longer period a block is a slice of one period.  l and
+    t // g are lists of Python ints, ascending in t.
     """
     D, M = spec.app.D, spec.app.M
     step = 6 * D // g
@@ -207,42 +211,88 @@ SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")
 # Blocks of 2^8 to 2^13 rows ran equally fast; 2^16 rows was no faster and
 # raised the peak RSS by about 20 MB.
 SPECTRUM_BLOCK = 1 << 12
-# One template per row: %r of a Python int or float is the text json.dumps
-# writes for it, and the JSON row is one record in json.dumps(indent=2)'s layout.
-_CSV_ROW = ",".join(["%r"] * len(SPECTRUM_FIELDS)) + "\n"
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in SPECTRUM_FIELDS) + "\n  }"
+# One line per level, with den and the decimal's tail filled in once per
+# binade of q: %s of a Python int is the text json.dumps writes for it, and
+# the JSON line is one record in json.dumps(indent=2)'s layout.
+_CSV_LINE = "%s,%s,%s,{den},%s{tail}\n"
+_JSON_LINE = (
+    '  {{\n    "eta": %s,\n    "l": %s,\n    "numerator": %s,\n'
+    '    "denominator": {den},\n    "decimal": %s{tail}\n  }}'
+)
+# A power of two: below it the decimal of num/den is q's digits and _tail.
+# q < N, and a spectrum reaches q = 2^50 only after about 1.1e15 rows.
+_TAIL_CAP = 1 << 50
 
 
-def spectrum_rows(spec):
-    """Yield the rows (eta, l, numerator, denominator, decimal) in blocks.
+@cache  # at most 51 bit lengths times 12 pairs (r, den)
+def _tail(bits, r, den):
+    """The text after q's digits in repr((q den + r) / den), for 0 <= q < 2^50.
 
-    Each block is an iterator over up to SPECTRUM_BLOCK row tuples of Python
-    scalars, in spectrum order (_level_blocks).  Every t has the residue rho
-    mod 6, so phi = t/6 in lowest terms is (t/g)/(6/g) with the one
-    g = gcd(rho, 6).  The decimal is Python's correctly rounded true
-    division of these two ints, so it equals float(Fraction(t, 6)).
+    In q's binade the doubles are u = 2^(bits - 53) <= 1/8 apart, and q is
+    one of them, with an even significand.  So q + r/den rounds to q + c,
+    c the multiple of u nearest r/den (a tie goes to the even multiple),
+    and c + u/2 < 1.  The decimals that read back as q + c are then q plus
+    the decimals within u/2 of c (for r = 0, q itself: repr writes "q.0"
+    below 10^16), all in [q, q + 1), and repr takes the shortest of them,
+    then the nearest.  None of this depends on q beyond its bit length, so
+    the tail is read off repr of the binade's smallest q (q = 0, of bit
+    length 0, is a binade of its own).
+    """
+    q = 1 << bits >> 1
+    return repr((q * den + r) / den)[len(str(q)) :]
+
+
+def _text_blocks(spec, line, sep):
+    """Yield the rows as text, lines joined by sep, up to SPECTRUM_BLOCK rows each.
+
+    Every t is rho mod 6, so phi = t/6 in lowest terms is num/den with
+    den = 6/g, g = gcd(rho, 6), and num = q den + r for q = floor(t/6) and
+    one r = rho/g for the whole spectrum.  Its decimal, the correctly
+    rounded num/den that float(Fraction(t, 6)) gives, is q's digits and the
+    tail of q's binade.  So the levels of a block (_level_blocks(spec, 6)
+    yields q), split where q crosses a power of two, are one % of the line,
+    with den and the tail filled in, repeated once per row, over the flat
+    tuple of (eta, l, num, q).  From q = _TAIL_CAP on, the q column is
+    repr(num / den) itself and the tail is empty.
     """
     g = math.gcd(spec.rho, 6)
-    den = 6 // g
-    for eta, l, num in _level_blocks(spec, g):
-        yield zip(eta, l, num, repeat(den), map(truediv, num, repeat(den)))
+    den, r = 6 // g, spec.rho // g
+    for eta, l, q in _level_blocks(spec, 6):
+        num = q if den == 1 else [den * x + r for x in q]
+        cols = eta, l, num, q
+        i, n = 0, len(q)
+        while i < n:
+            bits = q[i].bit_length()
+            j = bisect_left(q, 1 << bits, i)
+            part = cols if j - i == n else [col[i:j] for col in cols]
+            if q[i] < _TAIL_CAP:
+                tail = _tail(bits, r, den)
+            else:
+                part, tail = (*part[:3], [repr(x / den) for x in part[2]]), ""
+            flat = [None] * (4 * (j - i))
+            for k, col in enumerate(part):
+                flat[k::4] = col
+            yield sep.join(repeat(line.format(den=den, tail=tail), j - i)) % tuple(flat)
+            i = j
 
 
 def spectrum_to_csv(spec, out):
     """Write rows "eta,l,numerator,denominator,decimal" to a file object."""
     out.write(",".join(SPECTRUM_FIELDS) + "\n")
-    for rows in spectrum_rows(spec):
-        out.write("".join(map(_CSV_ROW.__mod__, rows)))
+    for text in _text_blocks(spec, _CSV_LINE, ""):
+        out.write(text)
 
 
 def spectrum_to_json(spec, out):
     """Write the levels as a JSON list of records, one per row, to a file object.
 
-    The bytes are json.dumps(records, indent=2) + "\n" for the records
-    dict(zip(SPECTRUM_FIELDS, row)); a spectrum has at least one level.
+    The bytes are json.dumps(records, indent=2) + "\n" for the records of
+    (eta, l, numerator, denominator, decimal); a spectrum has at least one
+    level.
     """
     sep = "[\n"
-    for rows in spectrum_rows(spec):
-        out.write(sep + ",\n".join(map(_JSON_ROW.__mod__, rows)))
+    for text in _text_blocks(spec, _JSON_LINE, ",\n"):
+        out.write(sep)
+        out.write(text)
         sep = ",\n"
     out.write("\n]\n")

@@ -98,3 +98,24 @@ def test_weyl_sum_trend():
     long = sum(abs(weyl_sum(s, GOLDEN_FLOAT, (1, 1), 30_000)) for s in starts) / 10
     assert long < short
 
+
+def test_orbit_equals_step_iterated():
+    # orbit's loop makes the same floats as step, point by point
+    alphas = (0.5, 0.6180339887498949, 2**0.5 - 1, 1e-9, 0.999999999, 1.0, Fraction(2, 7))
+    starts = (
+        TorusPoint(0.1, 0.2),
+        TorusPoint(0.0, 0.0),
+        TorusPoint(-1e-20, 0.75),  # p % 1 is 1.0 here
+        TorusPoint(0.999999999999, 1e-300),
+        TorusPoint(Fraction(1, 3), Fraction(5, 7)),
+    )
+    for alpha in alphas:
+        for pt0 in starts:
+            for T in (1, 2, 17, 3000):
+                want = [pt0]
+                for _ in range(T - 1):
+                    want.append(step(want[-1], alpha))
+                got = orbit(pt0, alpha, T)
+                assert got == want, (alpha, pt0, T)
+                assert all(type(pt) is TorusPoint for pt in got)
+                assert [type(x) for pt in got for x in pt] == [type(x) for pt in want for x in pt]

@@ -329,6 +329,23 @@ def test_table_csv(fields, rows, text):
     assert buf.getvalue() == text
 
 
+@pytest.mark.parametrize("count", [0, 1, 4, 5, 9])
+def test_table_writes_whole_blocks(monkeypatch, count):
+    # one write for the header and one per TABLE_BLOCK lines, the last
+    # block short; the bytes are the lines one per row
+    monkeypatch.setattr(cli, "TABLE_BLOCK", 4)
+    rows = [(t, t / 8, None if t % 3 else Fraction(t, 3)) for t in range(count)]
+
+    class Writes(list):
+        write = list.append
+
+    out = Writes()
+    cli._table(("t", "p", "q"), iter(rows))(out)
+    lines = [f"{t},{p!r},{'' if q is None else q}\n" for t, p, q in rows]
+    assert out[0] == "t,p,q\n"
+    assert out[1:] == ["".join(lines[i : i + 4]) for i in range(0, count, 4)]
+
+
 def test_table_none_is_an_empty_cell_and_null(capsys):
     argv = ["numvar", "--D", "1", "--method", "closed", "--L", "1/2"]
     code, out, _ = run(capsys, *argv)
@@ -644,6 +661,24 @@ def test_closed_stdout_exits_quietly():
     ) as proc:
         try:
             assert proc.stdout.readline() == b"eta,l,numerator,denominator,decimal\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+    assert err == b""
+
+
+def test_closed_stdout_exits_quietly_from_a_table():
+    # as above for a _table command: orbit's 10^5 lines go out in blocks
+    with subprocess.Popen(
+        [sys.executable, "-m", "skewtorus", "orbit", "--alpha", "0.7", "--T", "100000"],
+        env=dict(_env(), PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"t,p,q\n"
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141

@@ -6,6 +6,7 @@ eta-reflection) hold for arbitrary (a, N), not just true approximants.
 """
 
 import io
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -243,3 +244,79 @@ def test_writers_match_oracle_at_default_block():
             buf = io.StringIO()
             write(spec, buf)
             assert buf.getvalue() == oracle(spec), (write.__name__, a, N)
+
+
+def test_decimal_is_q_digits_and_binade_tail():
+    # repr((q den + r) / den) is str(q) + _tail(bits, r, den) for every q of
+    # bit length bits below the cap: both ends of each binade and seeded
+    # interior points, at every den a spectrum can have and every r < den
+    rnd = random.Random(26)
+    checks = 0
+    for den in (1, 2, 3, 6):
+        for r in range(den):
+            for bits in range(spectrum._TAIL_CAP.bit_length()):
+                lo, hi = 1 << bits >> 1, (1 << bits) - 1
+                tail = spectrum._tail(bits, r, den)
+                for q in {lo, hi, *(rnd.randint(lo, hi) for _ in range(40))}:
+                    assert repr((q * den + r) / den) == str(q) + tail, (q, r, den)
+                    checks += 1
+    assert checks > 20000
+    # the cap is not vacuous: at an ulp of 1/2 (q = 2^51) 5/6 rounds up to
+    # the next integer, so the digits are no longer q's
+    q = 1 << 51
+    assert repr((6 * q + 5) / 6) == str(q + 1) + ".0"
+
+
+# (a, N) -> den: D = 1 and D > 1 at each den; (5, 20002) has 20002 levels
+EVERY_DEN = {
+    (3, 9): 1,
+    (0, 12): 1,
+    (5, 20002): 2,
+    (3, 6): 2,
+    (1, 3): 3,
+    (2, 6): 3,
+    (1, 12): 6,
+    (5, 30): 6,
+}
+
+
+def _writers_match(spec):
+    writers = ((spectrum_to_csv, spectrum_csv), (spectrum_to_json, spectrum_json))
+    for write, oracle in writers:
+        buf = io.StringIO()
+        write(spec, buf)
+        assert buf.getvalue() == oracle(spec), (write.__name__, spec.app)
+
+
+@pytest.mark.parametrize("block", [None, 1000, 4])
+def test_writers_match_oracle_at_every_denominator(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(spectrum, "SPECTRUM_BLOCK", block)
+    crossed = False
+    for (a, N), den in EVERY_DEN.items():
+        spec = eigenphases(Approximant(a, N))
+        assert 6 // math.gcd(spec.rho, 6) == den, (a, N)
+        _writers_match(spec)
+        # a block past q = 0 whose q crosses a power of two is split there
+        crossed |= any(
+            q[0] > 0 and q[0].bit_length() != q[-1].bit_length()
+            for _, _, q in spectrum._level_blocks(spec, 6)
+        )
+    assert set(EVERY_DEN.values()) == {1, 2, 3, 6}
+    assert crossed or block is None
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 4, 1 << 11])
+def test_writers_past_the_tail_cap_use_repr(monkeypatch, cap):
+    # from q = cap on the decimal is repr(num / den); 1 << 11 falls inside
+    # a 1000-row block, so one block has rows on both sides of the cap
+    monkeypatch.setattr(spectrum, "_TAIL_CAP", cap)
+    monkeypatch.setattr(spectrum, "SPECTRUM_BLOCK", 1000)
+    tail, bits_read = spectrum._tail, set()
+    monkeypatch.setattr(
+        spectrum, "_tail", lambda bits, r, den: bits_read.add(bits) or tail(bits, r, den)
+    )
+    for a, N in EVERY_DEN:
+        _writers_match(eigenphases(Approximant(a, N)))
+    # no tail is read at or past the cap
+    assert bits_read == set(range(cap.bit_length())), bits_read
