@@ -32,23 +32,24 @@ def step(pt, alpha):
 
 
 def orbit(pt0, alpha, T):
-    """The first T points of the orbit, starting at pt0.
+    """A generator of the first T points of the orbit, starting at pt0.
 
-    The points are step's, iterated: each coordinate is reduced once per
-    step by the same % 1, and the point is made with tuple.__new__, which
-    skips TorusPoint.__new__'s reduction of values already reduced.
+    T and alpha are checked at the call.  The points are step's, iterated:
+    each coordinate is reduced once per step by the same % 1, and the point
+    is made with tuple.__new__, which skips TorusPoint.__new__'s reduction.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    pts = [pt0]
-    p, q = pt0
-    new = tuple.__new__
-    for _ in range(T - 1):
-        p, q = (p + alpha) % 1, (q + 2 * p) % 1
-        pts.append(new(TorusPoint, (p, q)))
-    return pts
+
+    def points(p, q, new=tuple.__new__):
+        yield pt0
+        for _ in range(T - 1):
+            p, q = (p + alpha) % 1, (q + 2 * p) % 1
+            yield new(TorusPoint, (p, q))
+
+    return points(*pt0)
 
 
 def weyl_sum(pt0, alpha, mode, T):

@@ -30,13 +30,14 @@ The L grid syntax is "min:max:steps" (steps >= 2, max > min >= 0), or a
 single rational value such as "1", "0.25", or "7/3".  L is written out as a
 float, so a value beyond the float range is an invalid grid.
 
-Four sizes taken from the command line are capped, and checked before
+Five sizes taken from the command line are capped, and checked before
 anything is built, so an oversized value is refused rather than ending in a
 MemoryError or running without end: an L grid has at most MAX_L_STEPS =
 100000 steps (exit 4); orbit --T at most MAX_ORBIT_T = 1000000 points, the
 series order --K of numvar --method fourier and figure1 at most
-MAX_FOURIER_K = 1000000 terms, and a spectrum's period D = gcd(a, N) at most
-spectrum.MAX_PERIOD = 2000000 levels (each exit 2).
+MAX_FOURIER_K = 1000000 terms, a spectrum's period D = gcd(a, N) at most
+spectrum.MAX_PERIOD = 2000000 levels, and the spectrum command's N at most
+MAX_SPECTRUM_N = 2^50 rows (each exit 2).
 """
 
 import argparse
@@ -84,6 +85,8 @@ VERIFY_FOURIER_K = 2000
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
+# spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
+MAX_SPECTRUM_N = 1 << 50
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
 
@@ -218,7 +221,10 @@ def cmd_approx(args):
 
 def cmd_spectrum(args):
     _use("diophantine", "spectrum")
-    spec = eigenphases(_approximant(args))
+    app = _approximant(args)
+    if app.N > MAX_SPECTRUM_N:
+        raise ValueError(f"--N {app.N} exceeds the cap of {MAX_SPECTRUM_N} rows")
+    spec = eigenphases(app)
     _emit(
         args,
         lambda out: spectrum_to_csv(spec, out),

@@ -6,24 +6,24 @@ eigenphases are
     phi_{eta,l} = l*D - eta^2 + eta*a - a^2 (M-1)(2M-1)/6   (mod N),
 
 eta = 1..D, l = 0..M-1, reduced into [0, N).  They are rationals whose
-denominator divides 6, so every level is held exactly as the integer
-t = 6 phi in [0, 6N).  All N of them share one residue rho = t mod 6, so
-t = 6 u + rho with an integer position u in [0, N).
+denominator divides 6, and all N of them share one residue rho = t mod 6
+of t = 6 phi, so a level is phi = q + rho/6 with the integer position
+q = floor(phi) in [0, N).
 
-Raising l by one moves a level by D in u, so the spectrum is M copies of
+Raising l by one moves a level by D in q, so the spectrum is M copies of
 one period: the D levels with l = 0 (base_levels), whose positions mod D
-make a histogram h over Z_D (h_r levels at every u = r mod D, sum h = D).
+make a histogram h over Z_D (h_r levels at every q = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
 spacing law, the direct number variance, the counting function, the power
 sums (the paper's trace formula) and the sorted values are read off it.
-The spectrum rows are tiled from the period in Python, at most
-SPECTRUM_BLOCK levels at a time, so writing them holds O(D) memory and
-loads no numpy.  A block becomes text in one % format, with no float made
-per level: phi = t/6 is num/den with one den and one num mod den for the
-whole spectrum, so its decimal is the digits of q = floor(phi) and a tail
-that depends only on q's bit length (_tail).  The D-level block
-{-eta^2 mod D} (reduced_spectrum) is the spectrum of (0, D); every spectrum
-with gcd(a, N) = D has its histogram, up to a rotation of Z_D.
+A row of the spectrum is (eta, l, q).  The rows are tiled from the period
+in Python, at most SPECTRUM_BLOCK at a time, so writing them holds O(D)
+memory and loads no numpy.  A block becomes text in one % format, with no
+float made per level: phi is num/den with one den and one num mod den for
+the whole spectrum, so its decimal is the digits of q and a tail that
+depends only on q's bit length (_tail).  The D-level block {-eta^2 mod D}
+(reduced_spectrum) is the spectrum of (0, D); every spectrum with
+gcd(a, N) = D has its histogram, up to a rotation of Z_D.
 """
 
 import math
@@ -75,7 +75,8 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
     @property
     def values(self):
         """Sorted eigenphase values with multiplicity, as Fractions, in spectrum order."""
-        return [Fraction(t, 6) for _, _, ts in _level_blocks(self, 1) for t in ts]
+        rho = self.rho
+        return [Fraction(6 * x + rho, 6) for _, _, q in _level_blocks(self) for x in q]
 
 
 def base_levels(app):
@@ -109,58 +110,51 @@ def eigenphases(app):
     return Spectrum(app, t[0] % 6, tuple(hist))
 
 
-def _period(spec, g):
-    """(eta, r, l0): the D base levels in spectrum order, as array('q')s.
+def _period(spec):
+    """(eta, u, l0): the D base levels in spectrum order, as array('q')s.
 
-    Base level eta sits at t = 6 D q + 6 u + rho, at position u of Z_D.  A
-    counting sort over Z_D (bucket starts from the histogram, etas in
-    increasing order) puts the levels in (u, eta) order, hist[u] levels at
-    each u in turn, and a level at u has r = (6 u + rho) // g, its t mod 6D
-    over g rounded down; g divides 6.  In block m of length 6D the level
-    is at t = 6 D m + 6 u + rho with l = (m - q) mod M, so l0 = -q mod M is
-    its l in block 0.
+    Base level eta is at q = floor(phi) = D m + u, at u in Z_D in copy m of
+    the period.  A counting sort over Z_D (bucket starts from the
+    histogram, etas in increasing order) puts the levels in (u, eta) order,
+    hist[u] levels at each u in turn.  In copy m' the level has
+    l = (m' - m) mod M, so l0 = -m mod M is its l in copy 0.
     """
     D, M = spec.app.D, spec.app.M
-    step = 6 * D
-    t = base_levels(spec.app)
     start = array("q", accumulate(spec.hist, initial=0))
-    eta, r, l0 = (array("q", [0]) * D for _ in range(3))
-    for e, x in enumerate(t, 1):
-        q, x = divmod(x, step)
-        u = x // 6
-        i = start[u]
-        start[u] = i + 1
+    eta, u, l0 = (array("q", [0]) * D for _ in range(3))
+    for e, x in enumerate(base_levels(spec.app), 1):
+        m, x = divmod(x // 6, D)
+        i = start[x]
+        start[x] = i + 1
         eta[i] = e
-        r[i] = x // g
-        l0[i] = -q % M
-    return eta, r, l0
+        u[i] = x
+        l0[i] = -m % M
+    return eta, u, l0
 
 
-def _level_blocks(spec, g):
-    """Yield (eta, l, t // g) for up to SPECTRUM_BLOCK levels at a time, in order.
+def _level_blocks(spec):
+    """Yield the rows (eta, l, q) up to SPECTRUM_BLOCK at a time, in order.
 
-    g divides 6; t // g is t / g when g divides gcd(rho, 6), and g = 6 gives
-    floor(phi).  The N levels are the period (_period) tiled M times.  With
-    D <= SPECTRUM_BLOCK a block is k = SPECTRUM_BLOCK // D whole periods,
-    laid out once as a tile of lists and shifted by 6 D m / g in t // g and
-    by m in l; with a longer period a block is a slice of one period.  l and
-    t // g are lists of Python ints, ascending in t.
+    The N levels are the period (_period) tiled M times: the level at u in
+    copy m has q = D m + u.  A tile is k = min(M, SPECTRUM_BLOCK // D)
+    whole periods, laid out once as lists and shifted by D m in q and by m
+    in l; a period longer than SPECTRUM_BLOCK is cut into slices.  l and q
+    are lists of Python ints, q ascending.
     """
     D, M = spec.app.D, spec.app.M
-    step = 6 * D // g
-    eta, r, l0 = _period(spec, g)
-    k = max(1, SPECTRUM_BLOCK // D)
+    eta, u, l0 = _period(spec)
+    k = max(1, min(M, SPECTRUM_BLOCK // D))
     if k > 1:
         eta = eta.tolist() * k
-        r = [step * j + x for j in range(k) for x in r]
+        u = [D * j + x for j in range(k) for x in u]
         l0 = [j + x for j in range(k) for x in l0]
     for m in range(0, M, k):
         rows = min(k, M - m) * D
-        base = step * m
+        base = D * m
         for s in range(0, rows, SPECTRUM_BLOCK):
             part = slice(s, min(s + SPECTRUM_BLOCK, rows))
             l = [(x + m) % M for x in l0[part]]
-            yield eta[part], l, [base + x for x in r[part]]
+            yield eta[part], l, [base + x for x in u[part]]
 
 
 def reduced_spectrum(D):
@@ -219,10 +213,6 @@ _JSON_LINE = (
     '  {{\n    "eta": %s,\n    "l": %s,\n    "numerator": %s,\n'
     '    "denominator": {den},\n    "decimal": %s{tail}\n  }}'
 )
-# A power of two: below it the decimal of num/den is q's digits and _tail.
-# q < N, and a spectrum reaches q = 2^50 only after about 1.1e15 rows.
-_TAIL_CAP = 1 << 50
-
 
 @cache  # at most 51 bit lengths times 12 pairs (r, den)
 def _tail(bits, r, den):
@@ -245,19 +235,18 @@ def _tail(bits, r, den):
 def _text_blocks(spec, line, sep):
     """Yield the rows as text, lines joined by sep, up to SPECTRUM_BLOCK rows each.
 
-    Every t is rho mod 6, so phi = t/6 in lowest terms is num/den with
-    den = 6/g, g = gcd(rho, 6), and num = q den + r for q = floor(t/6) and
-    one r = rho/g for the whole spectrum.  Its decimal, the correctly
-    rounded num/den that float(Fraction(t, 6)) gives, is q's digits and the
-    tail of q's binade.  So the levels of a block (_level_blocks(spec, 6)
-    yields q), split where q crosses a power of two, are one % of the line,
-    with den and the tail filled in, repeated once per row, over the flat
-    tuple of (eta, l, num, q).  From q = _TAIL_CAP on, the q column is
-    repr(num / den) itself and the tail is empty.
+    A row (eta, l, q) of _level_blocks is phi = q + rho/6, in lowest terms
+    num/den with den = 6/g, g = gcd(rho, 6), and num = q den + r for one
+    r = rho/g for the whole spectrum.  Its decimal, the correctly rounded
+    num/den that float(Fraction(6 q + rho, 6)) gives, is q's digits and the
+    tail of q's binade, for q < N <= 2^50 (cli.MAX_SPECTRUM_N).  So the
+    levels of a block, split where q crosses a power of two, are one % of
+    the line, with den and the tail filled in, repeated once per row, over
+    the flat tuple of (eta, l, num, q).
     """
     g = math.gcd(spec.rho, 6)
     den, r = 6 // g, spec.rho // g
-    for eta, l, q in _level_blocks(spec, 6):
+    for eta, l, q in _level_blocks(spec):
         num = q if den == 1 else [den * x + r for x in q]
         cols = eta, l, num, q
         i, n = 0, len(q)
@@ -265,14 +254,11 @@ def _text_blocks(spec, line, sep):
             bits = q[i].bit_length()
             j = bisect_left(q, 1 << bits, i)
             part = cols if j - i == n else [col[i:j] for col in cols]
-            if q[i] < _TAIL_CAP:
-                tail = _tail(bits, r, den)
-            else:
-                part, tail = (*part[:3], [repr(x / den) for x in part[2]]), ""
             flat = [None] * (4 * (j - i))
             for k, col in enumerate(part):
                 flat[k::4] = col
-            yield sep.join(repeat(line.format(den=den, tail=tail), j - i)) % tuple(flat)
+            text = line.format(den=den, tail=_tail(bits, r, den))
+            yield sep.join(repeat(text, j - i)) % tuple(flat)
             i = j
 
 

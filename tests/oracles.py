@@ -197,17 +197,17 @@ def eigenphases_int64(app):
 
 
 def level_arrays(spec):
-    """(t, eta, l) of the spectrum's own N levels as int64, from _level_blocks.
+    """(t, eta, l) of the spectrum's own N levels as int64, t = 6 q + rho.
 
     The library holds only the period; this tiles it through the row writers'
     blocks so the tests can compare it with eigenphases_int64.
     """
     cols = [], [], []
-    for block in _level_blocks(spec, 1):
+    for block in _level_blocks(spec):
         for col, x in zip(cols, block):
             col.extend(x)
-    eta, l, t = (np.array(col, dtype=np.int64) for col in cols)
-    return t, eta, l
+    eta, l, q = (np.array(col, dtype=np.int64) for col in cols)
+    return 6 * q + spec.rho, eta, l
 
 
 def spacings_int64(app):

@@ -49,7 +49,7 @@ def test_step_validates_alpha():
 
 
 def test_orbit_length_and_start():
-    pts = orbit(TorusPoint(0.1, 0.2), 0.5, 4)
+    pts = list(orbit(TorusPoint(0.1, 0.2), 0.5, 4))
     assert len(pts) == 4
     assert pts[0] == TorusPoint(0.1, 0.2)
     assert pts[1] == step(pts[0], 0.5)
@@ -115,7 +115,7 @@ def test_orbit_equals_step_iterated():
                 want = [pt0]
                 for _ in range(T - 1):
                     want.append(step(want[-1], alpha))
-                got = orbit(pt0, alpha, T)
+                got = list(orbit(pt0, alpha, T))
                 assert got == want, (alpha, pt0, T)
                 assert all(type(pt) is TorusPoint for pt in got)
                 assert [type(x) for pt in got for x in pt] == [type(x) for pt in want for x in pt]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import Spectrum, eigenphases
-from skewtorus.statistics import number_variance_closed
+from skewtorus.statistics import _tail_bound, number_variance_closed
 
 from oracles import sigma2_exact
 
@@ -435,6 +436,52 @@ def test_orbit_reduces_alpha_exactly(capsys):
     assert err == "error: --alpha '1e-330' mod 1 is below the float range\n"
 
 
+# verify's gates, written out: (name, tolerance, detail) at each D.  The
+# tolerances are 1e-12 (unitarity), 1e-9 N (trace formula), 0 (the exact
+# checks) and the fourier series' certified tail bound at K = 2000.
+def _verify_gates(N, D):
+    return [
+        ("unitarity", 1e-12, ""),
+        ("trace-formula", 1e-9 * N, f"n = 1..{2 * N}"),
+        ("spacing-law", 0.0, f"empirical vs D-level block, D={D}"),
+        (
+            "numvar-direct-vs-block",
+            0.0,
+            f"exact rational equality with the D-level block, D={D}",
+        ),
+        ("numvar-direct-vs-fourier", _tail_bound(D, 2000), "K=2000"),
+    ]
+
+
+@pytest.mark.parametrize("a, N, D", [(1, 64, 1), (0, 64, 64), (3, 9, 3), (6, 12, 6)])
+def test_verify_gates_are_pinned(capsys, a, N, D):
+    # D = 1, D = N and the paper's D = 3 and 6: every check reports the
+    # tolerance of its stated model, and passes within it
+    code, out, err = run(capsys, "verify", "--a", str(a), "--N", str(N))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["N"], report["D"], report["ok"]) == (N, D, True)
+    checks = report["checks"]
+    assert [(c["name"], c["tolerance"], c["detail"]) for c in checks] == _verify_gates(N, D)
+    assert all(c["ok"] and c["residual"] <= c["tolerance"] for c in checks)
+
+
+def test_verify_gate_boundary(capsys, monkeypatch):
+    # a residual equal to its tolerance passes; the next float above fails
+    monkeypatch.setattr(cli, "unitarity_defect", lambda U: 1e-12)
+    code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"][0] == {
+        "name": "unitarity", "ok": True, "residual": 1e-12, "tolerance": 1e-12, "detail": ""
+    }
+    above = math.nextafter(1e-12, 1)
+    monkeypatch.setattr(cli, "unitarity_defect", lambda U: above)
+    code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert (code, err) == (1, "FAIL: unitarity\n")
+    first = json.loads(out)["checks"][0]
+    assert (first["ok"], first["residual"]) == (False, above)
+
+
 def test_verify_alpha_selection(capsys):
     code, out, _ = run(capsys, "verify", "--alpha", "golden", "--N", "5")
     assert code == 0
@@ -526,6 +573,8 @@ def test_python_m_skewtorus_help():
         # before any level is made
         ("numvar --method direct --D 2000001 --L 1", 2, False),
         ("spacing --a 0 --N 2000001", 2, False),
+        # exit 2: a spectrum of more than MAX_SPECTRUM_N = 2^50 rows
+        ("spectrum --a 1 --N 1125899906842625", 2, False),
         ("verify --a 1 --N 16385", 2, False),
         ("verify --a 1 --N 20 --max-N 10", 2, False),
         # exit 3: no closed form for this D
@@ -629,6 +678,23 @@ def test_period_cap_boundary(capsys, monkeypatch):
         assert run(capsys, *argv, "13") == (
             2, "", "error: period D = 13 exceeds the cap of 12 levels\n"
         ), argv
+
+
+def test_spectrum_row_cap_boundary(tmp_path, capsys, monkeypatch):
+    # N = 2^50 rows is the last the decimal tails hold for; one more is
+    # refused before --out is opened.  The writer is stubbed at the cap.
+    assert cli.MAX_SPECTRUM_N == 1 << 50
+    seen = []
+    monkeypatch.setattr(cli, "spectrum_to_csv", lambda spec, out: seen.append(spec.N))
+    out = tmp_path / "rows.csv"
+    argv = ("spectrum", "--a", "1", "--out", str(out), "--N")
+    assert run(capsys, *argv, str(1 << 50)) == (0, "", "")
+    assert seen == [1 << 50] and out.read_text() == ""
+    out.unlink()
+    assert run(capsys, *argv, str((1 << 50) + 1)) == (
+        2, "", "error: --N 1125899906842625 exceeds the cap of 1125899906842624 rows\n"
+    )
+    assert seen == [1 << 50] and not out.exists()
 
 
 @pytest.mark.parametrize("name", ["missing/x.csv", "."])

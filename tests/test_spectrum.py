@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skewtorus import spectrum
+from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import (
     Spectrum,
@@ -254,7 +254,7 @@ def test_decimal_is_q_digits_and_binade_tail():
     checks = 0
     for den in (1, 2, 3, 6):
         for r in range(den):
-            for bits in range(spectrum._TAIL_CAP.bit_length()):
+            for bits in range(cli.MAX_SPECTRUM_N.bit_length()):
                 lo, hi = 1 << bits >> 1, (1 << bits) - 1
                 tail = spectrum._tail(bits, r, den)
                 for q in {lo, hi, *(rnd.randint(lo, hi) for _ in range(40))}:
@@ -300,23 +300,7 @@ def test_writers_match_oracle_at_every_denominator(monkeypatch, block):
         # a block past q = 0 whose q crosses a power of two is split there
         crossed |= any(
             q[0] > 0 and q[0].bit_length() != q[-1].bit_length()
-            for _, _, q in spectrum._level_blocks(spec, 6)
+            for _, _, q in spectrum._level_blocks(spec)
         )
     assert set(EVERY_DEN.values()) == {1, 2, 3, 6}
     assert crossed or block is None
-
-
-@pytest.mark.parametrize("cap", [1, 1 << 4, 1 << 11])
-def test_writers_past_the_tail_cap_use_repr(monkeypatch, cap):
-    # from q = cap on the decimal is repr(num / den); 1 << 11 falls inside
-    # a 1000-row block, so one block has rows on both sides of the cap
-    monkeypatch.setattr(spectrum, "_TAIL_CAP", cap)
-    monkeypatch.setattr(spectrum, "SPECTRUM_BLOCK", 1000)
-    tail, bits_read = spectrum._tail, set()
-    monkeypatch.setattr(
-        spectrum, "_tail", lambda bits, r, den: bits_read.add(bits) or tail(bits, r, den)
-    )
-    for a, N in EVERY_DEN:
-        _writers_match(eigenphases(Approximant(a, N)))
-    # no tail is read at or past the cap
-    assert bits_read == set(range(cap.bit_length())), bits_read
