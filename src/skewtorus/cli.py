@@ -17,7 +17,10 @@ blocks from one period, and its JSON is a template of json.dumps's layout,
 because at N = 10^6 the table cannot be built as N records.  verify's JSON
 report and witness's text are not tables.
 
-Exit codes:
+Exit codes.  A refused input's code comes from its error type: main returns
+the exit_code of the ValueError a command raised (GridError 4,
+statistics.UnsupportedClosedFormError 3), or 2 for one without it.  A failed
+check prints one FAIL line per check through _failed and exits 1.
     0  success
     1  a verification or spot check failed (the failing check is named)
     2  precision exhausted (continued-fraction prefix too short), or bad input
@@ -94,6 +97,8 @@ TABLE_BLOCK = 4096
 class GridError(ValueError):
     """The L grid specification is malformed or out of range."""
 
+    exit_code = 4
+
 
 def _parse_lgrid(text):
     """Parse "min:max:steps" into a rational grid, or a single value."""
@@ -129,6 +134,13 @@ def _series_order(K):
     if not 1 <= K <= MAX_FOURIER_K:
         raise ValueError(f"--K {K} is outside 1..{MAX_FOURIER_K}")
     return K
+
+
+def _failed(lines):
+    """Print each line as "FAIL: line" on stderr: exit 1 if there are any, else 0."""
+    for line in lines:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 1 if lines else 0
 
 
 def _json(payload):
@@ -322,9 +334,7 @@ def cmd_figure1(args):
                     f"exceeds bound {bounds[D]!r}"
                 )
     if failures:
-        for line in failures:
-            print(f"FAIL: {line}", file=sys.stderr)
-        return 1
+        return _failed(failures)
 
     meta = (
         "D1,D2,D3,D6,D8,D9: direct-exact on the D-level block; "
@@ -378,10 +388,7 @@ def cmd_witness(args):
     _use("diophantine", "statistics")
     wit = divergence_witness(parse_alpha(args.alpha), args.count)
     _emit(args, lambda out: out.writelines(line + "\n" for line in wit.lines()))
-    if not wit.ok:
-        print("FAIL: divergence witness inconsistent", file=sys.stderr)
-        return 1
-    return 0
+    return _failed([] if wit.ok else ["divergence witness inconsistent"])
 
 
 def cmd_verify(args):
@@ -392,17 +399,15 @@ def cmd_verify(args):
     checks = []
 
     def record(name, residual, tolerance, detail=""):
-        ok = residual <= tolerance
         checks.append(
             {
                 "name": name,
-                "ok": ok,
+                "ok": residual <= tolerance,
                 "residual": float(residual),
                 "tolerance": float(tolerance),
                 "detail": detail,
             }
         )
-        return ok
 
     max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     U = build_propagator(app, max_n=max_n)
@@ -443,12 +448,7 @@ def cmd_verify(args):
     ok = all(c["ok"] for c in checks)
     report = {"a": app.a, "N": N, "D": D, "M": M, "ok": ok, "checks": checks}
     _emit(args, write_json=_json(lambda: report))
-    if not ok:
-        for c in checks:
-            if not c["ok"]:
-                print(f"FAIL: {c['name']}", file=sys.stderr)
-        return 1
-    return 0
+    return _failed([c["name"] for c in checks if not c["ok"]])
 
 
 def _build_parser():
@@ -539,19 +539,7 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-
-
-def _exit_code(exc):
-    """The exit code of a ValueError that a command raised; imports no layer."""
-    if isinstance(exc, GridError):
-        return 4
-    # only the statistics layer raises UnsupportedClosedFormError, so an
-    # instance of it exists only once that layer has loaded
-    statistics = sys.modules.get(f"{__package__}.statistics")
-    if statistics is not None and isinstance(exc, statistics.UnsupportedClosedFormError):
-        return 3
-    return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry():

@@ -80,9 +80,9 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
 
 
 def base_levels(app):
-    """t = 6 phi in [0, 6N) of the D levels with l = 0, a list in eta order.
+    """Yield t = 6 phi in [0, 6N) of the D levels with l = 0, in eta order.
 
-    Entry eta - 1 is the base level eta = 1..D, at
+    The eta-th value is the base level eta = 1..D, at
     6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N), in Python
     ints; a huge a or N cannot overflow.
     """
@@ -90,24 +90,25 @@ def base_levels(app):
     size = 6 * N
     const = a * a * (M - 1) * (2 * M - 1) % size
     a %= N
-    return [(6 * e * (a - e) - const) % size for e in range(1, app.D + 1)]
+    return ((6 * e * (a - e) - const) % size for e in range(1, app.D + 1))
 
 
 def eigenphases(app):
     """Exact spectrum of the approximant: its period, from base_levels.
 
-    The base levels are reduced mod 6D; every t has the same residue mod 6,
-    so they fill the histogram over Z_D of u = (t mod 6D) // 6.  A period
-    of more than MAX_PERIOD levels is refused before any level is made.
+    The base levels are reduced mod 6D as they stream past, so no list of
+    them is held; every t has the same residue mod 6, so they fill the
+    histogram over Z_D of u = (t mod 6D) // 6, and rho is read off the last.
+    A period of more than MAX_PERIOD levels is refused before any level is
+    made.
     """
     if app.D > MAX_PERIOD:
         raise ValueError(f"period D = {app.D} exceeds the cap of {MAX_PERIOD} levels")
-    t = base_levels(app)
     block = 6 * app.D
     hist = [0] * app.D
-    for x in t:
-        hist[x % block // 6] += 1
-    return Spectrum(app, t[0] % 6, tuple(hist))
+    for t in base_levels(app):
+        hist[t % block // 6] += 1
+    return Spectrum(app, t % 6, tuple(hist))
 
 
 def _period(spec):

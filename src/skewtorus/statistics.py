@@ -58,6 +58,8 @@ DEFAULT_FOURIER_K = 10_000
 class UnsupportedClosedFormError(ValueError):
     """No closed form is implemented for this D."""
 
+    exit_code = 3
+
 
 class SpacingDistribution(namedtuple("SpacingDistribution", "atoms")):
     """Exact atomic spacing law: ((s, weight), ...) with weights summing to 1."""

@@ -1,0 +1,178 @@
+"""Mutation catalogue: deliberate faults that named tier-1 tests must catch.
+
+Run with numpy and pytest installed, from any directory:
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (file under src/skewtorus, old text, new text, the
+test ids that must kill it).  The named tests are first run once on an
+unchanged copy of src/ in a temporary directory, and must pass there.
+Then, for each entry, the script replaces the one occurrence of the old
+text with the new text in that copy, runs only the entry's tests with the
+copy first on PYTHONPATH (a test that starts a fresh interpreter finds it
+through the same path), and restores the file.  The mutant is killed when
+pytest reports a failed test.  No bytecode is written, since a mutant and
+the text it replaces can have the same size and the same mtime second.
+
+The script exits 1 when a mutant survives, when an old text does not occur
+exactly once in its file (so a refactor that rewrites a mutated line must
+update its entry), or when pytest ends in any other way: a mutant that
+cannot be imported or a test id that names no test kills nothing.  A
+survivor is mended by a stronger test, never by deleting its entry; an
+equivalent mutant may leave only with a proof of its equivalence in a
+comment.
+
+pytest does not collect this file: its name does not match test_*.py.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CLI = "tests/test_cli.py::"
+SPECTRUM = "tests/test_spectrum.py::"
+STATISTICS = "tests/test_statistics.py::"
+
+MUTANTS = [
+    # the exact layers
+    (
+        "spectrum.py",
+        "(6 * e * (a - e) - const) % size",
+        "(6 * e * (a - e) + const) % size",
+        [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
+    ),
+    (
+        "spectrum.py",
+        "Spectrum(app, t % 6, tuple(hist))",
+        "Spectrum(app, t % 3, tuple(hist))",
+        [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
+    ),
+    (
+        "statistics.py",
+        "return 0 if n % 4 == 2 else 2 * D * D // n",
+        "return D * D // n if n % 4 == 2 else 2 * D * D // n",
+        [STATISTICS + "test_gauss_sum_sq_closed_form_matches_gauss_sum"],
+    ),
+    (
+        "statistics.py",
+        "(math.pi**2 * (K + 0.5))",
+        "(math.pi**2 * (K + 1))",
+        [STATISTICS + "test_fourier_tail_bound_certified_and_tight"],
+    ),
+    (
+        "classical.py",
+        "p, q = (p + alpha) % 1, (q + 2 * p) % 1",
+        "p = (p + alpha) % 1; q = (q + 2 * p) % 1",
+        ["tests/test_classical.py::test_orbit_equals_step_iterated"],
+    ),
+    # verify's gates
+    (
+        "cli.py",
+        '"ok": residual <= tolerance,',
+        '"ok": residual <= 2 * tolerance,',
+        [CLI + "test_verify_gate_boundary"],
+    ),
+    (
+        "cli.py",
+        'worst, 1e-9 * N, f"n = 1..{2 * N}"',
+        'worst, 1e-6 * N, f"n = 1..{2 * N}"',
+        [CLI + "test_verify_gates_are_pinned"],
+    ),
+    (
+        "cli.py",
+        'record("unitarity", unitarity_defect(U), 1e-12)',
+        'record("unitarity", unitarity_defect(U), 1e-9)',
+        [CLI + "test_verify_gates_are_pinned", CLI + "test_verify_gate_boundary"],
+    ),
+    (
+        "cli.py",
+        "VERIFY_FOURIER_K = 2000",
+        "VERIFY_FOURIER_K = 20",
+        [CLI + "test_verify_gates_are_pinned"],
+    ),
+    # exit codes
+    (
+        "statistics.py",
+        "exit_code = 3",
+        "exit_code = 2",
+        [CLI + "test_exit_code_unsupported_closed_form", CLI + "test_exit_code_as_first_command"],
+    ),
+    (
+        "cli.py",
+        "exit_code = 4",
+        "exit_code = 2",
+        [CLI + "test_exit_code_bad_grid", CLI + "test_exit_code_table"],
+    ),
+    (
+        "cli.py",
+        'getattr(exc, "exit_code", 2)',
+        'getattr(exc, "exit_code", 1)',
+        [CLI + "test_exit_code_precision_exhausted", CLI + "test_exit_code_table"],
+    ),
+    (
+        "cli.py",
+        "return 1 if lines else 0",
+        "return 0",
+        [
+            CLI + "test_verify_gate_boundary",
+            CLI + "test_figure1_spot_check_failure_exits_1",
+            CLI + "test_witness_inconsistent_exits_1",
+        ],
+    ),
+]
+# Retired: spectrum._TAIL_CAP = 2^52 (the cap of the per-binade decimal
+# tails).  The constant is gone: cli.MAX_SPECTRUM_N = 2^50 refuses a longer
+# spectrum before any row is made, so no row reaches the repr path it bounded.
+
+
+def _pytest(src, tests):
+    """pytest's exit status for the tests run against the package in src."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(src) + (os.pathsep + path if path else ""),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    argv = ["-m", "pytest", "-q", "-x", "-W", "error", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def main():
+    problems = []
+    for name, old, new, _ in MUTANTS:
+        count = (ROOT / "src/skewtorus" / name).read_text().count(old)
+        if count != 1:
+            problems.append(f"{name}: {old!r} occurs {count} times, not once")
+    if problems:
+        sys.exit("\n".join(problems))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m[3]))
+        code, log = _pytest(src, tests)
+        if code != 0:
+            sys.exit(f"{log}\nthe named tests fail on the unchanged src/ (exit {code})")
+        for name, old, new, tests in MUTANTS:
+            path = src / "skewtorus" / name
+            text = path.read_text()
+            path.write_text(text.replace(old, new))
+            code, log = _pytest(src, tests)
+            path.write_text(text)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            print(f"{verdict}: {name}: {old!r} -> {new!r}", flush=True)
+            if code != 1:
+                problems.append(f"{name}: {new!r}: {verdict}\n{log}")
+    if problems:
+        sys.exit("\n".join(problems))
+    print(f"all {len(MUTANTS)} mutants killed")
+
+
+if __name__ == "__main__":
+    main()
