@@ -53,16 +53,15 @@ def orbit(pt0, alpha, T):
 
 
 def weyl_sum(pt0, alpha, mode, T):
-    """Birkhoff average (1/T) sum_t exp(2 pi i (m p_t + n q_t)) over the orbit."""
+    """Birkhoff average (1/T) sum_t exp(2 pi i (m p_t + n q_t)) over the orbit.
+
+    The mode is checked first, then T and alpha, by orbit.
+    """
     m, n = mode
     if m == 0 and n == 0:
         raise ValueError("mode (0,0) is the constant character; pick (m,n) != (0,0)")
-    if T < 1:
-        raise ValueError("T must be >= 1")
     acc = 0j
-    pt = pt0
-    for _ in range(T):
+    for pt in orbit(pt0, alpha, T):
         acc += cmath.exp(2j * math.pi * (m * float(pt.p) + n * float(pt.q)))
-        pt = step(pt, alpha)
     return acc / T
 

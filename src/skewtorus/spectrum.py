@@ -32,7 +32,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 from .diophantine import Approximant
 
@@ -48,11 +48,12 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
 
     rho is the residue t mod 6 of every level, and hist the histogram over
     Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
-    Python ints summing to D.  _sweeps is the direct number variance's
-    memo, the squared window counts Q(m) of the period for each window
-    width m it has read; like prefix, it is made only from hist, which
-    cannot change.  There are no __slots__: the cached
-    properties need an instance __dict__.
+    Python ints summing to D.  hist is the only stored form of the
+    positions: in spectrum order they are 0..D-1, u repeated hist[u] times.
+    _sweeps is the direct number variance's memo, the squared window counts
+    Q(m) of the period for each window width m it has read; it is made only
+    from hist, which cannot change.  There are no __slots__: the cached
+    property needs an instance __dict__.
     """
 
     @property
@@ -62,15 +63,6 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
     @cached_property
     def _sweeps(self):
         return {}
-
-    @cached_property
-    def prefix(self):
-        """C[k] = sum_{j<k} h_j, the levels of one period below k, for k <= D.
-
-        A list of Python ints; beyond one period it continues as
-        C[k + D] = C[k] + D.
-        """
-        return list(accumulate(self.hist, initial=0))
 
     @property
     def values(self):
@@ -112,38 +104,40 @@ def eigenphases(app):
 
 
 def _period(spec):
-    """(eta, u, l0): the D base levels in spectrum order, as array('q')s.
+    """(eta, l0): the D base levels in spectrum order, as array('q')s.
 
     Base level eta is at q = floor(phi) = D m + u, at u in Z_D in copy m of
     the period.  A counting sort over Z_D (bucket starts from the
     histogram, etas in increasing order) puts the levels in (u, eta) order,
-    hist[u] levels at each u in turn.  In copy m' the level has
-    l = (m' - m) mod M, so l0 = -m mod M is its l in copy 0.
+    hist[u] levels at each u in turn, so their positions are hist's and
+    are not stored.  In copy m' the level has l = (m' - m) mod M, so
+    l0 = -m mod M is its l in copy 0.
     """
     D, M = spec.app.D, spec.app.M
     start = array("q", accumulate(spec.hist, initial=0))
-    eta, u, l0 = (array("q", [0]) * D for _ in range(3))
+    eta, l0 = array("q", [0]) * D, array("q", [0]) * D
     for e, x in enumerate(base_levels(spec.app), 1):
         m, x = divmod(x // 6, D)
         i = start[x]
         start[x] = i + 1
         eta[i] = e
-        u[i] = x
         l0[i] = -m % M
-    return eta, u, l0
+    return eta, l0
 
 
 def _level_blocks(spec):
     """Yield the rows (eta, l, q) up to SPECTRUM_BLOCK at a time, in order.
 
     The N levels are the period (_period) tiled M times: the level at u in
-    copy m has q = D m + u.  A tile is k = min(M, SPECTRUM_BLOCK // D)
-    whole periods, laid out once as lists and shifted by D m in q and by m
-    in l; a period longer than SPECTRUM_BLOCK is cut into slices.  l and q
-    are lists of Python ints, q ascending.
+    copy m has q = D m + u, the positions u read off the histogram.  A tile
+    is k = min(M, SPECTRUM_BLOCK // D) whole periods, laid out once as
+    lists and shifted by D m in q and by m in l; a period longer than
+    SPECTRUM_BLOCK is cut into slices.  l and q are lists of Python ints,
+    q ascending.
     """
     D, M = spec.app.D, spec.app.M
-    eta, u, l0 = _period(spec)
+    eta, l0 = _period(spec)
+    u = array("q", chain.from_iterable(map(repeat, range(D), spec.hist)))
     k = max(1, min(M, SPECTRUM_BLOCK // D))
     if k > 1:
         eta = eta.tolist() * k

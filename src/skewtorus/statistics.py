@@ -17,8 +17,8 @@ phi and in L, and each route reads one period:
                  n the count in a window of length R), with
                  int n^2 = (1 - f) Q(w - 1) + f Q(w) for w = ceil(R) and
                  f = R - (w - 1): Q(m) sums the squared level counts of the
-                 D windows of m integer positions, one pass over the prefix
-                 sums of h, made once per width on each spectrum; exact
+                 D windows of m integer positions, one running sum over h,
+                 made once per width on each spectrum; exact
                  Fraction result, no tolerance at all;
   fourier        (2/pi^2) sum_k sin^2(k pi L / D) |S_D(k)|^2 / k^2 with the
                  quadratic Gauss sum S_D(k) = sum_eta exp(-2 pi i k eta^2 / D),
@@ -46,7 +46,7 @@ import cmath
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice
+from itertools import accumulate, chain, compress, cycle, islice
 from operator import mul, sub, truediv
 
 from .diophantine import approximants_with_gcd
@@ -116,12 +116,12 @@ def counting_function(spec, phi):
 
     A level at 6 u + rho is below 6 phi iff u < ceil(phi - rho/6) for
     integer u.  The levels repeat with period D, D of them per period, so
-    with ceil(phi - rho/6) = periods D + r that count is periods D + C[r],
-    C[r] (Spectrum.prefix) the levels of one period below r.  For phi < 0
-    it is minus the levels in [phi, 0).
+    with ceil(phi - rho/6) = periods D + r that count is periods D plus
+    h_0 + ... + h_{r-1}, the levels of one period below r.  For phi < 0 it
+    is minus the levels in [phi, 0).
     """
     periods, r = divmod(math.ceil(Fraction(phi) - Fraction(spec.rho, 6)), spec.app.D)
-    return periods * spec.app.D + spec.prefix[r]
+    return periods * spec.app.D + sum(islice(spec.hist, r))
 
 
 def number_variance_direct(spec, L):
@@ -162,16 +162,19 @@ def number_variance_direct(spec, L):
 
 
 def _window_squares(spec, m):
-    """Q(m) = sum_{k in Z_D} (C[k + m] - C[k])^2 for 1 <= m <= D, memoised.
+    """Q(m) = sum_{k in Z_D} n_k^2 for 1 <= m <= D, memoised.
 
-    C[k + m] - C[k] counts the levels at the m positions k..k+m-1 of the
-    period, with C of Spectrum.prefix continued past D as C[k] + D.
+    n_k = h_k + ... + h_{k+m-1}, indices mod D, counts the levels at the m
+    positions k..k+m-1 of the period.  The n_k are one running sum over the
+    histogram: n_0 = h_0 + ... + h_{m-1}, then n_{k+1} = n_k + h_{k+m} - h_k
+    for the D - 1 steps k = 0..D-2.
     """
     if m not in spec._sweeps:
-        C = spec.prefix
-        D = len(C) - 1
-        ahead = chain(islice(C, m, D), map(D.__add__, islice(C, m)))
-        spec._sweeps[m] = sum(n * n for n in map(sub, ahead, C))
+        h = spec.hist
+        n0 = sum(islice(h, m))
+        ahead = chain(islice(h, m, None), islice(h, m - 1))
+        n = list(accumulate(map(sub, ahead, h), initial=n0))
+        spec._sweeps[m] = sum(map(mul, n, n))
     return spec._sweeps[m]
 
 

@@ -52,6 +52,30 @@ MUTANTS = [
         [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
     ),
     (
+        "spectrum.py",
+        "map(repeat, range(D), spec.hist)",
+        "map(repeat, range(1, D + 1), spec.hist)",
+        [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
+    ),
+    (
+        "statistics.py",
+        "accumulate(map(sub, ahead, h), initial=n0)",
+        "accumulate(map(sub, ahead, h), initial=0)",
+        [
+            STATISTICS + "test_number_variance_direct_frozen",
+            STATISTICS + "test_window_squares_every_width_match_fraction_sweep",
+        ],
+    ),
+    (
+        "statistics.py",
+        "sum(islice(spec.hist, r))",
+        "sum(islice(spec.hist, r + 1))",
+        [
+            STATISTICS + "test_counting_function",
+            STATISTICS + "test_counting_function_matches_bisection",
+        ],
+    ),
+    (
         "statistics.py",
         "return 0 if n % 4 == 2 else 2 * D * D // n",
         "return D * D // n if n % 4 == 2 else 2 * D * D // n",

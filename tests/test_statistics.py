@@ -8,6 +8,7 @@ per level with ceil arithmetic; it shares no code with the library sweep.
 import cmath
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -255,6 +256,22 @@ def test_direct_sum_exceeds_int64():
     L = Fraction(1500001) - Fraction(1, 2)
     value = number_variance_direct(spec, L)
     assert value == number_variance_closed(1, L) == Fraction(1, 4)
+
+
+def test_direct_sweep_holds_no_prefix_list():
+    # The window counts are one running sum over the histogram, and for the
+    # widths 1..7 every count is a small int that Python caches, so a sweep
+    # holds one list of D references, 1.6 MB here.  A prefix list of the
+    # D + 1 partial sums, most of them ints of their own, read 8.0 MB.
+    spec = reduced_spectrum(200003)
+    tracemalloc.start()
+    try:
+        values = [number_variance_direct(spec, Fraction(2 * j + 1, 2)) for j in range(7)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(type(v) is Fraction and v > 0 for v in values)
+    assert peak <= 4 * 10**6, peak
 
 
 @pytest.mark.parametrize("M", [1, 2, 5, 64])
