@@ -23,7 +23,8 @@ statistics.UnsupportedClosedFormError 3), or 2 for one without it.  A failed
 check prints one FAIL line per check through _failed and exits 1.
     0  success
     1  a verification or spot check failed (the failing check is named)
-    2  precision exhausted (continued-fraction prefix too short), or bad input
+    2  precision exhausted (continued-fraction prefix too short), bad input,
+       or the output could not be written
     3  no closed form exists for the requested D
     4  invalid L grid
   141  the reader closed stdout before the output was complete, as `| head`
@@ -543,7 +544,7 @@ def main(argv=None):
 
 
 def entry():
-    """Console-script entry: main(), then a quiet exit if stdout was closed early."""
+    """Console-script entry: main(), and an exit without a traceback if a write fails."""
     try:
         code = main()
         sys.stdout.flush()
@@ -552,4 +553,10 @@ def entry():
         # interpreter exit cannot raise again, and exit without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except OSError as exc:
+        # a failed write (a full disk): one error line, and stdout at devnull
+        # as above, since the exit-time flush would fail on the same buffer
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
     raise SystemExit(code)

@@ -29,7 +29,7 @@ What this checks, candidly: V is a weighted permutation by inspection of X,
 and E is FFT rounding.  The checks are of the chain from the defining sum to
 w_m = e(-m^2/N), to the cycle products, to the traces, which are compared
 with spectrum.power_sums, the paper's trace formula over the exact levels
-(spectrum.base_levels).  The numeric route is kept as the matrix layer of
+(spectrum.eigenphases).  The numeric route is kept as the matrix layer of
 that chain, not as an independent proof that U is unitary.
 """
 

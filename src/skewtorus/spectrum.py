@@ -8,10 +8,11 @@ eigenphases are
 eta = 1..D, l = 0..M-1, reduced into [0, N).  They are rationals whose
 denominator divides 6, and all N of them share one residue rho = t mod 6
 of t = 6 phi, so a level is phi = q + rho/6 with the integer position
-q = floor(phi) in [0, N).
+q = floor(phi) in [0, N).  With 6 c + rho = -a^2 (M-1)(2M-1) mod 6N
+(_offset), q = l D + eta a - eta^2 + c mod N.
 
 Raising l by one moves a level by D in q, so the spectrum is M copies of
-one period: the D levels with l = 0 (base_levels), whose positions mod D
+one period: the D levels with l = 0, whose positions (c - eta^2) mod D
 make a histogram h over Z_D (h_r levels at every q = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
 spacing law, the direct number variance, the counting function, the power
@@ -23,7 +24,7 @@ float made per level: phi is num/den with one den and one num mod den for
 the whole spectrum, so its decimal is the digits of q and a tail that
 depends only on q's bit length (_tail).  The D-level block {-eta^2 mod D}
 (reduced_spectrum) is the spectrum of (0, D); every spectrum with
-gcd(a, N) = D has its histogram, up to a rotation of Z_D.
+gcd(a, N) = D has its histogram, moved by c mod D in Z_D.
 """
 
 import math
@@ -47,7 +48,7 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
     """The N eigenphases of one approximant, held as one period.
 
     rho is the residue t mod 6 of every level, and hist the histogram over
-    Z_D of the D base levels' positions u = (t mod 6D) // 6, as a tuple of
+    Z_D of the D base levels' positions u = q mod D, as a tuple of
     Python ints summing to D.  hist is the only stored form of the
     positions: in spectrum order they are 0..D-1, u repeated hist[u] times.
     _sweeps is the direct number variance's memo, the squared window counts
@@ -71,57 +72,55 @@ class Spectrum(namedtuple("Spectrum", "app rho hist")):
         return [Fraction(6 * x + rho, 6) for _, _, q in _level_blocks(self) for x in q]
 
 
-def base_levels(app):
-    """Yield t = 6 phi in [0, 6N) of the D levels with l = 0, in eta order.
+def _offset(app):
+    """(c, rho) with 6 c + rho = -a^2 (M-1)(2M-1) mod 6N, 0 <= rho < 6.
 
-    The eta-th value is the base level eta = 1..D, at
-    6 phi = 6 (l D + eta (a - eta)) - a^2 (M-1)(2M-1)  (mod 6N), in Python
-    ints; a huge a or N cannot overflow.
+    Base level eta (l = 0) is then at q = floor(phi) = (eta a - eta^2 + c)
+    mod N, and every level at phi = q + rho/6.  Python ints: a huge a or N
+    cannot overflow.
     """
-    a, N, M = app.a, app.N, app.M
-    size = 6 * N
-    const = a * a * (M - 1) * (2 * M - 1) % size
-    a %= N
-    return ((6 * e * (a - e) - const) % size for e in range(1, app.D + 1))
+    a, M = app.a, app.M
+    return divmod(-a * a * (M - 1) * (2 * M - 1) % (6 * app.N), 6)
 
 
 def eigenphases(app):
-    """Exact spectrum of the approximant: its period, from base_levels.
+    """Exact spectrum of the approximant: its period, from _offset.
 
-    The base levels are reduced mod 6D as they stream past, so no list of
-    them is held; every t has the same residue mod 6, so they fill the
-    histogram over Z_D of u = (t mod 6D) // 6, and rho is read off the last.
+    D divides a, so base level eta is at u = (c - eta^2) mod D in Z_D, which
+    the histogram counts over a full residue set of eta, with no level held.
     A period of more than MAX_PERIOD levels is refused before any level is
     made.
     """
     if app.D > MAX_PERIOD:
         raise ValueError(f"period D = {app.D} exceeds the cap of {MAX_PERIOD} levels")
-    block = 6 * app.D
-    hist = [0] * app.D
-    for t in base_levels(app):
-        hist[t % block // 6] += 1
-    return Spectrum(app, t % 6, tuple(hist))
+    D, (c, rho) = app.D, _offset(app)
+    hist = [0] * D
+    for e in range(D):
+        hist[(c - e * e) % D] += 1
+    return Spectrum(app, rho, tuple(hist))
 
 
 def _period(spec):
     """(eta, l0): the D base levels in spectrum order, as array('q')s.
 
-    Base level eta is at q = floor(phi) = D m + u, at u in Z_D in copy m of
-    the period.  A counting sort over Z_D (bucket starts from the
-    histogram, etas in increasing order) puts the levels in (u, eta) order,
-    hist[u] levels at each u in turn, so their positions are hist's and
-    are not stored.  In copy m' the level has l = (m' - m) mod M, so
-    l0 = -m mod M is its l in copy 0.
+    With c - eta^2 = D k + u (c from _offset), base level eta is at
+    q = D m + u, at u in Z_D in copy m = (eta a/D + k) mod M of the period.
+    A counting sort over Z_D (bucket starts from the histogram, etas in
+    increasing order) puts the levels in (u, eta) order, hist[u] levels at
+    each u in turn, so their positions are hist's and are not stored.  In
+    copy m' the level has l = (m' - m) mod M, so l0 = -m mod M is its l in
+    copy 0.
     """
     D, M = spec.app.D, spec.app.M
+    c, s = _offset(spec.app)[0], spec.app.a // D % M
     start = array("q", accumulate(spec.hist, initial=0))
     eta, l0 = array("q", [0]) * D, array("q", [0]) * D
-    for e, x in enumerate(base_levels(spec.app), 1):
-        m, x = divmod(x // 6, D)
-        i = start[x]
-        start[x] = i + 1
+    for e in range(1, D + 1):
+        k, u = divmod(c - e * e, D)
+        i = start[u]
+        start[u] = i + 1
         eta[i] = e
-        l0[i] = -m % M
+        l0[i] = -(e * s + k) % M
     return eta, l0
 
 

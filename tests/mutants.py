@@ -41,14 +41,35 @@ MUTANTS = [
     # the exact layers
     (
         "spectrum.py",
-        "(6 * e * (a - e) - const) % size",
-        "(6 * e * (a - e) + const) % size",
+        "divmod(-a * a * (M - 1)",
+        "divmod(a * a * (M - 1)",
         [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
     ),
     (
         "spectrum.py",
-        "Spectrum(app, t % 6, tuple(hist))",
-        "Spectrum(app, t % 3, tuple(hist))",
+        "Spectrum(app, rho, tuple(hist))",
+        "Spectrum(app, rho % 3, tuple(hist))",
+        [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
+    ),
+    (
+        "spectrum.py",
+        "hist[(c - e * e) % D] += 1",
+        "hist[-e * e % D] += 1",
+        [
+            SPECTRUM + "test_histogram_is_the_block_moved_by_the_offset",
+            SPECTRUM + "test_integer_spectrum_matches_fraction_build",
+        ],
+    ),
+    (
+        "spectrum.py",
+        "spec.app.a // D % M",
+        "spec.app.a % M",
+        [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
+    ),
+    (
+        "spectrum.py",
+        "l0[i] = -(e * s + k) % M",
+        "l0[i] = (e * s + k) % M",
         [SPECTRUM + "test_integer_spectrum_matches_fraction_build"],
     ),
     (
@@ -136,6 +157,12 @@ MUTANTS = [
         'getattr(exc, "exit_code", 2)',
         'getattr(exc, "exit_code", 1)',
         [CLI + "test_exit_code_precision_exhausted", CLI + "test_exit_code_table"],
+    ),
+    (
+        "cli.py",
+        "code = 2",
+        "code = 1",
+        [CLI + "test_failed_write_exits_2"],
     ),
     (
         "cli.py",

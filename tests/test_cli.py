@@ -753,6 +753,36 @@ def test_closed_stdout_exits_quietly_from_a_table():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--a", "5", "--N", "10"],
+        ["approx", "--N", "1000"],
+        ["verify", "--a", "3", "--N", "9"],
+        ["witness"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failed_write_exits_2(argv, to_out):
+    # every write to /dev/full fails with ENOSPC, through --out or stdout
+    out = ["--out", "/dev/full"] if to_out else []
+    with open(os.devnull if to_out else "/dev/full", "w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewtorus", *argv, *out],
+            env=_env(),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_runs_without_scipy():
     script = (
         "import sys\n"

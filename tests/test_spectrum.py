@@ -141,6 +141,20 @@ def test_degeneracy_profiles():
     assert max(reduced_spectrum(3).hist) == 2
 
 
+def test_histogram_is_the_block_moved_by_the_offset():
+    # base level eta sits at (c - eta^2) mod D, the block's -eta^2 mod D
+    # moved by c mod D: the rotation that verify's block checks rely on
+    moved = 0
+    for a, N in robustness_pairs() + [(6, 12288), (3, 4095), (0, 997)]:
+        app = Approximant(a, N)
+        D, shift = app.D, spectrum._offset(app)[0] % app.D
+        block = reduced_spectrum(D).hist
+        want = tuple(block[(r - shift) % D] for r in range(D))
+        assert eigenphases(app).hist == want, (a, N)
+        moved += want != block
+    assert moved  # some offsets move the histogram
+
+
 def test_spectrum_mod_d_is_m_copies():
     for a, N in rnd_pairs(16):
         app = Approximant(a, N)
