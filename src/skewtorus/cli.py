@@ -80,7 +80,10 @@ def __getattr__(name):
 
 
 FIGURE_DS = (1, 2, 3, 6, 8, 9)
+# The L of figure1's spot checks (series against direct, D = 8 and 9) and of
+# verify's number-variance checks (direct against the block and the series).
 FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
+VERIFY_LS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3))
 # Series order of verify's fourier check; its tail bound is the tolerance.
 VERIFY_FOURIER_K = 2000
 # Size caps (module docstring); each value takes a few seconds and well under
@@ -135,6 +138,18 @@ def _series_order(K):
     if not 1 <= K <= MAX_FOURIER_K:
         raise ValueError(f"--K {K} is outside 1..{MAX_FOURIER_K}")
     return K
+
+
+def _series_gaps(spec, Ls, K):
+    """|direct - fourier| at each L of Ls, and the series' truncation bound.
+
+    direct is spec's exact Sigma^2, fourier the order-K series at spec's D.
+    """
+    gaps = []
+    for L in Ls:
+        value, bound = number_variance_fourier(spec.app.D, L, K)
+        gaps.append(abs(float(number_variance_direct(spec, L)) - value))
+    return gaps, bound
 
 
 def _failed(lines):
@@ -321,21 +336,17 @@ def cmd_figure1(args):
         for L in Ls
     ]
 
-    bounds = {}
-    failures = []
-    spot_worst = 0.0
-    for D in (8, 9):
-        for L in FIGURE_SPOT_LS:
-            v, bounds[D] = number_variance_fourier(D, L, K)
-            gap = abs(float(number_variance_direct(blocks[D], L)) - v)
-            spot_worst = max(spot_worst, gap)
-            if gap > bounds[D]:
-                failures.append(
-                    f"spot check D={D} L={L}: |direct - fourier| = {gap!r} "
-                    f"exceeds bound {bounds[D]!r}"
-                )
+    spots = {D: _series_gaps(blocks[D], FIGURE_SPOT_LS, K) for D in (8, 9)}
+    failures = [
+        f"spot check D={D} L={L}: |direct - fourier| = {gap!r} exceeds bound {bound!r}"
+        for D, (gaps, bound) in spots.items()
+        for L, gap in zip(FIGURE_SPOT_LS, gaps)
+        if gap > bound
+    ]
     if failures:
         return _failed(failures)
+    bounds = {D: bound for D, (_, bound) in spots.items()}
+    spot_worst = max(max(gaps) for gaps, _ in spots.values())
 
     meta = (
         "D1,D2,D3,D6,D8,D9: direct-exact on the D-level block; "
@@ -397,55 +408,42 @@ def cmd_verify(args):
     _use("diophantine", "propagator", "spectrum", "statistics")
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
-    checks = []
-
-    def record(name, residual, tolerance, detail=""):
-        checks.append(
-            {
-                "name": name,
-                "ok": residual <= tolerance,
-                "residual": float(residual),
-                "tolerance": float(tolerance),
-                "detail": detail,
-            }
-        )
-
     max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     U = build_propagator(app, max_n=max_n)
-    record("unitarity", unitarity_defect(U), 1e-12)
-
     # the trace formula is the power sums of the exact spectrum
     spec = eigenphases(app)
     pairs = zip(trace_powers(U, 2 * N), power_sums(spec, 2 * N))
     worst = max(abs(x - y) for x, y in pairs)
-    record("trace-formula", worst, 1e-9 * N, f"n = 1..{2 * N}")
-
     # every statistic of (a, N) is that of its D-level block
     block = reduced_spectrum(D)
-    record(
-        "spacing-law",
-        0.0 if spacings(spec).atoms == spacings(block).atoms else 1.0,
-        0.0,
-        f"empirical vs D-level block, D={D}",
+    law = 0.0 if spacings(spec).atoms == spacings(block).atoms else 1.0
+    exact = max(
+        abs(number_variance_direct(spec, L) - number_variance_direct(block, L))
+        for L in VERIFY_LS
     )
-
-    sample_ls = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]
-    direct = {L: number_variance_direct(spec, L) for L in sample_ls}
-    worst = max(abs(direct[L] - number_variance_direct(block, L)) for L in sample_ls)
-    record(
-        "numvar-direct-vs-block",
-        float(worst),
-        0.0,
-        f"exact rational equality with the D-level block, D={D}",
-    )
-
-    worst = 0.0
-    bound = None
-    for L in sample_ls:
-        v, bound = number_variance_fourier(D, L, VERIFY_FOURIER_K)
-        worst = max(worst, abs(float(direct[L]) - v))
-    record("numvar-direct-vs-fourier", worst, bound, f"K={VERIFY_FOURIER_K}")
-
+    gaps, bound = _series_gaps(spec, VERIFY_LS, VERIFY_FOURIER_K)
+    table = [
+        ("unitarity", unitarity_defect(U), 1e-12, ""),
+        ("trace-formula", worst, 1e-9 * N, f"n = 1..{2 * N}"),
+        ("spacing-law", law, 0.0, f"empirical vs D-level block, D={D}"),
+        (
+            "numvar-direct-vs-block",
+            exact,
+            0.0,
+            f"exact rational equality with the D-level block, D={D}",
+        ),
+        ("numvar-direct-vs-fourier", max(gaps), bound, f"K={VERIFY_FOURIER_K}"),
+    ]
+    checks = [
+        {
+            "name": name,
+            "ok": residual <= tolerance,
+            "residual": float(residual),
+            "tolerance": float(tolerance),
+            "detail": detail,
+        }
+        for name, residual, tolerance, detail in table
+    ]
     ok = all(c["ok"] for c in checks)
     report = {"a": app.a, "N": N, "D": D, "M": M, "ok": ok, "checks": checks}
     _emit(args, write_json=_json(lambda: report))

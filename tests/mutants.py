@@ -129,8 +129,8 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        'record("unitarity", unitarity_defect(U), 1e-12)',
-        'record("unitarity", unitarity_defect(U), 1e-9)',
+        '("unitarity", unitarity_defect(U), 1e-12, ""),',
+        '("unitarity", unitarity_defect(U), 1e-9, ""),',
         [CLI + "test_verify_gates_are_pinned", CLI + "test_verify_gate_boundary"],
     ),
     (
@@ -138,6 +138,25 @@ MUTANTS = [
         "VERIFY_FOURIER_K = 2000",
         "VERIFY_FOURIER_K = 20",
         [CLI + "test_verify_gates_are_pinned"],
+    ),
+    # what the series cross-checks cover, and figure1's gate
+    (
+        "cli.py",
+        "VERIFY_LS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3))",
+        "VERIFY_LS = (Fraction(1, 2),)",
+        [CLI + "test_verify_series_check_covers_its_ls"],
+    ),
+    (
+        "cli.py",
+        "FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))",
+        "FIGURE_SPOT_LS = (Fraction(1),)",
+        [CLI + "test_figure1_spot_checks_cover_their_ls"],
+    ),
+    (
+        "cli.py",
+        "if gap > bound",
+        "if gap > 2 * bound",
+        [CLI + "test_figure1_spot_check_boundary"],
     ),
     # exit codes
     (

@@ -14,7 +14,12 @@ import pytest
 from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import Spectrum, eigenphases
-from skewtorus.statistics import _tail_bound, number_variance_closed
+from skewtorus.statistics import (
+    _tail_bound,
+    number_variance_closed,
+    number_variance_direct,
+    number_variance_fourier,
+)
 
 from oracles import sigma2_exact
 
@@ -231,6 +236,82 @@ def test_figure1_spot_check_failure_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "figure1", "--L", "0:9:10")
     assert code == 1 and out == ""
     assert "FAIL: spot check D=8" in err
+
+
+def test_figure1_spot_check_boundary(capsys, monkeypatch):
+    # a spot-check gap equal to the truncation bound passes; the next float
+    # above fails: the D = 8 block reads gap at every L and its series 0.0
+    bound = 1e-3
+
+    def run_with_gap(gap):
+        monkeypatch.setattr(
+            cli, "number_variance_direct", lambda spec, L: gap if spec.app.D == 8 else 0
+        )
+        monkeypatch.setattr(
+            cli, "number_variance_fourier", lambda D, L, K: (0.0, bound)
+        )
+        return run(capsys, "figure1", "--L", "0:9:10")
+
+    code, out, err = run_with_gap(bound)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(
+        "truncation bound D8<=0.001, D9<=0.001; "
+        "spot checks max |direct - fourier| = 0.001"
+    )
+    above = math.nextafter(bound, 1)
+    code, out, err = run_with_gap(above)
+    assert (code, out) == (1, "")
+    assert err == "".join(
+        f"FAIL: spot check D=8 L={L}: |direct - fourier| = {above!r} "
+        "exceeds bound 0.001\n"
+        for L in ("1/2", "1", "4")
+    )
+
+
+def _record_series_checks(monkeypatch):
+    """Patch cli's direct and fourier routes to log each call: (D, L) and (D, L, K)."""
+    direct, fourier = cli.number_variance_direct, cli.number_variance_fourier
+    calls = {"direct": [], "fourier": []}
+
+    def logged_direct(spec, L):
+        calls["direct"].append((spec.app.D, L))
+        return direct(spec, L)
+
+    def logged_fourier(D, L, K):
+        calls["fourier"].append((D, L, K))
+        return fourier(D, L, K)
+
+    monkeypatch.setattr(cli, "number_variance_direct", logged_direct)
+    monkeypatch.setattr(cli, "number_variance_fourier", logged_fourier)
+    return calls
+
+
+def _max_gap(spectra, Ls, K):
+    """max |float(exact direct Sigma^2) - series value| over the spectra and Ls."""
+    gaps = (
+        abs(float(number_variance_direct(s, L)) - number_variance_fourier(s.app.D, L, K)[0])
+        for s in spectra
+        for L in Ls
+    )
+    return max(gaps)
+
+
+def test_figure1_spot_checks_cover_their_ls(capsys, monkeypatch):
+    # the series is checked at D in {8, 9} x L in {1/2, 1, 4}, each once, and
+    # the reported worst gap is the largest of those six; the grid's L are
+    # off those values, so every other direct call is a column's
+    spots = {(D, L) for D in (8, 9) for L in (Fraction(1, 2), Fraction(1), Fraction(4))}
+    grid = {(D, Fraction(k, 3)) for D in (1, 2, 3, 6, 8, 9) for k in (1, 2)}
+    calls = _record_series_checks(monkeypatch)
+    argv = ["figure1", "--L", "1/3:2/3:2", "--K", "1000", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sorted(calls["fourier"]) == sorted((D, L, 1000) for D, L in spots)
+    assert sorted(calls["direct"]) == sorted(spots | grid)
+    blocks = [eigenphases(Approximant(0, D)) for D in (8, 9)]
+    meta = json.loads(out)["meta"]
+    assert meta["spot_check_worst"] == _max_gap(blocks, [L for _, L in spots], 1000)
+    assert meta["truncation_bounds"] == {f"D{D}": _tail_bound(D, 1000) for D in (8, 9)}
 
 
 def test_witness_reports_both_laws(capsys):
@@ -480,6 +561,23 @@ def test_verify_gate_boundary(capsys, monkeypatch):
     assert (code, err) == (1, "FAIL: unitarity\n")
     first = json.loads(out)["checks"][0]
     assert (first["ok"], first["residual"]) == (False, above)
+
+
+@pytest.mark.parametrize("a, N", [(3, 9), (24, 16)])
+def test_verify_series_check_covers_its_ls(capsys, monkeypatch, a, N):
+    # verify reads the spectrum and its block at L in {1/2, 1, 3/2, 7/3}, and
+    # the series at those L with K = 2000; its residual is the largest gap
+    Ls = {Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)}
+    calls = _record_series_checks(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--a", str(a), "--N", str(N))
+    assert code == 0
+    report = json.loads(out)
+    D = report["D"]
+    assert sorted(calls["fourier"]) == sorted((D, L, 2000) for L in Ls)
+    assert set(calls["direct"]) == {(D, L) for L in Ls}
+    check = report["checks"][-1]
+    assert check["name"] == "numvar-direct-vs-fourier"
+    assert check["residual"] == _max_gap([eigenphases(Approximant(a, N))], Ls, 2000)
 
 
 def test_verify_alpha_selection(capsys):
