@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI = "tests/test_cli.py::"
+PROPAGATOR = "tests/test_propagator.py::"
 SPECTRUM = "tests/test_spectrum.py::"
 STATISTICS = "tests/test_statistics.py::"
 
@@ -109,6 +110,27 @@ MUTANTS = [
         [STATISTICS + "test_fourier_tail_bound_certified_and_tight"],
     ),
     (
+        "propagator.py",
+        "off += np.vdot(rows, rows).real",
+        "off = np.vdot(rows, rows).real",
+        [PROPAGATOR + "test_row_block_momentum_matches_dense_oracle"],
+    ),
+    (
+        "propagator.py",
+        "np.max(np.abs(1 - mod2))",
+        "np.max(1 - mod2)",
+        [
+            PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix",
+            PROPAGATOR + "test_verify_fails_unitarity_on_corrupted_matrix",
+        ],
+    ),
+    (
+        "propagator.py",
+        " + e * e)",
+        ")",
+        [PROPAGATOR + "test_unitarity_bound_terms"],
+    ),
+    (
         "classical.py",
         "p, q = (p + alpha) % 1, (q + 2 * p) % 1",
         "p = (p + alpha) % 1; q = (q + 2 * p) % 1",
@@ -117,20 +139,20 @@ MUTANTS = [
     # verify's gates
     (
         "cli.py",
-        '"ok": residual <= tolerance,',
-        '"ok": residual <= 2 * tolerance,',
+        '"ok": all(r <= tolerance for r in residuals),',
+        '"ok": all(r <= 2 * tolerance for r in residuals),',
         [CLI + "test_verify_gate_boundary"],
     ),
     (
         "cli.py",
-        'worst, 1e-9 * N, f"n = 1..{2 * N}"',
-        'worst, 1e-6 * N, f"n = 1..{2 * N}"',
+        '1e-9 * N, f"n = 1..{2 * N}"',
+        '1e-6 * N, f"n = 1..{2 * N}"',
         [CLI + "test_verify_gates_are_pinned"],
     ),
     (
         "cli.py",
-        '("unitarity", unitarity_defect(U), 1e-12, ""),',
-        '("unitarity", unitarity_defect(U), 1e-9, ""),',
+        '("unitarity", [unitarity_defect(U)], 1e-12, ""),',
+        '("unitarity", [unitarity_defect(U)], 1e-9, ""),',
         [CLI + "test_verify_gates_are_pinned", CLI + "test_verify_gate_boundary"],
     ),
     (
@@ -154,9 +176,28 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "if gap > bound",
-        "if gap > 2 * bound",
+        "if not gap <= bound",
+        "if not gap <= 2 * bound",
         [CLI + "test_figure1_spot_check_boundary"],
+    ),
+    # each residual is judged before any reduction, and a NaN fails
+    (
+        "cli.py",
+        '"ok": all(r <= tolerance for r in residuals),',
+        '"ok": max(residuals) <= tolerance,',
+        [CLI + "test_verify_nan_residual_fails_its_check"],
+    ),
+    (
+        "cli.py",
+        "max(residuals, key=lambda r: (math.isnan(r), r))",
+        "max(residuals)",
+        [CLI + "test_verify_nan_residual_fails_its_check"],
+    ),
+    (
+        "cli.py",
+        "if not gap <= bound",
+        "if gap > bound",
+        [CLI + "test_figure1_nan_spot_check_fails"],
     ),
     # exit codes
     (

@@ -268,6 +268,23 @@ def test_figure1_spot_check_boundary(capsys, monkeypatch):
     )
 
 
+def test_figure1_nan_spot_check_fails(capsys, monkeypatch):
+    # the series is NaN at D = 8, L = 1 alone; a max() over D = 8's gaps
+    # would drop it behind the finite gap at L = 1/2, so each gap is gated
+    fourier = cli.number_variance_fourier
+    monkeypatch.setattr(
+        cli,
+        "number_variance_fourier",
+        lambda D, L, K: (math.nan, fourier(D, L, K)[1]) if (D, L) == (8, 1) else fourier(D, L, K),
+    )
+    code, out, err = run(capsys, "figure1", "--L", "0:1:2", "--K", "1000")
+    assert (code, out) == (1, "")
+    assert err == (
+        "FAIL: spot check D=8 L=1: |direct - fourier| = nan "
+        f"exceeds bound {_tail_bound(8, 1000)!r}\n"
+    )
+
+
 def _record_series_checks(monkeypatch):
     """Patch cli's direct and fourier routes to log each call: (D, L) and (D, L, K)."""
     direct, fourier = cli.number_variance_direct, cli.number_variance_fourier
@@ -561,6 +578,30 @@ def test_verify_gate_boundary(capsys, monkeypatch):
     assert (code, err) == (1, "FAIL: unitarity\n")
     first = json.loads(out)["checks"][0]
     assert (first["ok"], first["residual"]) == (False, above)
+
+
+@pytest.mark.parametrize("name", ["trace-formula", "numvar-direct-vs-fourier"])
+def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
+    # one NaN among finite residuals, never the first: Tr U^(2N), or the
+    # series at L = 1.  max() would drop it, so the check must judge each
+    # residual, and report the NaN as the largest
+    if name == "trace-formula":
+        traces = cli.trace_powers
+        monkeypatch.setattr(cli, "trace_powers", lambda U, n: traces(U, n)[:-1] + [math.nan])
+    else:
+        fourier = cli.number_variance_fourier
+        monkeypatch.setattr(
+            cli,
+            "number_variance_fourier",
+            lambda D, L, K: (math.nan, fourier(D, L, K)[1]) if L == 1 else fourier(D, L, K),
+        )
+    code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert (code, err) == (1, f"FAIL: {name}\n")
+    report = json.loads(out)
+    assert report["ok"] is False
+    for c in report["checks"]:
+        assert c["ok"] is (c["name"] != name), c
+        assert math.isnan(c["residual"]) is (c["name"] == name), c
 
 
 @pytest.mark.parametrize("a, N", [(3, 9), (24, 16)])

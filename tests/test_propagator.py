@@ -110,6 +110,20 @@ def test_unitarity_detector_sees_corruption():
     assert unitarity_defect(DenseMatrix(3, 1, bad)) > 0.1
 
 
+def test_unitarity_bound_terms():
+    # V = P W + E at N = 4, a = 1: weights 1, i, -1, 3/2 on the support
+    # m -> m + 1 and one off-support entry 1/2, so ||E||_F = 1/2.  The bound
+    # is max|1 - |w|^2| + 2 ||E||_F max|w| + ||E||_F^2 = 5/4 + 3/2 + 1/4,
+    # exact here: every FFT at N = 4 of these entries is exact
+    V = np.zeros((4, 4), dtype=complex)
+    for m, w in enumerate((1, 1j, -1, 1.5)):
+        V[(m + 1) % 4, m] = w
+    V[0, 0] = 0.5
+    U = DenseMatrix(4, 1, np.fft.ifft(np.fft.fft(V, axis=1), axis=0))
+    assert U.momentum[1] == 0.5
+    assert unitarity_defect(U) == 3.0
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         build_propagator(Approximant(1, 10), max_n=8)
@@ -220,9 +234,14 @@ def test_row_block_momentum_matches_dense_oracle(monkeypatch):
         w_ref, e_ref = momentum_two_buffer(dense_propagator(a, N), a)
         assert np.max(np.abs(w - w_ref)) <= 1e-14, (a, N)
         assert e < 1e-13 and e_ref < 1e-13, (a, N, e, e_ref)
+        assert e > 0 or N == 1, (a, N)
         for block in (1, 7, N):
             monkeypatch.setattr(propagator, "MOMENTUM_BLOCK", block)
-            assert np.array_equal(build_propagator(Approximant(a, N)).momentum[0], w), (a, N, block)
+            w_block, e_block = build_propagator(Approximant(a, N)).momentum
+            assert np.array_equal(w_block, w), (a, N, block)
+            # the blocks change only the order in which the N^2 terms of
+            # ||E||_F^2 are added; any order is within N^2 u of their sum
+            assert abs(e_block - e) <= N * N * 2.0**-53 * e, (a, N, block, e_block, e)
         monkeypatch.undo()
 
 
@@ -293,7 +312,12 @@ def _scaled(a, N):
     return DenseMatrix(N, a, 0.9 * dense_propagator(a, N))
 
 
-CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled}
+def _grown(a, N):
+    # weights of modulus above 1: 1 - |w|^2 < 0, so the bound needs its abs
+    return DenseMatrix(N, a, 1.1 * dense_propagator(a, N))
+
+
+CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled, "grown": _grown}
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
