@@ -140,16 +140,19 @@ def _series_order(K):
     return K
 
 
-def _series_gaps(spec, Ls, K):
-    """|direct - fourier| at each L of Ls, and the series' truncation bound.
-
-    direct is spec's exact Sigma^2, fourier the order-K series at spec's D.
-    """
+def _series_gaps(D, direct, K):
+    """|exact - fourier| at each (L, exact) of direct, and the order-K series' bound at D."""
     gaps = []
-    for L in Ls:
-        value, bound = number_variance_fourier(spec.app.D, L, K)
-        gaps.append(abs(float(number_variance_direct(spec, L)) - value))
+    for L, exact in direct:
+        value, bound = number_variance_fourier(D, L, K)
+        gaps.append(abs(float(exact) - value))
     return gaps, bound
+
+
+def _largest(residuals):
+    """The largest residual as a float, a NaN above every number; None (null) if not finite."""
+    worst = float(max(residuals, key=lambda r: (math.isnan(r), r)))
+    return worst if math.isfinite(worst) else None
 
 
 def _failed(lines):
@@ -160,12 +163,16 @@ def _failed(lines):
 
 
 def _json(payload):
-    """A JSON writer of payload(); payload() and json load only when it runs."""
+    """A JSON writer of payload(); payload() and json load only when it runs.
+
+    The JSON is strict (RFC 8259): a NaN or an infinity raises ValueError
+    rather than being written as the bare token NaN or Infinity.
+    """
 
     def write(out):
         import json
 
-        out.write(json.dumps(payload(), indent=2) + "\n")
+        out.write(json.dumps(payload(), indent=2, allow_nan=False) + "\n")
 
     return write
 
@@ -336,7 +343,10 @@ def cmd_figure1(args):
         for L in Ls
     ]
 
-    spots = {D: _series_gaps(blocks[D], FIGURE_SPOT_LS, K) for D in (8, 9)}
+    spots = {
+        D: _series_gaps(D, [(L, number_variance_direct(blocks[D], L)) for L in FIGURE_SPOT_LS], K)
+        for D in (8, 9)
+    }
     failures = [
         f"spot check D={D} L={L}: |direct - fourier| = {gap!r} exceeds bound {bound!r}"
         for D, (gaps, bound) in spots.items()
@@ -414,7 +424,8 @@ def cmd_verify(args):
     pairs = zip(trace_powers(U, 2 * N), power_sums(spec, 2 * N))
     # every statistic of (a, N) is that of its D-level block
     block = reduced_spectrum(D)
-    gaps, bound = _series_gaps(spec, VERIFY_LS, VERIFY_FOURIER_K)
+    direct = [(L, number_variance_direct(spec, L)) for L in VERIFY_LS]
+    gaps, bound = _series_gaps(D, direct, VERIFY_FOURIER_K)
     table = [
         ("unitarity", [unitarity_defect(U)], 1e-12, ""),
         ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = 1..{2 * N}"),
@@ -426,10 +437,7 @@ def cmd_verify(args):
         ),
         (
             "numvar-direct-vs-block",
-            [
-                abs(number_variance_direct(spec, L) - number_variance_direct(block, L))
-                for L in VERIFY_LS
-            ],
+            [abs(exact - number_variance_direct(block, L)) for L, exact in direct],
             0.0,
             f"exact rational equality with the D-level block, D={D}",
         ),
@@ -439,7 +447,7 @@ def cmd_verify(args):
         {
             "name": name,
             "ok": all(r <= tolerance for r in residuals),
-            "residual": float(max(residuals, key=lambda r: (math.isnan(r), r))),
+            "residual": _largest(residuals),
             "tolerance": float(tolerance),
             "detail": detail,
         }

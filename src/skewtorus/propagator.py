@@ -10,20 +10,23 @@ j, k = 0..N-1, with e(x) = exp(2 pi i x).  With F the DFT matrix
 
     V = F U F^-1 = X F^-1,
 
-and row l of V is one inverse FFT of row l of X.  Every exponent of X is an
-exact integer residue mod N indexing a single table of N-th roots of unity,
-so no phase accumulates.  Rows are independent, so V is made MOMENTUM_BLOCK
-rows at a time, each block read and dropped (Propagator.momentum); the N x N
-matrix is never held.
+and row l of V is one inverse FFT of row l of X.  Row l of X is the plane
+wave e(-m^2/N) e(-m j/N) with m = (l - a) mod N, so V is the weighted
+permutation V[(m + a) mod N, m] = w_m = e(-m^2/N), zero elsewhere.  Its
+rows are read in momentum order: the row of m is the inverse FFT of the
+roots e(-(m^2 + m j)/N), with w_m in column m whichever row l it is, so a
+enters neither w nor ||E||_F.  Each exponent is an exact integer residue
+mod N indexing one table of N-th roots of unity, so no phase accumulates.
+V is made MOMENTUM_BLOCK rows at a time, each block read and dropped
+(Propagator.momentum); the N x N matrix is never held.
 
-Row l of X is the plane wave e(-m^2/N) e(-m j/N) with m = l - a, so V is
-the weighted permutation V[(m + a) mod N, m] = w_m = e(-m^2/N), zero
-elsewhere.  The shift m -> m + a (mod N) splits the N momenta into
-D = gcd(a, N) cycles of length M = N/D, one per residue class mod D, which
-is how the paper derives the eigenphases.  Unitarity is bounded from |w_m|
-and the off-support remainder ||E||_F, and the numeric traces are the power
-sums of the M-th roots of the D cycle products of the w_m: O(N^2 log N) in
-all, with no eigensolve and no dense product.
+The shift m -> m + a (mod N) splits the N momenta into D = gcd(a, N)
+cycles of length M = N/D, one per residue class mod D, which is how the
+paper derives the eigenphases; a reaches the traces only through D.
+Unitarity is bounded from |w_m| and the off-support remainder ||E||_F, and
+the numeric traces are the power sums of the M-th roots of the D cycle
+products of the w_m: O(N^2 log N) in all, with no eigensolve and no dense
+product.
 
 What this checks, candidly: V is a weighted permutation by inspection of X,
 and E is FFT rounding.  The checks are of the chain from the defining sum to
@@ -71,17 +74,16 @@ class Propagator:
 
         V = X F^-1 = F U F^-1 is unitarily similar to U; it is the inverse
         FFT of the rows of X, which carries the 1/N.  E is V with the N
-        weights set to zero.  X is made MOMENTUM_BLOCK rows at a time, from
-        the exponents (-m^2 - m j) mod N with m = (l - a) mod N; a is
-        reduced as a Python int first, so the int64 exponents stay below
-        2 N^2.  Each block is inverse-transformed, read for w and its share
-        of |E|^2, and dropped; the exponents and X are written into two
-        buffers that every block reuses.
+        weights set to zero.  X is made MOMENTUM_BLOCK rows at a time in
+        momentum order, the row of m = 0..N-1 from the exponents
+        (-m^2 - m j) mod N, which stay below 2 N^2 in int64; w_m is in its
+        column m.  Each block is inverse-transformed, read for w and its
+        share of |E|^2, and dropped; the exponents and X are written into
+        two buffers that every block reuses.
         """
         import numpy as np
 
         N = self.N
-        shift = int(self.a) % N
         j = np.arange(N, dtype=np.int64)
         roots = np.exp(2j * np.pi * j / N)
         w = np.empty(N, dtype=complex)
@@ -92,17 +94,16 @@ class Propagator:
         exps = np.empty((MOMENTUM_BLOCK, N), dtype=np.int64)
         x = np.empty((MOMENTUM_BLOCK, N), dtype=complex)
         for start in range(0, N, MOMENTUM_BLOCK):
-            l = np.arange(start, min(start + MOMENTUM_BLOCK, N), dtype=np.int64)
-            m = (l - shift) % N
+            m = j[start : start + MOMENTUM_BLOCK]
             col = m.reshape(-1, 1)
-            e, xb = exps[: len(l)], x[: len(l)]
+            e, xb = exps[: len(m)], x[: len(m)]
             np.add(j, col, out=e)
             np.multiply(e, -col, out=e)
             np.remainder(e, N, out=e)
             # mode="clip" never clips a residue; it spares take the copy
             # it makes for out= in the default mode
             rows = np.fft.ifft(np.take(roots, e, out=xb, mode="clip"), axis=1)
-            i = l - start
+            i = m - start
             w[m] = rows[i, m]
             rows[i, m] = 0
             off += np.vdot(rows, rows).real

@@ -117,6 +117,12 @@ MUTANTS = [
     ),
     (
         "propagator.py",
+        "w[m] = rows[i, m]",
+        "w[m] = rows[i, (m + 1) % N]",
+        [PROPAGATOR + "test_row_block_momentum_matches_dense_oracle"],
+    ),
+    (
+        "propagator.py",
         "np.max(np.abs(1 - mod2))",
         "np.max(1 - mod2)",
         [
@@ -198,6 +204,26 @@ MUTANTS = [
         "if not gap <= bound",
         "if gap > bound",
         [CLI + "test_figure1_nan_spot_check_fails"],
+    ),
+    # the report is strict JSON: a NaN residual is written as null
+    (
+        "cli.py",
+        "return worst if math.isfinite(worst) else None",
+        "return worst",
+        [CLI + "test_verify_nan_residual_fails_its_check"],
+    ),
+    (
+        "cli.py",
+        "allow_nan=False",
+        "allow_nan=True",
+        [CLI + "test_json_writer_refuses_non_finite_floats"],
+    ),
+    # each direct value is computed once and shared by the block and series checks
+    (
+        "cli.py",
+        "abs(exact - number_variance_direct(block, L))",
+        "abs(exact - exact)",
+        [CLI + "test_verify_wrong_block_fails_spacing_law"],
     ),
     # exit codes
     (

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +43,15 @@ def _python(*args):
     return subprocess.run(
         [sys.executable, *args], env=_env(), capture_output=True, text=True, timeout=60
     )
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_approx_single(capsys):
@@ -584,7 +594,8 @@ def test_verify_gate_boundary(capsys, monkeypatch):
 def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
     # one NaN among finite residuals, never the first: Tr U^(2N), or the
     # series at L = 1.  max() would drop it, so the check must judge each
-    # residual, and report the NaN as the largest
+    # residual, and report the NaN as the largest: as null, since the
+    # report is strict JSON, which has no NaN
     if name == "trace-formula":
         traces = cli.trace_powers
         monkeypatch.setattr(cli, "trace_powers", lambda U, n: traces(U, n)[:-1] + [math.nan])
@@ -597,11 +608,18 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
         )
     code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
     assert (code, err) == (1, f"FAIL: {name}\n")
-    report = json.loads(out)
+    report = _strict_json(out)
     assert report["ok"] is False
     for c in report["checks"]:
         assert c["ok"] is (c["name"] != name), c
-        assert math.isnan(c["residual"]) is (c["name"] == name), c
+        assert (c["residual"] is None) is (c["name"] == name), c
+
+
+def test_json_writer_refuses_non_finite_floats():
+    # strict JSON has no NaN or Infinity token: the writer raises instead
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cli._json(lambda: {"residual": value})(io.StringIO())
 
 
 @pytest.mark.parametrize("a, N", [(3, 9), (24, 16)])
@@ -615,7 +633,8 @@ def test_verify_series_check_covers_its_ls(capsys, monkeypatch, a, N):
     report = json.loads(out)
     D = report["D"]
     assert sorted(calls["fourier"]) == sorted((D, L, 2000) for L in Ls)
-    assert set(calls["direct"]) == {(D, L) for L in Ls}
+    # each L once on the spectrum and once on its block, both of that D
+    assert Counter(calls["direct"]) == {(D, L): 2 for L in Ls}
     check = report["checks"][-1]
     assert check["name"] == "numvar-direct-vs-fourier"
     assert check["residual"] == _max_gap([eigenphases(Approximant(a, N))], Ls, 2000)

@@ -222,6 +222,19 @@ def test_momentum_form_is_computed_once():
     assert w.shape == (9,) and 0 <= e < 1e-14
 
 
+def test_momentum_form_does_not_depend_on_a():
+    # the rows are read in momentum order, and the row of momentum m holds
+    # w_m in column m whichever row l = (m + a) mod N it is, so w and
+    # ||E||_F are the same bits for every a: a = 0 and a = N (D = N), a >= N
+    # and a huge a.  The sizes hold N below one block and N > B that ends
+    # in a part block
+    for N in (1, 7, 12, 16, 60, 272):
+        w, e = Propagator(N, 1).momentum
+        for a in (0, 3, N, N + 5, 2 * N, 10**30 + 7):
+            w_a, e_a = Propagator(N, a).momentum
+            assert np.array_equal(w_a, w) and e_a == e, (a, N)
+
+
 def test_row_block_momentum_matches_dense_oracle(monkeypatch):
     # the weights do not depend on how the rows are blocked; the cases
     # hold N below one block and N > B that ends in a part block
