@@ -50,7 +50,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 import skewtorus
 
@@ -150,8 +150,8 @@ def _series_gaps(D, direct, K):
 
 
 def _largest(residuals):
-    """The largest residual as a float, a NaN above every number; None (null) if not finite."""
-    worst = float(max(residuals, key=lambda r: (math.isnan(r), r)))
+    """The largest residual (a NaN above all) as a float; None (null) if not finite or empty."""
+    worst = float(max(residuals, key=lambda r: (math.isnan(r), r), default=math.nan))
     return worst if math.isfinite(worst) else None
 
 
@@ -414,21 +414,21 @@ def cmd_witness(args):
 
 
 def cmd_verify(args):
-    """Cross-method checks of one approximant: each passes when all its residuals do."""
+    """Cross-method checks of one approximant: each passes when it has residuals and all pass."""
     _use("diophantine", "propagator", "spectrum", "statistics")
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
     U = build_propagator(app, max_n=DEFAULT_MAX_N if args.max_n is None else args.max_n)
-    # the trace formula is the power sums of the exact spectrum
+    # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
-    pairs = zip(trace_powers(U, 2 * N), power_sums(spec, 2 * N))
+    pairs = zip_longest(trace_powers(U, 2 * N), power_sums(spec, 2 * N), fillvalue=math.nan)
     # every statistic of (a, N) is that of its D-level block
     block = reduced_spectrum(D)
     direct = [(L, number_variance_direct(spec, L)) for L in VERIFY_LS]
     gaps, bound = _series_gaps(D, direct, VERIFY_FOURIER_K)
     table = [
         ("unitarity", [unitarity_defect(U)], 1e-12, ""),
-        ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = 1..{2 * N}"),
+        ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
         (
             "spacing-law",
             [0.0 if spacings(spec).atoms == spacings(block).atoms else 1.0],
@@ -446,7 +446,7 @@ def cmd_verify(args):
     checks = [
         {
             "name": name,
-            "ok": all(r <= tolerance for r in residuals),
+            "ok": bool(residuals) and all(r <= tolerance for r in residuals),
             "residual": _largest(residuals),
             "tolerance": float(tolerance),
             "detail": detail,

@@ -150,16 +150,15 @@ def unitarity_defect(U):
 
 
 def trace_powers(U, n_max):
-    """[Tr U^1, ..., Tr U^n_max] as power sums of the momentum-form eigenvalues.
+    """[Tr U^(kM) for k = 1..n_max // M] as power sums of the momentum-form eigenvalues.
 
     P W splits into D cycles of length M; on cycle r (the momenta
     m = r mod D) its M-th power is c_r times the identity, with c_r the
     product of the cycle's weights, so its eigenvalues are the M M-th roots
-    of c_r.  Their n-th power sum is M c_r^(n/M) when M divides n and
-    exactly 0 otherwise (the M-th roots of unity sum to zero), so
-    Tr U^n = M sum_r c_r^(n/M) on the M-lattice.  The c_r^k come from one
-    running product over the D cycles: O(N + D n_max / M) after the
-    momentum form.
+    of c_r.  Their n-th power sum is M c_r^(n/M) when M divides n and 0
+    otherwise (the M-th roots of unity sum to zero), so only the M-lattice
+    is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one running
+    product over the D cycles: O(N + D n_max / M) after the momentum form.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
     ||E||_2 of one of U's.  For the traces themselves,
@@ -183,9 +182,9 @@ def trace_powers(U, n_max):
     D = math.gcd(int(U.a), N)
     M = N // D
     cycles = np.prod(w.reshape(M, D), axis=0)
-    out = np.zeros(n_max, dtype=complex)
     power = np.ones(D, dtype=complex)
-    for n in range(M, n_max + 1, M):
+    out = []
+    for _ in range(n_max // M):
         power *= cycles
-        out[n - 1] = M * power.sum()
-    return out.tolist()
+        out.append(complex(M * power.sum()))
+    return out

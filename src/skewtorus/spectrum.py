@@ -16,7 +16,8 @@ one period: the D levels with l = 0, whose positions (c - eta^2) mod D
 make a histogram h over Z_D (h_r levels at every q = r mod D, sum h = D).
 A Spectrum holds that period as Python ints, O(D) memory at any N; the
 spacing law, the direct number variance, the counting function, the power
-sums (the paper's trace formula) and the sorted values are read off it.
+sums of the trace formula (on the M-lattice n = k M) and the sorted values
+are read off it.
 A row of the spectrum is (eta, l, q).  The rows are tiled from the period
 in Python, at most SPECTRUM_BLOCK at a time, so writing them holds O(D)
 memory and loads no numpy.  A block becomes text in one % format, with no
@@ -165,7 +166,7 @@ def reduced_spectrum(D):
 
 
 def power_sums(spec, n_max):
-    """[Tr U^1, ..., Tr U^n_max] by the paper's trace formula.
+    """[Tr U^(kM) for k = 1..n_max // M] by the paper's trace formula.
 
     Tr U_N^n is the eigenvalue power sum sum_j e(n phi_j / N) of the exact
     spectrum, e(x) = e^(2 pi i x), which the eigenphase formula turns into
@@ -173,12 +174,12 @@ def power_sums(spec, n_max):
         Tr U_N^n = M delta_{n mod M, 0} sum_{eta=1}^{D}
                    e(n (-eta^2 + eta a - a^2 (M-1)(2M-1)/6) / N).
 
-    With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m
-    vanishes unless n = k M, so every other sum is exactly 0j.  At n = k M
-    it is M e(k rho / 6D) sum_r h_r e(k r / D): N times one inverse FFT of
-    length D over the histogram, read at k mod D.  k rho is reduced mod 6D
-    in integers; only the FFT and the phase factor round.  verify compares
-    these with the numeric traces (propagator.trace_powers).
+    With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m is
+    that delta, so only the M-lattice n = k M <= n_max is returned.  There
+    the sum is M e(k rho / 6D) sum_r h_r e(k r / D): N times one inverse
+    FFT of length D over the histogram, read at k mod D.  k rho is reduced
+    mod 6D in integers; only the FFT and the phase factor round.  verify
+    compares these with the numeric traces (propagator.trace_powers).
     """
     import numpy as np
 
@@ -188,9 +189,7 @@ def power_sums(spec, n_max):
     size = 6 * D
     k = np.arange(1, n_max // M + 1)
     phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
-    sums = [0j] * n_max
-    sums[M - 1 :: M] = (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
-    return sums
+    return (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")

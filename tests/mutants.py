@@ -136,6 +136,25 @@ MUTANTS = [
         ")",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
+    # the trace formula on the M-lattice
+    (
+        "spectrum.py",
+        "[k % D]",
+        "[(k + 1) % D]",
+        [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
+    ),
+    (
+        "spectrum.py",
+        "* spec.rho",
+        "* (spec.rho + 1)",
+        [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
+    ),
+    (
+        "propagator.py",
+        "range(n_max // M)",
+        "range(n_max // M - 1)",
+        [CLI + "test_verify_fails_a_trace_it_did_not_compare"],
+    ),
     (
         "classical.py",
         "p, q = (p + alpha) % 1, (q + 2 * p) % 1",
@@ -145,14 +164,14 @@ MUTANTS = [
     # verify's gates
     (
         "cli.py",
-        '"ok": all(r <= tolerance for r in residuals),',
-        '"ok": all(r <= 2 * tolerance for r in residuals),',
+        "all(r <= tolerance for r in residuals)",
+        "all(r <= 2 * tolerance for r in residuals)",
         [CLI + "test_verify_gate_boundary"],
     ),
     (
         "cli.py",
-        '1e-9 * N, f"n = 1..{2 * N}"',
-        '1e-6 * N, f"n = 1..{2 * N}"',
+        '1e-9 * N, f"n = kM, k = 1..{2 * D}"',
+        '1e-6 * N, f"n = kM, k = 1..{2 * D}"',
         [CLI + "test_verify_gates_are_pinned"],
     ),
     (
@@ -189,15 +208,22 @@ MUTANTS = [
     # each residual is judged before any reduction, and a NaN fails
     (
         "cli.py",
-        '"ok": all(r <= tolerance for r in residuals),',
-        '"ok": max(residuals) <= tolerance,',
+        "all(r <= tolerance for r in residuals)",
+        "max(residuals) <= tolerance",
         [CLI + "test_verify_nan_residual_fails_its_check"],
     ),
     (
         "cli.py",
-        "max(residuals, key=lambda r: (math.isnan(r), r))",
-        "max(residuals)",
+        "key=lambda r: (math.isnan(r), r), ",
+        "",
         [CLI + "test_verify_nan_residual_fails_its_check"],
+    ),
+    # a check compares every trace, and one with no residual fails
+    (
+        "cli.py",
+        "bool(residuals) and ",
+        "",
+        [CLI + "test_verify_fails_a_trace_it_did_not_compare"],
     ),
     (
         "cli.py",

@@ -550,7 +550,7 @@ def test_orbit_reduces_alpha_exactly(capsys):
 def _verify_gates(N, D):
     return [
         ("unitarity", 1e-12, ""),
-        ("trace-formula", 1e-9 * N, f"n = 1..{2 * N}"),
+        ("trace-formula", 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
         ("spacing-law", 0.0, f"empirical vs D-level block, D={D}"),
         (
             "numvar-direct-vs-block",
@@ -613,6 +613,28 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
     for c in report["checks"]:
         assert c["ok"] is (c["name"] != name), c
         assert (c["residual"] is None) is (c["name"] == name), c
+
+
+@pytest.mark.parametrize("short", ["last", "all", "both"])
+def test_verify_fails_a_trace_it_did_not_compare(capsys, monkeypatch, short):
+    # (3, 9) has 2D = 6 lattice traces, and verify passes with all of them.
+    # A trace missing from one side (the last, or every one) is a NaN
+    # residual, not a pair that zip drops; with no trace on either side the
+    # check has no residual at all, and fails, where all([]) would pass it
+    code, out, _ = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert code == 0
+    traces, sums = cli.trace_powers, cli.power_sums
+    keep = -1 if short == "last" else 0
+    monkeypatch.setattr(cli, "trace_powers", lambda U, n: traces(U, n)[:keep])
+    if short == "both":
+        monkeypatch.setattr(cli, "power_sums", lambda spec, n: sums(spec, n)[:0])
+    code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
+    assert (code, err) == (1, "FAIL: trace-formula\n")
+    report = _strict_json(out)
+    assert report["ok"] is False
+    for c in report["checks"]:
+        assert c["ok"] is (c["name"] != "trace-formula"), c
+        assert (c["residual"] is None) is (c["name"] == "trace-formula"), c
 
 
 def test_json_writer_refuses_non_finite_floats():

@@ -138,18 +138,18 @@ def test_trace_examples_1_3():
     assert abs(trace_power_numeric(U, 1)) < 1e-10
     want = 3 * cmath.exp(2j * math.pi / 3)
     assert abs(trace_power_numeric(U, 3) - want) < 1e-10
-    analytic = power_sums(eigenphases(app), 3)
-    assert abs(analytic[2] - want) < 1e-12
-    assert analytic[0] == 0j
+    analytic = power_sums(eigenphases(app), 3)  # M = 3: n = 3 alone
+    assert len(analytic) == 1
+    assert abs(analytic[0] - want) < 1e-12
 
 
 def test_trace_examples_3_9():
     app = Approximant(3, 9)
     U = dense_propagator(3, 9)
-    analytic = power_sums(eigenphases(app), 3)
-    assert analytic[1] == 0j  # n mod M != 0 is exactly zero
+    analytic = power_sums(eigenphases(app), 3)  # M = 3: n = 3 alone
+    assert len(analytic) == 1
     assert abs(trace_power_numeric(U, 2)) < 1e-9 * 9
-    assert abs(abs(analytic[2]) - 3 * math.sqrt(3)) < 1e-12
+    assert abs(abs(analytic[0]) - 3 * math.sqrt(3)) < 1e-12
     assert abs(abs(trace_power_numeric(U, 3)) - 3 * math.sqrt(3)) < 1e-9 * 9
 
 
@@ -162,11 +162,14 @@ def test_trace_power_zero_is_dimension():
 
 def test_analytic_modulus_periodic_in_n():
     # the n-dependence of |Tr U^n| has period N (the exponent shifts by a
-    # global, eta-independent phase under n -> n + N)
+    # global, eta-independent phase under n -> n + N): on the M-lattice
+    # n = k M, period D in k
     for a, N in [(3, 9), (24, 16), (14, 10)]:
+        D = Approximant(a, N).D
         sums = power_sums(eigenphases(Approximant(a, N)), 5 * N)
-        for n in range(1, 2 * N + 1):
-            z1, z2, z3 = sums[n - 1], sums[n + N - 1], sums[n + 3 * N - 1]
+        assert len(sums) == 5 * D
+        for k in range(1, 2 * D + 1):
+            z1, z2, z3 = sums[k - 1], sums[k + D - 1], sums[k + 3 * D - 1]
             assert abs(abs(z1) - abs(z2)) < 1e-12
             assert abs(abs(z1) - abs(z3)) < 1e-12
 
@@ -176,8 +179,9 @@ def test_numeric_matches_analytic_sweep():
         app = Approximant(a, N)
         numeric = trace_powers(build_propagator(app), 2 * N)
         analytic = power_sums(eigenphases(app), 2 * N)
-        for n in range(1, 2 * N + 1):
-            assert abs(numeric[n - 1] - analytic[n - 1]) < 1e-9 * N, (a, N, n)
+        assert len(numeric) == len(analytic) == 2 * app.D, (a, N)
+        for k, (x, y) in enumerate(zip(numeric, analytic), 1):
+            assert abs(x - y) < 1e-9 * N, (a, N, k)
 
 
 def test_randomized_trace_routes_cross_check():
@@ -186,14 +190,18 @@ def test_randomized_trace_routes_cross_check():
         app = Approximant(a, N)
         numeric = trace_powers(build_propagator(app), 2 * N)
         analytic = power_sums(eigenphases(app), 2 * N)
-        for n in range(1, 2 * N + 1):
-            assert abs(numeric[n - 1] - analytic[n - 1]) <= 1e-9 * N, (a, N, n)
+        assert len(numeric) == len(analytic) == 2 * app.D, (a, N)
+        for k, (x, y) in enumerate(zip(numeric, analytic), 1):
+            assert abs(x - y) <= 1e-9 * N, (a, N, k)
 
 
 def test_trace_powers_agrees_with_matrix_power():
+    # (8, 5) has D = 1 and M = 5: n = 5 is the one lattice point up to 7
     series = trace_powers(build_propagator(Approximant(8, 5)), 7)
-    for n in (1, 2, 5, 7):
-        assert abs(series[n - 1] - trace_power_numeric(dense_propagator(8, 5), n)) < 1e-12
+    assert len(series) == 1
+    assert abs(series[0] - trace_power_numeric(dense_propagator(8, 5), 5)) < 1e-12
+    for n in (1, 2, 7):
+        assert abs(trace_power_numeric(dense_propagator(8, 5), n)) < 1e-12
 
 
 def test_circulant_build_matches_lsum_oracle():
@@ -204,15 +212,18 @@ def test_circulant_build_matches_lsum_oracle():
 
 
 def test_eigenvalue_traces_match_running_product():
-    # against the running matrix product and the dense eigensolve
+    # against the running matrix product and the dense eigensolve: the
+    # lattice traces at n = k M, and the oracles' traces vanish off it
     for a, N in TRACE_SET + EDGE_SET:
-        U = build_propagator(Approximant(a, N))
-        fast = trace_powers(U, 2 * N)
-        assert len(fast) == 2 * N
+        app = Approximant(a, N)
+        M = app.M
+        fast = trace_powers(build_propagator(app), 2 * N)
+        assert len(fast) == 2 * app.D
         entries = dense_propagator(a, N)
         for slow in (traces_running_product(entries, 2 * N), eigvals_power_sums(entries, 2 * N)):
-            gap = max(abs(x - y) for x, y in zip(fast, slow))
-            assert gap <= 1e-9 * N, (a, N, gap)
+            gap = max(abs(x - y) for x, y in zip(fast, slow[M - 1 :: M]))
+            off = max((abs(z) for n, z in enumerate(slow, 1) if n % M), default=0.0)
+            assert max(gap, off) <= 1e-9 * N, (a, N, gap, off)
 
 
 def test_momentum_form_is_computed_once():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from skewtorus import cli, spectrum
-from skewtorus.diophantine import Approximant
+from skewtorus.diophantine import Approximant, golden, nearest_approximant
 from skewtorus.spectrum import (
     Spectrum,
     eigenphases,
@@ -25,6 +25,7 @@ from skewtorus.spectrum import (
     spectrum_to_csv,
     spectrum_to_json,
 )
+from skewtorus.statistics import _gauss_sum_sq
 
 from oracles import (
     eigenphases_fraction,
@@ -181,10 +182,12 @@ def test_power_sums_validation():
     spec = eigenphases(Approximant(1, 3))
     with pytest.raises(ValueError):
         power_sums(spec, 0)
+    # M = 3: n_max = 2 reaches no lattice point, n_max = 3 the one at n = 3
+    assert power_sums(spec, 2) == []
     sums = power_sums(spec, 3)
     # n=3 turns each e^(2 pi i phi/3) into e^(2 pi i phi): 3 e^(2 pi i /3)
-    assert abs(sums[2] - 3 * complex(-0.5, 3**0.5 / 2)) < 1e-12
-    assert abs(sums[0]) < 1e-12
+    assert len(sums) == 1
+    assert abs(sums[0] - 3 * complex(-0.5, 3**0.5 / 2)) < 1e-12
 
 
 def test_fft_power_sums_match_fraction_loop():
@@ -199,11 +202,30 @@ def test_fft_power_sums_match_fraction_loop():
         N, M = spec.N, spec.app.M
         fast = power_sums(spec, n_max)
         slow = power_sums_fraction(spec, n_max)
-        assert len(fast) == n_max
+        assert len(fast) == n_max // M
         assert all(type(z) is complex for z in fast)
-        assert all(z == 0 for n, z in enumerate(fast, 1) if n % M), (spec, n_max)
-        gap = max(abs(x - y) for x, y in zip(fast, slow))
-        assert gap <= 1e-12 * N, (spec, n_max, gap)
+        # the library returns the M-lattice n = k M; off it the sums vanish
+        gaps = [abs(x - y) for x, y in zip(fast, slow[M - 1 :: M])]
+        gaps += [abs(z) for n, z in enumerate(slow, 1) if n % M]
+        assert max(gaps) <= 1e-12 * N, (spec, n_max, max(gaps))
+
+
+def test_power_sums_form_factor_is_the_gauss_sum():
+    # |Tr U^(kM)|^2 = M^2 |S_D(k)|^2, the closed form that the fourier route
+    # reads (statistics._gauss_sum_sq), at every (a, N) with N <= 64 and
+    # a <= 2N, and at the golden approximant N = 10^12 (D = 1250), where
+    # the 2D = 2500 lattice traces up to n = 2N are all that is made.  The
+    # tolerance is relative to N^2, the largest |Tr U^n|^2
+    apps = [Approximant(a, N) for N in range(1, 65) for a in range(2 * N + 1)]
+    apps.append(nearest_approximant(golden(), 10**12))
+    assert apps[-1].D == 1250
+    for app in apps:
+        N, D, M = app.N, app.D, app.M
+        sums = power_sums(eigenphases(app), 2 * N)
+        assert len(sums) == 2 * D, app
+        for k, z in enumerate(sums, 1):
+            gap = abs(abs(z) ** 2 - M * M * _gauss_sum_sq(D, k))
+            assert gap <= 1e-12 * N * N, (app, k, gap)
 
 
 def test_spectrum_csv():
