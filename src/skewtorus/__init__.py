@@ -44,14 +44,12 @@ _LAYERS = {
         "spectrum_to_json",
     ),
     "propagator": (
-        "DEFAULT_MAX_N",
         "Propagator",
         "build_propagator",
         "trace_powers",
         "unitarity_defect",
     ),
     "statistics": (
-        "DEFAULT_FOURIER_K",
         "DivergenceWitness",
         "SpacingDistribution",
         "UnsupportedClosedFormError",

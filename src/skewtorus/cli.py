@@ -41,7 +41,9 @@ MemoryError or running without end: an L grid has at most MAX_L_STEPS =
 series order --K of numvar --method fourier and figure1 at most
 MAX_FOURIER_K = 1000000 terms, a spectrum's period D = gcd(a, N) at most
 spectrum.MAX_PERIOD = 2000000 levels, and the spectrum command's N at most
-MAX_SPECTRUM_N = 2^50 rows (each exit 2).
+MAX_SPECTRUM_N = 2^50 rows (each exit 2).  The series also refuses a D whose
+2 D^2 is past the float range, D above about 9.48e153 (exit 2), where its
+float coefficients would overflow.
 """
 
 import argparse
@@ -86,6 +88,15 @@ FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
 VERIFY_LS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3))
 # Series order of verify's fourier check; its tail bound is the tolerance.
 VERIFY_FOURIER_K = 2000
+# verify's dimension guard (--max-N).  Memory does not bound N (the momentum
+# pass holds 40 MOMENTUM_BLOCK N bytes, see propagator.py); the guard caps
+# run time, which grows as N^2 log N: verify --a 1 --N 16384 takes about
+# 6 s at 42 MB peak RSS (2-vCPU VM, one BLAS thread).
+DEFAULT_MAX_N = 16384
+# Series order of numvar --method fourier and figure1 without --K.
+DEFAULT_FOURIER_K = 10_000
+# Family size of approx --D and witness without --count.
+DEFAULT_COUNT = 3
 # Size caps (module docstring); each value takes a few seconds and well under
 # 200 MB: numvar --method closed over 100000 steps, orbit over 10^6 points,
 # the series over 10^6 terms (its phase table holds up to K + 1 floats).
@@ -242,7 +253,7 @@ def cmd_approx(args):
             raise ValueError("--count sizes a --D family, not a single --N")
         apps = [nearest_approximant(alpha, args.N)]
     else:
-        count = 3 if args.count is None else args.count
+        count = DEFAULT_COUNT if args.count is None else args.count
         apps = approximants_with_gcd(alpha, args.D, count)
     fields = ("a", "N", "D", "M")
     rows = [(x.a, x.N, x.D, x.M) for x in apps]
@@ -418,7 +429,9 @@ def cmd_verify(args):
     _use("diophantine", "propagator", "spectrum", "statistics")
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
-    U = build_propagator(app, max_n=DEFAULT_MAX_N if args.max_n is None else args.max_n)
+    if N > args.max_n:
+        raise ValueError(f"N={N} exceeds the dimension guard max_n={args.max_n}")
+    U = build_propagator(app)
     # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
     pairs = zip_longest(trace_powers(U, 2 * N), power_sums(spec, 2 * N), fillvalue=math.nan)
@@ -479,7 +492,7 @@ def _build_parser():
     p = add("approx", cmd_approx, "nearest approximants a/N or a gcd family")
     p.add_argument("--N", type=int, help="single dimension N")
     p.add_argument("--D", type=int, help="family with gcd(a, N) = D")
-    p.add_argument("--count", type=int, help="family size, with --D (default 3)")
+    p.add_argument("--count", type=int, help=f"family size, with --D (default {DEFAULT_COUNT})")
 
     for name, func, help_text in (
         ("spectrum", cmd_spectrum, "exact eigenphases (eta, l, value)"),
@@ -500,8 +513,7 @@ def _build_parser():
     p.add_argument(
         "--K",
         type=int,
-        # statistics.DEFAULT_FOURIER_K, written out so that --help loads no layer
-        help="series truncation order (method fourier; default 10000)",
+        help=f"series truncation order (method fourier; default {DEFAULT_FOURIER_K})",
     )
     p.add_argument("--poisson", action="store_true", help="append Sigma^2 = L rows")
 
@@ -509,14 +521,14 @@ def _build_parser():
         "figure1", cmd_figure1, "six number-variance curves, one column per D",
         alpha=False,
     )
-    p.add_argument("--L", default="0:9:451", help="L grid (default 0:9:451)")
+    p.add_argument("--L", default="0:9:451", help="L grid (default %(default)s)")
     p.add_argument("--K", type=int, help="series truncation order")
 
     p = add(
         "witness", cmd_witness, "two approximant families, two spacing laws",
         json_form=False,
     )
-    p.add_argument("--count", type=int, default=3, help="members per family")
+    p.add_argument("--count", type=int, default=DEFAULT_COUNT, help="members per family")
 
     p = add("orbit", cmd_orbit, "classical orbit CSV t,p,q", json_form=False)
     p.add_argument("--p", type=float, default=0.0)
@@ -533,8 +545,8 @@ def _build_parser():
         "--max-N",
         dest="max_n",
         type=int,
-        # propagator.DEFAULT_MAX_N, written out so that --help loads no layer
-        help="dimension guard for matrix work (default 16384)",
+        default=DEFAULT_MAX_N,
+        help="dimension guard for matrix work (default %(default)s)",
     )
 
     return parser

@@ -44,11 +44,7 @@ import math
 # its int64 exponents (8 B N) and X (16 B N), in two buffers made once and
 # reused, and the inverse FFT of X (16 B N), dropped before the next
 # block's is made; tracemalloc reads 42.7 B N at B = 16, N = 2048, the O(N)
-# terms included.  At B = 16 that is 10.5 MB even at N = 16384, so
-# memory does not bound N: the guard caps run time, which grows as
-# N^2 log N.  verify --a 1 --N 16384 takes about 6 s at 42 MB peak RSS
-# (2-vCPU VM, one BLAS thread).
-DEFAULT_MAX_N = 16384
+# terms included.  At B = 16 that is 10.5 MB even at N = 16384.
 # Rows of X transformed at a time, sized for memory: from 8 to 256 rows the
 # momentum time does not grow as the block shrinks (N = 16384: 5.3 s at 16
 # rows, 7.8 s at 256), while peak RSS grows with it (41 and 191 MB).
@@ -111,16 +107,9 @@ class Propagator:
         return w, math.sqrt(off)
 
 
-def build_propagator(app, max_n=DEFAULT_MAX_N):
-    """U_N for the approximant, guarded by max_n.
-
-    Raises ValueError when N exceeds max_n, before any work; the momentum
-    form is computed on first use.
-    """
-    N = app.N
-    if N > max_n:
-        raise ValueError(f"N={N} exceeds the dimension guard max_n={max_n}")
-    return Propagator(N, app.a)
+def build_propagator(app):
+    """U_N for the approximant; the momentum form is computed on first use."""
+    return Propagator(app.N, app.a)
 
 
 def unitarity_defect(U):
@@ -171,7 +160,7 @@ def trace_powers(U, n_max):
     Measured for verify --a 1: 4.2e-9, 1.8e-8 and 7.0e-8 at N = 4096, 8192
     and 16384.  verify's tolerance 1e-9 N grows only as N (1.6e-5 at
     N = 16384, a margin of 235x); the two cross near N = 4e6, far above
-    DEFAULT_MAX_N.  The tolerance is not widened to reach past that.
+    cli.DEFAULT_MAX_N.  The tolerance is not widened to reach past that.
     """
     import numpy as np
 

@@ -44,6 +44,7 @@ Degenerate eigenphases contribute genuine atoms at s = 0.
 
 import cmath
 import math
+import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, islice
@@ -51,8 +52,6 @@ from operator import mul, sub, truediv
 
 from .diophantine import approximants_with_gcd
 from .spectrum import eigenphases
-
-DEFAULT_FOURIER_K = 10_000
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -207,7 +206,7 @@ def _gauss_sum_sq(D, k):
     return 0 if n % 4 == 2 else 2 * D * D // n
 
 
-def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
+def number_variance_fourier(D, L, K):
     """Truncated Gauss-sum series for Sigma^2_D(L); returns (value, bound).
 
     value = (2/pi^2) sum_{k=1}^{K} sin^2(k pi L / D) |S_D(k)|^2 / k^2.
@@ -228,9 +227,14 @@ def number_variance_fourier(D, L, K=DEFAULT_FOURIER_K):
     (e.g. D = 1 at integer L gives exactly 0), and the coefficient
     sin^2 |S_D|^2 is a lookup table of period P = D * denominator(L): it
     holds min(P, K + 1) floats, one per residue the series reaches.
+
+    The coefficients and the bound are floats, so a D whose 2 D^2 is past
+    the float range (D above about 9.48e153) is refused before any table.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
+    if 2 * D * D > sys.float_info.max:
+        raise ValueError(f"D={D} is too large: 2 D^2 exceeds the float range")
     if K < 1:
         raise ValueError("K must be >= 1")
     ks = range(1, K + 1)

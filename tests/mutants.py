@@ -286,6 +286,38 @@ MUTANTS = [
             CLI + "test_witness_inconsistent_exits_1",
         ],
     ),
+    # the command line's defaults and refusals
+    (
+        "cli.py",
+        "if N > args.max_n:",
+        "if N >= args.max_n:",
+        [CLI + "test_dimension_guard"],
+    ),
+    (
+        "cli.py",
+        "DEFAULT_MAX_N = 16384",
+        "DEFAULT_MAX_N = 16383",
+        [CLI + "test_cli_defaults_are_pinned"],
+    ),
+    (
+        "cli.py",
+        "DEFAULT_FOURIER_K = 10_000",
+        "DEFAULT_FOURIER_K = 10_001",
+        [CLI + "test_cli_defaults_are_pinned"],
+    ),
+    (
+        "cli.py",
+        "DEFAULT_COUNT = 3",
+        "DEFAULT_COUNT = 4",
+        [CLI + "test_default_count_is_three"],
+    ),
+    (
+        "statistics.py",
+        "    if 2 * D * D > sys.float_info.max:\n"
+        '        raise ValueError(f"D={D} is too large: 2 D^2 exceeds the float range")\n',
+        "",
+        [CLI + "test_exit_code_table", CLI + "test_fourier_admits_d_within_the_float_range"],
+    ),
 ]
 # Retired: spectrum._TAIL_CAP = 2^52 (the cap of the per-binade decimal
 # tails).  The constant is gone: cli.MAX_SPECTRUM_N = 2^50 refuses a longer

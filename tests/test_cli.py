@@ -757,6 +757,10 @@ def test_python_m_skewtorus_help():
         ("spectrum --a 1 --N 1125899906842625", 2, False),
         ("verify --a 1 --N 16385", 2, False),
         ("verify --a 1 --N 20 --max-N 10", 2, False),
+        # exit 2: a series D whose 2 D^2 is past the float range, refused
+        # before any table rather than ending in an OverflowError
+        (f"numvar --method fourier --D {10**154} --L 1/3 --K 10", 2, False),
+        (f"numvar --method fourier --D {10**200} --L 0 --K 10", 2, False),
         # exit 3: no closed form for this D
         ("numvar --method closed --D 4 --L 1", 3, False),
         ("numvar --method closed --D 5 --L 1", 3, False),
@@ -842,6 +846,35 @@ def test_size_caps_admit_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "orbit", lambda pt, alpha, T: seen.append(T) or [pt])
     code, out, _ = run(capsys, "orbit", "--alpha", "0.7", "--T", "1000000")
     assert (code, out, seen) == (0, "t,p,q\n0,0.0,0.0\n", [1_000_000])
+
+
+def test_dimension_guard(capsys, monkeypatch):
+    # N = --max-N is admitted; the exit-code table refuses an N above it
+    code, out, err = run(capsys, "verify", "--a", "1", "--N", "10", "--max-N", "10")
+    assert (code, err) == (0, "") and _strict_json(out)["ok"] is True
+    # N = DEFAULT_MAX_N reaches the propagator, stubbed since the real run takes seconds
+    seen = []
+
+    def build(app):
+        seen.append(app.N)
+        raise ValueError("built")
+
+    monkeypatch.setattr(cli, "build_propagator", build)
+    assert run(capsys, "verify", "--a", "1", "--N", "16384") == (2, "", "error: built\n")
+    assert seen == [16384]
+
+
+def test_fourier_admits_d_within_the_float_range(capsys):
+    # 2 D^2 fits a float for D = 10^153 and for the largest such D; one more is refused
+    largest = math.isqrt(int(sys.float_info.max) // 2)
+    argv = ("numvar", "--method", "fourier", "--L", "1/3", "--K", "10", "--D")
+    for D in (10**153, largest):
+        code, out, err = run(capsys, *argv, str(D))
+        assert (code, err) == (0, ""), D
+        _, value, _, _, bound = out.splitlines()[1].split(",")
+        assert math.isfinite(float(value)) and math.isfinite(float(bound)), D
+    code, out, err = run(capsys, *argv, str(largest + 1))
+    assert (code, out) == (2, "") and err.endswith("2 D^2 exceeds the float range\n")
 
 
 def test_period_cap_boundary(capsys, monkeypatch):
@@ -1007,6 +1040,7 @@ NO_NUMPY_COMMANDS = [
     ("numvar --method closed --D 3 --N 100 --L 1", 2),
     ("numvar --method direct --D 3 --L 1 --K 5", 2),
     ("approx --alpha golden --N 1000 --count 7", 2),
+    ("verify --a 1 --N 16385", 2),
     ("numvar --D 5 --L 1 --method closed", 3),
     ("numvar --D 3 --L 3:1:5", 4),
 ]
@@ -1142,19 +1176,28 @@ def test_exit_code_as_first_command(argv, code):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-def test_numvar_help_names_the_fourier_default(capsys):
-    from skewtorus.statistics import DEFAULT_FOURIER_K
+def test_cli_defaults_are_pinned():
+    # README and CI quote these values
+    assert (cli.DEFAULT_MAX_N, cli.DEFAULT_FOURIER_K) == (16384, 10_000)
 
+
+def test_default_count_is_three(capsys):
+    family = run(capsys, "approx", "--alpha", "golden", "--D", "3")
+    assert family == run(capsys, "approx", "--alpha", "golden", "--D", "3", "--count", "3")
+    assert family[0] == 0 and family[1].count("\n") == 1 + 3
+    witness = run(capsys, "witness")
+    assert witness[0] == 0 and witness == run(capsys, "witness", "--count", "3")
+
+
+def test_numvar_help_names_the_fourier_default(capsys):
     with pytest.raises(SystemExit):
         cli.main(["numvar", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert f"(method fourier; default {DEFAULT_FOURIER_K})" in help_text
+    assert f"(method fourier; default {cli.DEFAULT_FOURIER_K})" in help_text
 
 
 def test_verify_help_names_the_guard_default(capsys):
-    from skewtorus.propagator import DEFAULT_MAX_N
-
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert f"dimension guard for matrix work (default {DEFAULT_MAX_N})" in help_text
+    assert f"dimension guard for matrix work (default {cli.DEFAULT_MAX_N})" in help_text

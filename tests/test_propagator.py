@@ -124,14 +124,6 @@ def test_unitarity_bound_terms():
     assert unitarity_defect(U) == 3.0
 
 
-def test_dimension_guard():
-    with pytest.raises(ValueError):
-        build_propagator(Approximant(1, 10), max_n=8)
-    with pytest.raises(ValueError):
-        build_propagator(Approximant(1, 16385))
-    build_propagator(Approximant(1, 10), max_n=10)
-
-
 def test_trace_examples_1_3():
     app = Approximant(1, 3)
     U = dense_propagator(1, 3)
@@ -357,7 +349,7 @@ def test_unitarity_fails_on_corrupted_matrix(kind):
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_propagator", lambda app, max_n: CORRUPTIONS[kind](app.a, app.N))
+    monkeypatch.setattr(cli, "build_propagator", lambda app: CORRUPTIONS[kind](app.a, app.N))
     assert cli.main(["verify", "--a", "3", "--N", "9"]) == 1
     captured = capsys.readouterr()
     assert "FAIL: unitarity" in captured.err

@@ -535,7 +535,7 @@ def test_fourier_fft_table_matches_gauss_sum_oracle():
     # that 0 exactly, one gauss_sum per residue leaves about 1e-33.  K = 50
     # stops the series inside one period of the tables for D > 50 and for
     # P = D * den(L) > 50
-    K = statistics.DEFAULT_FOURIER_K
+    K = 10_000
     for D in list(range(1, 41)) + [97, 256]:
         for L in FOURIER_ORACLE_LS:
             for order in (K, 50):
@@ -545,7 +545,7 @@ def test_fourier_fft_table_matches_gauss_sum_oracle():
                 assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-30), (
                     D, L, order,
                 )
-    assert number_variance_fourier(2, 5) == (0.0, _tail_bound(2, K))
+    assert number_variance_fourier(2, 5, K) == (0.0, _tail_bound(2, K))
 
 
 def test_closed_frozen_values():
