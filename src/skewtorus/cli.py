@@ -34,16 +34,17 @@ The L grid syntax is "min:max:steps" (steps >= 2, max > min >= 0), or a
 single rational value such as "1", "0.25", or "7/3".  L is written out as a
 float, so a value beyond the float range is an invalid grid.
 
-Five sizes taken from the command line are capped, and checked before
+Six sizes taken from the command line are capped, and checked before
 anything is built, so an oversized value is refused rather than ending in a
 MemoryError or running without end: an L grid has at most MAX_L_STEPS =
 100000 steps (exit 4); orbit --T at most MAX_ORBIT_T = 1000000 points, the
 series order --K of numvar --method fourier and figure1 at most
 MAX_FOURIER_K = 1000000 terms, a spectrum's period D = gcd(a, N) at most
-spectrum.MAX_PERIOD = 2000000 levels, and the spectrum command's N at most
-MAX_SPECTRUM_N = 2^50 rows (each exit 2).  The series also refuses a D whose
-2 D^2 is past the float range, D above about 9.48e153 (exit 2), where its
-float coefficients would overflow.
+spectrum.MAX_PERIOD = 2000000 levels, the spectrum command's N at most
+MAX_SPECTRUM_N = 2^50 rows, and verify's N at most MAX_VERIFY_N =
+16384 (each exit 2).  The series also refuses a D whose 2 D^2 is past the
+float range, D above about 9.48e153 (exit 2), where its float coefficients
+would overflow.
 """
 
 import argparse
@@ -88,11 +89,6 @@ FIGURE_SPOT_LS = (Fraction(1, 2), Fraction(1), Fraction(4))
 VERIFY_LS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3))
 # Series order of verify's fourier check; its tail bound is the tolerance.
 VERIFY_FOURIER_K = 2000
-# verify's dimension guard (--max-N).  Memory does not bound N (the momentum
-# pass holds 40 MOMENTUM_BLOCK N bytes, see propagator.py); the guard caps
-# run time, which grows as N^2 log N: verify --a 1 --N 16384 takes about
-# 6 s at 42 MB peak RSS (2-vCPU VM, one BLAS thread).
-DEFAULT_MAX_N = 16384
 # Series order of numvar --method fourier and figure1 without --K.
 DEFAULT_FOURIER_K = 10_000
 # Family size of approx --D and witness without --count.
@@ -105,6 +101,11 @@ MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
 # spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
 MAX_SPECTRUM_N = 1 << 50
+# verify's N.  The momentum pass holds only 40 MOMENTUM_BLOCK N bytes (see
+# propagator.py), so the cap bounds run time, which grows as N^2 log N:
+# verify --a 1 --N 16384 takes about 6 s at 42 MB peak RSS (2-vCPU VM, one
+# BLAS thread).
+MAX_VERIFY_N = 16384
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
 
@@ -429,8 +430,8 @@ def cmd_verify(args):
     _use("diophantine", "propagator", "spectrum", "statistics")
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
-    if N > args.max_n:
-        raise ValueError(f"N={N} exceeds the dimension guard max_n={args.max_n}")
+    if N > MAX_VERIFY_N:
+        raise ValueError(f"--N {N} exceeds verify's cap of {MAX_VERIFY_N}")
     U = build_propagator(app)
     # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
@@ -522,18 +523,22 @@ def _build_parser():
         alpha=False,
     )
     p.add_argument("--L", default="0:9:451", help="L grid (default %(default)s)")
-    p.add_argument("--K", type=int, help="series truncation order")
+    p.add_argument(
+        "--K", type=int, help=f"series truncation order (default {DEFAULT_FOURIER_K})"
+    )
 
     p = add(
         "witness", cmd_witness, "two approximant families, two spacing laws",
         json_form=False,
     )
-    p.add_argument("--count", type=int, default=DEFAULT_COUNT, help="members per family")
+    p.add_argument(
+        "--count", type=int, default=DEFAULT_COUNT, help="members per family (default %(default)s)"
+    )
 
     p = add("orbit", cmd_orbit, "classical orbit CSV t,p,q", json_form=False)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--T", type=int, default=1000)
+    p.add_argument("--p", type=float, default=0.0, help="initial p (default %(default)s)")
+    p.add_argument("--q", type=float, default=0.0, help="initial q (default %(default)s)")
+    p.add_argument("--T", type=int, default=1000, help="orbit points (default %(default)s)")
 
     p = add(
         "verify", cmd_verify, "cross-method consistency suite, JSON report",
@@ -541,13 +546,6 @@ def _build_parser():
     )
     p.add_argument("--N", type=int, help="dimension N")
     p.add_argument("--a", type=int, help="use (a, N) directly instead of --alpha")
-    p.add_argument(
-        "--max-N",
-        dest="max_n",
-        type=int,
-        default=DEFAULT_MAX_N,
-        help="dimension guard for matrix work (default %(default)s)",
-    )
 
     return parser
 

@@ -160,7 +160,7 @@ def trace_powers(U, n_max):
     Measured for verify --a 1: 4.2e-9, 1.8e-8 and 7.0e-8 at N = 4096, 8192
     and 16384.  verify's tolerance 1e-9 N grows only as N (1.6e-5 at
     N = 16384, a margin of 235x); the two cross near N = 4e6, far above
-    cli.DEFAULT_MAX_N.  The tolerance is not widened to reach past that.
+    cli.MAX_VERIFY_N.  The tolerance is not widened to reach past that.
     """
     import numpy as np
 

@@ -289,14 +289,14 @@ MUTANTS = [
     # the command line's defaults and refusals
     (
         "cli.py",
-        "if N > args.max_n:",
-        "if N >= args.max_n:",
+        "if N > MAX_VERIFY_N:",
+        "if N >= MAX_VERIFY_N:",
         [CLI + "test_dimension_guard"],
     ),
     (
         "cli.py",
-        "DEFAULT_MAX_N = 16384",
-        "DEFAULT_MAX_N = 16383",
+        "MAX_VERIFY_N = 16384",
+        "MAX_VERIFY_N = 16383",
         [CLI + "test_cli_defaults_are_pinned"],
     ),
     (

@@ -755,8 +755,12 @@ def test_python_m_skewtorus_help():
         ("spacing --a 0 --N 2000001", 2, False),
         # exit 2: a spectrum of more than MAX_SPECTRUM_N = 2^50 rows
         ("spectrum --a 1 --N 1125899906842625", 2, False),
+        # exit 2: a verify N above MAX_VERIFY_N, refused before any array is
+        # made; no option raises the cap
         ("verify --a 1 --N 16385", 2, False),
-        ("verify --a 1 --N 20 --max-N 10", 2, False),
+        ("verify --a 1 --N 100000000000", 2, False),
+        ("verify --alpha golden --N 1000000000000", 2, False),
+        ("verify --a 1 --N 16385 --max-N 20000", 2, True),
         # exit 2: a series D whose 2 D^2 is past the float range, refused
         # before any table rather than ending in an OverflowError
         (f"numvar --method fourier --D {10**154} --L 1/3 --K 10", 2, False),
@@ -849,10 +853,8 @@ def test_size_caps_admit_the_cap(capsys, monkeypatch):
 
 
 def test_dimension_guard(capsys, monkeypatch):
-    # N = --max-N is admitted; the exit-code table refuses an N above it
-    code, out, err = run(capsys, "verify", "--a", "1", "--N", "10", "--max-N", "10")
-    assert (code, err) == (0, "") and _strict_json(out)["ok"] is True
-    # N = DEFAULT_MAX_N reaches the propagator, stubbed since the real run takes seconds
+    # N = MAX_VERIFY_N reaches the propagator, stubbed since the real run
+    # takes seconds; the exit-code table refuses an N above it
     seen = []
 
     def build(app):
@@ -1041,6 +1043,8 @@ NO_NUMPY_COMMANDS = [
     ("numvar --method direct --D 3 --L 1 --K 5", 2),
     ("approx --alpha golden --N 1000 --count 7", 2),
     ("verify --a 1 --N 16385", 2),
+    ("verify --a 1 --N 100000000000", 2),
+    ("verify --alpha golden --N 1000000000000", 2),
     ("numvar --D 5 --L 1 --method closed", 3),
     ("numvar --D 3 --L 3:1:5", 4),
 ]
@@ -1178,7 +1182,7 @@ def test_exit_code_as_first_command(argv, code):
 
 def test_cli_defaults_are_pinned():
     # README and CI quote these values
-    assert (cli.DEFAULT_MAX_N, cli.DEFAULT_FOURIER_K) == (16384, 10_000)
+    assert (cli.MAX_VERIFY_N, cli.DEFAULT_FOURIER_K) == (16384, 10_000)
 
 
 def test_default_count_is_three(capsys):
@@ -1189,15 +1193,18 @@ def test_default_count_is_three(capsys):
     assert witness[0] == 0 and witness == run(capsys, "witness", "--count", "3")
 
 
-def test_numvar_help_names_the_fourier_default(capsys):
+@pytest.mark.parametrize(
+    "command, phrase",
+    [
+        ("numvar", f"(method fourier; default {cli.DEFAULT_FOURIER_K})"),
+        ("approx", f"family size, with --D (default {cli.DEFAULT_COUNT})"),
+        ("figure1", f"series truncation order (default {cli.DEFAULT_FOURIER_K})"),
+        ("witness", f"members per family (default {cli.DEFAULT_COUNT})"),
+        ("orbit", "--p P initial p (default 0.0) --q Q initial q (default 0.0)"),
+        ("orbit", "--T T orbit points (default 1000)"),
+    ],
+)
+def test_help_names_each_numeric_default(capsys, command, phrase):
     with pytest.raises(SystemExit):
-        cli.main(["numvar", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert f"(method fourier; default {cli.DEFAULT_FOURIER_K})" in help_text
-
-
-def test_verify_help_names_the_guard_default(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert f"dimension guard for matrix work (default {cli.DEFAULT_MAX_N})" in help_text
+        cli.main([command, "--help"])
+    assert phrase in " ".join(capsys.readouterr().out.split())
