@@ -1,13 +1,13 @@
 """Cross-checks between the unitary propagator and the exact spectrum.
 
-The propagator is taken to the momentum basis straight from its defining
-sum, one inverse FFT per row, where it is a weighted permutation
-m -> m + a (mod N): D cycles of length M.  The weights w_m on that support
-and the remainder E off it are measured from the matrix, and two checks
-follow: a bound on the unitarity defect from |w_m| and ||E||_F, and
-numeric traces of powers (the power sums of the M-th roots of the D cycle
-products of the weights) against the paper's trace formula, which is the
-eigenvalue power sums of the exact spectrum.  Both vanish unless M divides
+The propagator is a diagonal times a circulant, so in the momentum basis
+it is a weighted permutation m -> m + a (mod N): D cycles of length M,
+with the circulant's eigenvalues w_m as weights, one FFT of its first
+column.  Two checks follow: a bound on the unitarity defect from |w_m| and
+a stated model e of their FFT rounding, and numeric traces of powers (the
+power sums of the M-th roots of the D cycle products of the weights)
+against the paper's trace formula, which is the eigenvalue power sums of
+the exact spectrum.  Both vanish unless M divides
 n, so both return the 2D traces at n = kM <= 2N.  Agreement here pins down
 the explicit eigenphase formula numerically.
 """
@@ -29,7 +29,7 @@ for a, N in ((8, 5), (3, 9), (24, 15), (24, 16)):
     pairs = zip(trace_powers(U, 2 * N), power_sums(eigenphases(app), 2 * N), strict=True)
     worst = max(abs(x - y) for x, y in pairs)
     print(f"a/N = {a}/{N} (D={app.D} cycles of length M={app.M}):")
-    print(f"  off-support ||E||_F     {U.momentum[1]:.2e}")
+    print(f"  weight rounding model e {U.momentum[1]:.2e}")
     print(f"  unitarity bound         {unitarity_defect(U):.2e}")
     print(f"  trace formula, n=kM<=2N {worst:.2e}")
 

@@ -101,10 +101,11 @@ MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
 # spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
 MAX_SPECTRUM_N = 1 << 50
-# verify's N.  The momentum pass holds only 40 MOMENTUM_BLOCK N bytes (see
-# propagator.py), so the cap bounds run time, which grows as N^2 log N:
-# verify --a 1 --N 16384 takes about 6 s at 42 MB peak RSS (2-vCPU VM, one
-# BLAS thread).
+# verify's N.  The propagator's own work is O(N log N), so the cap stands
+# for the trace check: trace_powers makes 2 D^2 complex products (about
+# 0.6 s at D = N = 16384), and the trace formula's residual grows as N^2 u
+# against a tolerance 1e-9 N (propagator.trace_powers).  verify --a 0
+# --N 16384 takes about 0.8 s at 35 MB peak RSS (2-vCPU VM, one BLAS thread).
 MAX_VERIFY_N = 16384
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
@@ -441,7 +442,12 @@ def cmd_verify(args):
     direct = [(L, number_variance_direct(spec, L)) for L in VERIFY_LS]
     gaps, bound = _series_gaps(D, direct, VERIFY_FOURIER_K)
     table = [
-        ("unitarity", [unitarity_defect(U)], 1e-12, ""),
+        (
+            "unitarity",
+            [unitarity_defect(U)],
+            1e-12,
+            "bound under the FFT rounding model c u log2(N), c = 1 + 4 sqrt(2)",
+        ),
         ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
         (
             "spacing-law",

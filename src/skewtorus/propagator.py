@@ -5,57 +5,48 @@ In the position representation the N x N matrix is the l-sum
     (U_N)_{kj} = (1/N) sum_{l=0}^{N-1} e(l k/N) X_{lj},
     X_{lj} = e(-((l-a)^2 + (l-a) j)/N),
 
-j, k = 0..N-1, with e(x) = exp(2 pi i x).  With F the DFT matrix
-(F_{mk} = e(-m k/N)) the sum says F U = X exactly, so the momentum form is
+j, k = 0..N-1, with e(x) = exp(2 pi i x).  Substituting m = l - a gives its
+exact factorisation, a diagonal times a circulant:
 
-    V = F U F^-1 = X F^-1,
+    U = diag(e(a k/N)) Circ(g),    g_n = (1/N) sum_m e(-m^2/N) e(m n/N),
 
-and row l of V is one inverse FFT of row l of X.  Row l of X is the plane
-wave e(-m^2/N) e(-m j/N) with m = (l - a) mod N, so V is the weighted
-permutation V[(m + a) mod N, m] = w_m = e(-m^2/N), zero elsewhere.  Its
-rows are read in momentum order: the row of m is the inverse FFT of the
-roots e(-(m^2 + m j)/N), with w_m in column m whichever row l it is, so a
-enters neither w nor ||E||_F.  Each exponent is an exact integer residue
-mod N indexing one table of N-th roots of unity, so no phase accumulates.
-V is made MOMENTUM_BLOCK rows at a time, each block read and dropped
-(Propagator.momentum); the N x N matrix is never held.
+where g, the circulant's first column, is the inverse DFT of the chirp
+e(-m^2/N).  With F the DFT matrix (F_{mk} = e(-m k/N)), F Circ(g) F^-1 is
+diag(F g) and F diag(e(a k/N)) F^-1 is the cyclic shift S_a: m -> m + a
+(mod N), so the momentum form is
 
-The shift m -> m + a (mod N) splits the N momenta into D = gcd(a, N)
-cycles of length M = N/D, one per residue class mod D, which is how the
-paper derives the eigenphases; a reaches the traces only through D.
-Unitarity is bounded from |w_m| and the off-support remainder ||E||_F, and
-the numeric traces are the power sums of the M-th roots of the D cycle
-products of the w_m: O(N^2 log N) in all, with no eigensolve and no dense
-product.
+    V = F U F^-1 = S_a diag(w),    w = F g,
 
-What this checks, candidly: V is a weighted permutation by inspection of X,
-and E is FFT rounding.  The checks are of the chain from the defining sum to
-w_m = e(-m^2/N), to the cycle products, to the traces, which are compared
-with spectrum.power_sums, the paper's trace formula over the exact levels
-(spectrum.eigenphases).  The numeric route is kept as the matrix layer of
-that chain, not as an independent proof that U is unitary.
+the weighted permutation V[(m + a) mod N, m] = w_m, zero elsewhere.  The
+weights take one FFT of g and do not contain a.  The chirp's exponents are
+exact integer residues mod N (m^2 stays in int64 for N < 3e9), so no phase
+accumulates.
+
+The shift splits the N momenta into D = gcd(a, N) cycles of length M = N/D,
+one per residue class mod D, which is how the paper derives the
+eigenphases; a reaches the traces only through D.  Unitarity is bounded
+from |w_m| and a stated model of the FFT's rounding, and the numeric traces
+are the power sums of the M-th roots of the D cycle products of the w_m:
+O(N log N) in all, with no eigensolve, no dense product and no N x N array.
+
+What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
+since g is its inverse transform.  The checks are of the chain from the
+factorisation to w_m, to the cycle products, to the traces, which are
+compared with spectrum.power_sums, the paper's trace formula over the exact
+levels (spectrum.eigenphases).  The numeric route is kept as the matrix
+layer of that chain, not as an independent proof that U is unitary.
 """
 
 import functools
 import math
 
-# Memory model: 40 B N bytes for a block of B = MOMENTUM_BLOCK rows of
-# length N, plus O(N) for the table of roots and the weights.  A block holds
-# its int64 exponents (8 B N) and X (16 B N), in two buffers made once and
-# reused, and the inverse FFT of X (16 B N), dropped before the next
-# block's is made; tracemalloc reads 42.7 B N at B = 16, N = 2048, the O(N)
-# terms included.  At B = 16 that is 10.5 MB even at N = 16384.
-# Rows of X transformed at a time, sized for memory: from 8 to 256 rows the
-# momentum time does not grow as the block shrinks (N = 16384: 5.3 s at 16
-# rows, 7.8 s at 256), while peak RSS grows with it (41 and 191 MB).
-MOMENTUM_BLOCK = 16
-
 
 class Propagator:
     """The propagator U_N by its defining integers (N, a).
 
-    No N x N array is made or kept: momentum reads V = X F^-1 from the
-    defining sum in row blocks and keeps only the weights and ||E||_F.
+    U = diag(e(a k/N)) Circ(g) is held through (N, a): the diagonal is exact
+    in them, and momentum makes g and reads the weights w = F g from it.  No
+    N x N array is made or kept.
     """
 
     N: int
@@ -66,45 +57,37 @@ class Propagator:
 
     @functools.cached_property
     def momentum(self):
-        """(w, e): the weights w_m = V[(m + a) mod N, m] and ||E||_F.
+        """(w, e): the weights w_m = V[(m + a) mod N, m] and e >= ||V - S_a diag(w)||_2.
 
-        V = X F^-1 = F U F^-1 is unitarily similar to U; it is the inverse
-        FFT of the rows of X, which carries the 1/N.  E is V with the N
-        weights set to zero.  X is made MOMENTUM_BLOCK rows at a time in
-        momentum order, the row of m = 0..N-1 from the exponents
-        (-m^2 - m j) mod N, which stay below 2 N^2 in int64; w_m is in its
-        column m.  Each block is inverse-transformed, read for w and its
-        share of |E|^2, and dropped; the exponents and X are written into
-        two buffers that every block reuses.
+        g = ifft(e(-m^2/N)) is the circulant's first column, one inverse FFT,
+        and w = fft(g) is one FFT; neither contains a.  V = S_a diag(F g)
+        exactly for the U of that g, so V - S_a diag(w) = S_a diag(F g - w)
+        and its spectral norm is the largest error of an FFT output entry.
+
+        e is that error under a stated per-entry rounding model, not a proof.
+        Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
+        bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
+        ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
+        with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
+        pocketfft computes its twiddles to about the unit roundoff
+        u = 2^-53, so mu = u and, to first order in u, eta = c u with
+        c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
+        sqrt(N), and the model spreads the error evenly over the N outputs:
+        each is off by at most c u log2(N).  Taken entrywise, the normwise
+        bound allows sqrt(N) times that, which at N = 16384 is above
+        verify's unitarity tolerance.  The theorem is for radix 2; pocketfft
+        factors other lengths into other radices, or uses Bluestein's
+        algorithm for a large prime factor, and the model keeps c for them.
+        Against F g summed in long double, the largest entry error was
+        1.7 u log2(N) over N = 2..300 and 16 lengths up to 16384, primes
+        among them.
         """
         import numpy as np
 
         N = self.N
-        j = np.arange(N, dtype=np.int64)
-        roots = np.exp(2j * np.pi * j / N)
-        w = np.empty(N, dtype=complex)
-        off = 0.0
-        # Blocks made afresh go back to the OS when dropped and are faulted
-        # in again: verify --a 1 --N 4096 took 160000 minor page faults
-        # that way, 5500 with the two buffers reused.
-        exps = np.empty((MOMENTUM_BLOCK, N), dtype=np.int64)
-        x = np.empty((MOMENTUM_BLOCK, N), dtype=complex)
-        for start in range(0, N, MOMENTUM_BLOCK):
-            m = j[start : start + MOMENTUM_BLOCK]
-            col = m.reshape(-1, 1)
-            e, xb = exps[: len(m)], x[: len(m)]
-            np.add(j, col, out=e)
-            np.multiply(e, -col, out=e)
-            np.remainder(e, N, out=e)
-            # mode="clip" never clips a residue; it spares take the copy
-            # it makes for out= in the default mode
-            rows = np.fft.ifft(np.take(roots, e, out=xb, mode="clip"), axis=1)
-            i = m - start
-            w[m] = rows[i, m]
-            rows[i, m] = 0
-            off += np.vdot(rows, rows).real
-            del rows
-        return w, math.sqrt(off)
+        m = np.arange(N, dtype=np.int64)
+        w = np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
+        return w, (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
 
 
 def build_propagator(app):
@@ -113,23 +96,20 @@ def build_propagator(app):
 
 
 def unitarity_defect(U):
-    """Bound on ||U U^dagger - I||_2 from the momentum form; O(N^2 log N).
+    """Bound on ||U U^dagger - I||_2 from the momentum form (w, e); O(N).
 
-    Returns max|1 - |w_m|^2| + 2 ||E||_F max|w_m| + ||E||_F^2.  Write
-    V = P W + E with P W the weighted permutation of the weights.  Then
+    Returns max|1 - |w_m|^2| + 2 e max|w_m| + e^2.  Write V = P W + E with
+    P W the weighted permutation of the weights and ||E||_2 <= e.  Then
     V V^dagger - I = P (W W^dagger - I) P^dagger + P W E^dagger
     + E W^dagger P^dagger + E E^dagger, whose spectral norm is at most the
-    sum of the three terms (||E||_2 <= ||E||_F).  F / sqrt(N) is unitary,
-    so V V^dagger - I is unitarily similar to U U^dagger - I and has the
-    same spectral norm, which bounds every entry of U U^dagger - I.
+    sum of the three terms.  F / sqrt(N) is unitary, so V V^dagger - I is
+    unitarily similar to U U^dagger - I and has the same spectral norm,
+    which bounds every entry of U U^dagger - I.
 
-    The bound certifies the computed V.  The roots of unity are rounded to
-    the unit roundoff u and the inverse FFT is backward stable, so computed
-    V is the exact X' F^-1 of an X' with ||X' - X||_F <= c u log2(N) ||X||_F:
-    a bound for a matrix F^-1 X' that differs from U by that much relative
-    to ||U||_F.  In practice the rounding lands in E and the weights, and
-    over the test sets the bound is above the entries of the dense
-    U U^dagger - I.
+    For the factorised propagator E is the error of the weights, and e is
+    its rounding model (Propagator.momentum), so the result is a bound under
+    that model, for the U of the computed circulant column.  Over the test
+    sets it is above the entries of the dense U U^dagger - I.
     """
     import numpy as np
 
@@ -150,17 +130,18 @@ def trace_powers(U, n_max):
     product over the D cycles: O(N + D n_max / M) after the momentum form.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
-    ||E||_2 of one of U's.  For the traces themselves,
+    ||E||_2 <= e of one of U's.  For the traces themselves,
     Tr V^n - Tr (P W)^n is a sum of n terms Tr(V^j E (P W)^(n-1-j)), each at
-    most sqrt(N) ||E||_F in modulus while every weight has modulus near 1.
+    most N e in modulus while every weight has modulus near 1.
 
     Tolerance model.  Each weight is off by a few u; c_r^(n/M) compounds n
     of them, so each of the N terms of Tr U^n is off by about n u, and the
     residual against the trace formula over n <= 2N grows as N^2 u.
-    Measured for verify --a 1: 4.2e-9, 1.8e-8 and 7.0e-8 at N = 4096, 8192
-    and 16384.  verify's tolerance 1e-9 N grows only as N (1.6e-5 at
-    N = 16384, a margin of 235x); the two cross near N = 4e6, far above
-    cli.MAX_VERIFY_N.  The tolerance is not widened to reach past that.
+    Measured for verify --a 1: 5.1e-9, 2.3e-8 and 9.6e-8 at N = 4096, 8192
+    and 16384, and 5.7e-4 at N = 2^20.  verify's tolerance 1e-9 N grows only
+    as N (1.6e-5 at N = 16384, a margin of 170x); the two cross near
+    N = 2e6, far above cli.MAX_VERIFY_N.  The tolerance is not widened to
+    reach past that.
     """
     import numpy as np
 

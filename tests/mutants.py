@@ -111,15 +111,15 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "off += np.vdot(rows, rows).real",
-        "off = np.vdot(rows, rows).real",
-        [PROPAGATOR + "test_row_block_momentum_matches_dense_oracle"],
+        "(-m * m)",
+        "(m * m)",
+        [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
     ),
     (
         "propagator.py",
-        "w[m] = rows[i, m]",
-        "w[m] = rows[i, (m + 1) % N]",
-        [PROPAGATOR + "test_row_block_momentum_matches_dense_oracle"],
+        "(1 + 4 * math.sqrt(2)) * 2.0**-53",
+        "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
+        [PROPAGATOR + "test_unitarity_across_set"],
     ),
     (
         "propagator.py",
@@ -176,8 +176,8 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        '("unitarity", [unitarity_defect(U)], 1e-12, ""),',
-        '("unitarity", [unitarity_defect(U)], 1e-9, ""),',
+        "[unitarity_defect(U)],\n            1e-12,",
+        "[unitarity_defect(U)],\n            1e-9,",
         [CLI + "test_verify_gates_are_pinned", CLI + "test_verify_gate_boundary"],
     ),
     (

@@ -13,13 +13,13 @@ levels are also built as int64 arrays straight from the formula, with one
 lexsort, and read by np.diff for the spacings and by a searchsorted sweep
 over all N levels for the number variance (O(N log N) per L).  The library
 computes the same quantities from one period of D levels (a histogram over
-Z_D, with the rows tiled from it), the weights and off-support remainder of
-the momentum-basis matrix V = X F^-1 (row blocks of the defining sum's X,
-one inverse FFT each, with no N x N array; the oracle here builds the dense
-U from its diagonal-times-circulant factorisation, proved against the
-l-sum, and takes V from it by two FFTs), one FFT of length D over the
-histogram and the squared level counts of the period's windows of integer
-width, and writes the spectrum in fixed-size blocks from one row template;
+Z_D, with the rows tiled from it), the weights of the momentum-basis
+matrix V = S_a diag(w) (w = F g, one FFT of the circulant's first column,
+with no N x N array; the oracle here builds the dense U from the same
+diagonal-times-circulant factorisation, proved against the l-sum, and
+takes V from it by two FFTs of the N x N array), one FFT of length D over
+the histogram and the squared level counts of the period's windows of
+integer width, and writes the spectrum in fixed-size blocks from one row template;
 the tests compare the two.  The oracles that need the levels of a spectrum
 take them from eigenphases_fraction(spec.app), never from its histogram,
 and level_arrays reads the library's own tiling back as int64 arrays.  The spectrum's CSV
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewtorus.propagator import MOMENTUM_BLOCK, Propagator
+from skewtorus.propagator import Propagator
 from skewtorus.spectrum import _level_blocks
 from skewtorus.statistics import gauss_sum
 
@@ -92,23 +92,17 @@ def dense_propagator(a, N):
 def momentum_two_buffer(entries, a):
     """(w, e) of V = F U F^-1 from a dense U, by two FFTs.
 
-    The column FFT of U goes into a new array, and its rows are
-    inverse-transformed MOMENTUM_BLOCK at a time, each block a new array,
-    so |E|^2 adds up in the library's order.
+    The column FFT of U goes into one new array and the row inverse FFT of
+    that into another; w_m is V[(m + a) mod N, m], and e = ||E||_F of the
+    rest of V bounds ||E||_2.
     """
     N = len(entries)
-    shift = int(a) % N
-    half = np.fft.fft(entries, axis=0)
-    w = np.empty(N, dtype=complex)
-    off = 0.0
-    for start in range(0, N, MOMENTUM_BLOCK):
-        rows = np.fft.ifft(half[start : start + MOMENTUM_BLOCK], axis=1)
-        k = np.arange(start, start + len(rows))
-        i, m = k - start, (k - shift) % N
-        w[m] = rows[i, m]
-        rows[i, m] = 0
-        off += np.vdot(rows, rows).real
-    return w, math.sqrt(off)
+    V = np.fft.ifft(np.fft.fft(entries, axis=0), axis=1)
+    m = np.arange(N)
+    k = (m + int(a) % N) % N
+    w = V[k, m]
+    V[k, m] = 0
+    return w, math.sqrt(np.vdot(V, V).real)
 
 
 class DenseMatrix(Propagator):

@@ -544,12 +544,17 @@ def test_orbit_reduces_alpha_exactly(capsys):
     assert err == "error: --alpha '1e-330' mod 1 is below the float range\n"
 
 
+# The unitarity bound holds under a stated model of the FFT's rounding, and
+# its detail says so.
+UNITARITY_DETAIL = "bound under the FFT rounding model c u log2(N), c = 1 + 4 sqrt(2)"
+
+
 # verify's gates, written out: (name, tolerance, detail) at each D.  The
 # tolerances are 1e-12 (unitarity), 1e-9 N (trace formula), 0 (the exact
 # checks) and the fourier series' certified tail bound at K = 2000.
 def _verify_gates(N, D):
     return [
-        ("unitarity", 1e-12, ""),
+        ("unitarity", 1e-12, UNITARITY_DETAIL),
         ("trace-formula", 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
         ("spacing-law", 0.0, f"empirical vs D-level block, D={D}"),
         (
@@ -580,7 +585,11 @@ def test_verify_gate_boundary(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--a", "3", "--N", "9")
     assert (code, err) == (0, "")
     assert json.loads(out)["checks"][0] == {
-        "name": "unitarity", "ok": True, "residual": 1e-12, "tolerance": 1e-12, "detail": ""
+        "name": "unitarity",
+        "ok": True,
+        "residual": 1e-12,
+        "tolerance": 1e-12,
+        "detail": UNITARITY_DETAIL,
     }
     above = math.nextafter(1e-12, 1)
     monkeypatch.setattr(cli, "unitarity_defect", lambda U: above)
@@ -1076,6 +1085,25 @@ def test_cli_import_does_not_load_numpy():
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_verify_does_not_load_numpy_random():
+    # numpy.random's first import costs about 10 ms of the 130 ms of a
+    # verify at N = 272.  numpy 1.22 loads it with numpy itself; there the
+    # test has nothing to see
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "import skewtorus.cli\n"
+        "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = _python("-c", script)
+    if proc.returncode == 3:
+        pytest.skip("import numpy loads numpy.random")
+    assert proc.returncode == 0, proc.stderr
 
 
 # Each command imports only the library layers it runs; the layers that the

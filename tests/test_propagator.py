@@ -3,10 +3,11 @@
 The brute oracle below rebuilds small matrices with nothing shared with the
 library path (plain cmath loop, no exponent reduction) and proves the
 oracle's dense U (diagonal times circulant) and the l-sum; the library's
-momentum form, made in row blocks from the defining sum, is compared with
-the two-FFT momentum form of that dense U.  The trace tests compare matrix
-powers against the trace formula, the power sums of the exact spectrum
-(spectrum.power_sums), at the stated tolerances.  The momentum-form
+momentum form, one FFT of the circulant's first column, is compared with
+the two-FFT momentum form of that dense U, and rebuilt into U to be
+compared with the l-sum.  The trace tests compare matrix powers against the
+trace formula, the power sums of the exact spectrum (spectrum.power_sums),
+at the stated tolerances.  The momentum-form
 unitarity bound and traces are checked against the dense U U^dagger and
 eigensolve oracles, and against corrupted matrices.
 """
@@ -14,20 +15,15 @@ eigensolve oracles, and against corrupted matrices.
 import cmath
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import typing
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skewtorus import cli, propagator
+from skewtorus import cli
 from skewtorus.diophantine import Approximant
 from skewtorus.propagator import (
-    MOMENTUM_BLOCK,
     Propagator,
     build_propagator,
     trace_powers,
@@ -226,11 +222,8 @@ def test_momentum_form_is_computed_once():
 
 
 def test_momentum_form_does_not_depend_on_a():
-    # the rows are read in momentum order, and the row of momentum m holds
-    # w_m in column m whichever row l = (m + a) mod N it is, so w and
-    # ||E||_F are the same bits for every a: a = 0 and a = N (D = N), a >= N
-    # and a huge a.  The sizes hold N below one block and N > B that ends
-    # in a part block
+    # w = F g and its rounding model contain no a, so they are the same
+    # bits for every a: a = 0 and a = N (D = N), a >= N and a huge a
     for N in (1, 7, 12, 16, 60, 272):
         w, e = Propagator(N, 1).momentum
         for a in (0, 3, N, N + 5, 2 * N, 10**30 + 7):
@@ -238,37 +231,38 @@ def test_momentum_form_does_not_depend_on_a():
             assert np.array_equal(w_a, w) and e_a == e, (a, N)
 
 
-def test_row_block_momentum_matches_dense_oracle(monkeypatch):
-    # the weights do not depend on how the rows are blocked; the cases
-    # hold N below one block and N > B that ends in a part block
-    cases = UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]
-    sizes = [N for _, N in cases]
-    assert min(sizes) < MOMENTUM_BLOCK
-    assert any(N > MOMENTUM_BLOCK and N % MOMENTUM_BLOCK for N in sizes)
-    for a, N in cases:
+def test_momentum_matches_dense_oracle():
+    # the weights against the two-FFT momentum form of the dense U
+    for a, N in UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]:
         w, e = build_propagator(Approximant(a, N)).momentum
         w_ref, e_ref = momentum_two_buffer(dense_propagator(a, N), a)
         assert np.max(np.abs(w - w_ref)) <= 1e-14, (a, N)
         assert e < 1e-13 and e_ref < 1e-13, (a, N, e, e_ref)
         assert e > 0 or N == 1, (a, N)
-        for block in (1, 7, N):
-            monkeypatch.setattr(propagator, "MOMENTUM_BLOCK", block)
-            w_block, e_block = build_propagator(Approximant(a, N)).momentum
-            assert np.array_equal(w_block, w), (a, N, block)
-            # the blocks change only the order in which the N^2 terms of
-            # ||E||_F^2 are added; any order is within N^2 u of their sum
-            assert abs(e_block - e) <= N * N * 2.0**-53 * e, (a, N, block, e_block, e)
-        monkeypatch.undo()
 
 
-def test_checks_hold_one_row_block():
-    # numpy reports its buffers to tracemalloc.  The budget is 48 B N bytes
-    # at B = 16 rows: a block's 40 B N (the model stated in propagator.py)
-    # and the O(N) terms.  It is fixed, so that larger blocks fail it:
-    # 16-row blocks read 1.4 MB here, 32-row blocks 2.7 MB and 256-row
-    # blocks 21.1 MB.  The propagator keeps the weights, 16 N bytes.
+def test_momentum_form_rebuilds_the_lsum():
+    # F^-1 S_a diag(w) F from the library's (w, a), against the l-sum.  The
+    # bound 1e-14 is about N u at N = 97, the l-sum's worst rounding of its
+    # N unit terms; the cases read at most 8.4e-16
+    for a, N in [(5, 12), (6, 30), (0, 64), (13, 97)] + EDGE_SET:
+        U = build_propagator(Approximant(a, N))
+        w, _ = U.momentum
+        V = np.zeros((N, N), dtype=complex)
+        m = np.arange(N)
+        V[(m + a % N) % N, m] = w
+        rebuilt = np.fft.ifft(np.fft.fft(V, axis=1), axis=0)
+        assert np.max(np.abs(rebuilt - propagator_lsum(a, N))) <= 1e-14, (a, N)
+
+
+def test_checks_hold_a_few_vectors():
+    # numpy reports its buffers to tracemalloc.  The budget is four complex
+    # N-vectors, 64 N bytes: the checks read 48.4 N here, the chirp's
+    # integer and complex temporaries while it is made.  An N x N array, or
+    # a block of four of its rows, fails it.  The propagator keeps the
+    # weights, 16 N bytes.
     N = 2048
-    budget = 48 * 16 * N
+    budget = 64 * N
 
     def checks():
         U = build_propagator(Approximant(1, N))
@@ -286,31 +280,6 @@ def test_checks_hold_one_row_block():
     assert U.N == N
     assert peak <= budget, peak / budget
     assert retained <= 20 * N, retained / N
-
-
-def test_momentum_reuses_its_block_buffers():
-    # Blocks made afresh go back to the OS when dropped and fault in again;
-    # only page faults show it.  One momentum call at N = 2048, in a fresh
-    # interpreter after a warm-up at N = 64, took 499 minor faults with the
-    # two reused buffers and 37004 with each block's arrays made afresh
-    # (16-row blocks both, glibc).
-    pytest.importorskip("resource")  # POSIX only
-    script = (
-        "import resource\n"
-        "from skewtorus.propagator import Propagator\n"
-        "Propagator(64, 1).momentum\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "Propagator(2048, 1).momentum\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
-    src = str(Path(propagator.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 4000, proc.stdout
 
 
 def _shifted(a, N):
