@@ -7,12 +7,20 @@ translates of a D-point pattern, so every spectral statistic depends on D
 alone.  This script prints small spectra and the D-level blocks.
 """
 
+from fractions import Fraction
+
 from skewtorus import Approximant, eigenphases, reduced_spectrum
 
 for a, N in ((1, 3), (2, 4), (3, 9), (24, 16)):
     app = Approximant(a, N)
     spec = eigenphases(app)
-    vals = ", ".join(map(str, spec.values))
+    # copy m of the period puts hist[u] levels at D m + u + rho/6
+    vals = ", ".join(
+        str(Fraction(6 * (app.D * m + u) + spec.rho, 6))
+        for m in range(app.M)
+        for u, count in enumerate(spec.hist)
+        for _ in range(count)
+    )
     print(f"a/N = {a}/{N}  (D={app.D}, M={app.M})")
     print(f"  phases: {vals}")
 

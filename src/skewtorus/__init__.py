@@ -19,8 +19,10 @@ commands both read it.
 
 import importlib
 
-# layer -> the public names it defines.  A name's layer is imported on first
-# access (PEP 562), so `import skewtorus.cli` compiles no layer it does not run.
+# layer -> the public names it defines: its classes and the names cli.py or a
+# demo uses; the rest is reached through the layer's module.  A name's layer is
+# imported on first access (PEP 562), so `import skewtorus.cli` compiles no
+# layer it does not run.
 _LAYERS = {
     "diophantine": (
         "Approximant",
@@ -28,7 +30,6 @@ _LAYERS = {
         "PrecisionExhaustedError",
         "approximants_with_gcd",
         "bracket",
-        "certify_approximant",
         "convergents",
         "golden",
         "nearest_approximant",
@@ -53,17 +54,14 @@ _LAYERS = {
         "DivergenceWitness",
         "SpacingDistribution",
         "UnsupportedClosedFormError",
-        "counting_function",
         "divergence_witness",
         "format_law",
-        "gauss_sum",
         "number_variance_closed",
         "number_variance_direct",
         "number_variance_fourier",
-        "spacing_distribution_closed",
         "spacings",
     ),
-    "classical": ("TorusPoint", "orbit", "step", "weyl_sum"),
+    "classical": ("TorusPoint", "orbit"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 

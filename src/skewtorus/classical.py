@@ -1,17 +1,14 @@
-"""The classical skew translation and an equidistribution diagnostic.
+"""The classical skew translation and its orbits.
 
 One step maps (p, q) to (p + alpha, q + 2p) mod 1, with the q-update using
 the pre-step p.  For irrational alpha the map is uniquely ergodic, so every
-Birkhoff average of the character exp(2 pi i (m p + n q)) tends to its space
-average 0; weyl_sum measures that decay along an orbit.  It is a diagnostic,
-not a proof, and the thresholds used in tests are engineering choices.
+Birkhoff average of the character exp(2 pi i (m p + n q)) along an orbit
+tends to its space average 0.
 
 Coordinates are reduced with `% 1`, which keeps Fractions exact; exactness
 is only needed by the grid-permutation test, ordinary orbits run on floats.
 """
 
-import cmath
-import math
 from collections import namedtuple
 
 
@@ -24,19 +21,12 @@ class TorusPoint(namedtuple("TorusPoint", "p q")):
         return super().__new__(cls, p % 1, q % 1)
 
 
-def step(pt, alpha):
-    """One iteration of the skew translation."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return TorusPoint(pt.p + alpha, pt.q + 2 * pt.p)
-
-
 def orbit(pt0, alpha, T):
     """A generator of the first T points of the orbit, starting at pt0.
 
-    T and alpha are checked at the call.  The points are step's, iterated:
-    each coordinate is reduced once per step by the same % 1, and the point
-    is made with tuple.__new__, which skips TorusPoint.__new__'s reduction.
+    T and alpha are checked at the call.  Each step reduces each coordinate
+    once by % 1, and the point is made with tuple.__new__, which skips
+    TorusPoint.__new__'s second reduction.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -50,18 +40,3 @@ def orbit(pt0, alpha, T):
             yield new(TorusPoint, (p, q))
 
     return points(*pt0)
-
-
-def weyl_sum(pt0, alpha, mode, T):
-    """Birkhoff average (1/T) sum_t exp(2 pi i (m p_t + n q_t)) over the orbit.
-
-    The mode is checked first, then T and alpha, by orbit.
-    """
-    m, n = mode
-    if m == 0 and n == 0:
-        raise ValueError("mode (0,0) is the constant character; pick (m,n) != (0,0)")
-    acc = 0j
-    for pt in orbit(pt0, alpha, T):
-        acc += cmath.exp(2j * math.pi * (m * float(pt.p) + n * float(pt.q)))
-    return acc / T
-

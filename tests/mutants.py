@@ -318,6 +318,13 @@ MUTANTS = [
         "",
         [CLI + "test_exit_code_table", CLI + "test_fourier_admits_d_within_the_float_range"],
     ),
+    # the package exports only what a command or a demo uses
+    (
+        "__init__.py",
+        '        "format_law",\n',
+        '        "format_law",\n        "gauss_sum",\n',
+        [CLI + "test_package_exports_only_what_commands_and_demos_use"],
+    ),
 ]
 # Retired: spectrum._TAIL_CAP = 2^52 (the cap of the per-binade decimal
 # tails).  The constant is gone: cli.MAX_SPECTRUM_N = 2^50 refuses a longer

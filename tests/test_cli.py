@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import ast
+import inspect
 import io
 import json
 import math
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import skewtorus
 from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.spectrum import Spectrum, eigenphases
@@ -1164,6 +1167,24 @@ def test_cli_names_are_the_layers_objects():
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_only_what_commands_and_demos_use():
+    # every exported name but a class is a name in cli.py or in a demo's code
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    used = {
+        node.id
+        for path in (Path(cli.__file__), *demos)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name)
+    }
+    assert demos
+    unused = [
+        name
+        for name in skewtorus.__all__
+        if not inspect.isclass(getattr(skewtorus, name)) and name not in used
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize(
