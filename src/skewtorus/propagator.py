@@ -29,6 +29,12 @@ from |w_m| and a stated model of the FFT's rounding, and the numeric traces
 are the power sums of the M-th roots of the D cycle products of the w_m:
 O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 
+Each step has two forms, chosen by its own count of complex products
+against spectrum.PYTHON_OPS: at or below it the step runs on Python complex
+numbers (the weights by the mixed-radix FFT _dft), above it on numpy, which
+is imported only then.  The weights' count reads N alone and the trace
+loop's D alone, so a small verify loads no numpy.
+
 What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
 since g is its inverse transform.  The checks are of the chain from the
 factorisation to w_m, to the cycle products, to the traces, which are
@@ -39,6 +45,8 @@ layer of that chain, not as an independent proof that U is unitary.
 
 import functools
 import math
+
+from .spectrum import PYTHON_OPS, _roots
 
 
 class Propagator:
@@ -59,35 +67,93 @@ class Propagator:
     def momentum(self):
         """(w, e): the weights w_m = V[(m + a) mod N, m] and e >= ||V - S_a diag(w)||_2.
 
-        g = ifft(e(-m^2/N)) is the circulant's first column, one inverse FFT,
-        and w = fft(g) is one FFT; neither contains a.  V = S_a diag(F g)
+        g = F^-1 e(-m^2/N) is the circulant's first column, one inverse FFT,
+        and w = F g is one FFT; neither contains a.  V = S_a diag(F g)
         exactly for the U of that g, so V - S_a diag(w) = S_a diag(F g - w)
         and its spectral norm is the largest error of an FFT output entry.
+        Each transform makes N S(N) products, S(N) the sum of N's prime
+        factors with multiplicity (_dft).  When the two make at most
+        spectrum.PYTHON_OPS, w is a list of Python complex numbers from
+        _dft, and otherwise a numpy array from numpy's pocketfft; the
+        choice reads N alone, so neither w nor e contains a.
 
         e is that error under a stated per-entry rounding model, not a proof.
         Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
         bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
         ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
         with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
-        pocketfft computes its twiddles to about the unit roundoff
-        u = 2^-53, so mu = u and, to first order in u, eta = c u with
-        c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
-        sqrt(N), and the model spreads the error evenly over the N outputs:
-        each is off by at most c u log2(N).  Taken entrywise, the normwise
-        bound allows sqrt(N) times that, which at N = 16384 is above
-        verify's unitarity tolerance.  The theorem is for radix 2; pocketfft
-        factors other lengths into other radices, or uses Bluestein's
-        algorithm for a large prime factor, and the model keeps c for them.
-        Against F g summed in long double, the largest entry error was
+        pocketfft and _roots compute their twiddles to about the unit
+        roundoff u = 2^-53, so mu = u and, to first order in u, eta = c u
+        with c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is
+        near sqrt(N), and the model spreads the error evenly over the N
+        outputs: each is off by at most c u log2(N).  Taken entrywise, the
+        normwise bound allows sqrt(N) times that, which at N = 16384 is
+        above verify's unitarity tolerance.  The theorem is for radix 2;
+        both FFTs factor other lengths into other radices (pocketfft uses
+        Bluestein's algorithm for a large prime factor, _dft sums a prime
+        length directly), and the model keeps c for them.  Against F g
+        summed in long double, the largest entry error of pocketfft was
         1.7 u log2(N) over N = 2..300 and 16 lengths up to 16384, primes
-        among them.
+        among them, and that of _dft 2.2 u log2(N) over N = 2..64, the
+        primes 127, 179 and 181 and N = 1024 and 1536
+        (test_weights_error_within_the_model).
         """
-        import numpy as np
-
         N = self.N
-        m = np.arange(N, dtype=np.int64)
-        w = np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
-        return w, (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
+        e = (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
+        if 2 * N * sum(_prime_factors(N)) <= PYTHON_OPS:
+            return _weights_python(N), e
+        return _weights_numpy(N), e
+
+
+def _prime_factors(n):
+    """The prime factors of n >= 1 with multiplicity, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _dft(x, factors, roots, step):
+    """[sum_j x_j e(s j k / n) for k < n] of the list x, over Python complex numbers.
+
+    n = len(x) is the product of the ascending prime list factors, and
+    roots[t * step % len(roots)] = e(s t / n) for the sign s = +-1, so one
+    table from spectrum._roots serves every length that divides its own.
+    Cooley-Tukey on the smallest prime factor p: with n = p m, the p
+    transforms Y_j of x[j::p] give X_k = sum_j e(s j k / n) Y_j[k mod m],
+    n p products and sums.  At a prime length m = 1 and Y_j = x_j, so that
+    step is the direct DFT.  A transform of length n thus makes n S(n)
+    products, S(n) = sum(factors), and every twiddle is read at an exact
+    integer residue.
+    """
+    if len(x) == 1:
+        return x
+    p, size = factors[0], len(roots)
+    ys = [_dft(x[j::p], factors[1:], roots, step * p) for j in range(p)]
+    out = ys[0] * p
+    for j in range(1, p):
+        t = j * step
+        out = [z + y * roots[k * t % size] for k, (z, y) in enumerate(zip(out, ys[j] * p))]
+    return out
+
+
+def _weights_python(N):
+    """w = F F^-1 e(-m^2/N) as a list, by two _dft transforms over one table."""
+    roots, factors = _roots(N), _prime_factors(N)
+    chirp = [roots[-m * m % N] for m in range(N)]
+    g = [z / N for z in _dft(chirp, factors, roots, 1)]
+    return _dft(g, factors, roots, -1)
+
+
+def _weights_numpy(N):
+    """w = fft(ifft(e(-m^2/N))) as a numpy array, by pocketfft."""
+    import numpy as np
+
+    m = np.arange(N, dtype=np.int64)
+    return np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
 
 
 def build_propagator(app):
@@ -109,13 +175,27 @@ def unitarity_defect(U):
     For the factorised propagator E is the error of the weights, and e is
     its rounding model (Propagator.momentum), so the result is a bound under
     that model, for the U of the computed circulant column.  Over the test
-    sets it is above the entries of the dense U U^dagger - I.
+    sets it is above the entries of the dense U U^dagger - I.  The weights
+    are read in the form momentum gave them: a list in Python, an array in
+    numpy.
     """
+    w, e = U.momentum
+    off, top = _moduli_python(w) if isinstance(w, list) else _moduli_numpy(w)
+    return off + 2 * e * math.sqrt(top) + e * e
+
+
+def _moduli_python(w):
+    """(max|1 - |w_m|^2|, max |w_m|^2) of a list of weights."""
+    mod2 = [z.real**2 + z.imag**2 for z in w]
+    return max(abs(1 - x) for x in mod2), max(mod2)
+
+
+def _moduli_numpy(w):
+    """(max|1 - |w_m|^2|, max |w_m|^2) of an array of weights."""
     import numpy as np
 
-    w, e = U.momentum
     mod2 = w.real**2 + w.imag**2
-    return float(np.max(np.abs(1 - mod2)) + 2 * e * np.sqrt(mod2.max()) + e * e)
+    return float(np.max(np.abs(1 - mod2))), float(mod2.max())
 
 
 def trace_powers(U, n_max):
@@ -128,6 +208,10 @@ def trace_powers(U, n_max):
     otherwise (the M-th roots of unity sum to zero), so only the M-lattice
     is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one running
     product over the D cycles: O(N + D n_max / M) after the momentum form.
+    The running product makes D n_max / M complex products (2 D^2 at
+    verify's n_max = 2N); up to spectrum.PYTHON_OPS of them it runs in
+    Python, above in numpy, and either form reads the weights as a list or
+    an array.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
     ||E||_2 <= e of one of U's.  For the traces themselves,
@@ -143,18 +227,37 @@ def trace_powers(U, n_max):
     N = 2e6, far above cli.MAX_VERIFY_N.  The tolerance is not widened to
     reach past that.
     """
-    import numpy as np
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     w, _ = U.momentum
     N = U.N
     D = math.gcd(int(U.a), N)
     M = N // D
-    cycles = np.prod(w.reshape(M, D), axis=0)
+    steps = n_max // M
+    if steps * D <= PYTHON_OPS:
+        return _traces_python(w, D, M, steps)
+    return _traces_numpy(w, D, M, steps)
+
+
+def _traces_python(w, D, M, steps):
+    """M sum_r c_r^k for k = 1..steps, on Python complex numbers."""
+    cycles = [math.prod(w[r::D]) for r in range(D)]
+    power = [1] * D
+    out = []
+    for _ in range(steps):
+        power = [x * c for x, c in zip(power, cycles)]
+        out.append(complex(M * sum(power)))
+    return out
+
+
+def _traces_numpy(w, D, M, steps):
+    """M sum_r c_r^k for k = 1..steps, on numpy arrays."""
+    import numpy as np
+
+    cycles = np.prod(np.asarray(w).reshape(M, D), axis=0)
     power = np.ones(D, dtype=complex)
     out = []
-    for _ in range(n_max // M):
+    for _ in range(steps):
         power *= cycles
         out.append(complex(M * power.sum()))
     return out

@@ -28,6 +28,7 @@ depends only on q's bit length (_tail).  The D-level block {-eta^2 mod D}
 gcd(a, N) = D has its histogram, moved by c mod D in Z_D.
 """
 
+import cmath
 import math
 from array import array
 from bisect import bisect_left
@@ -176,20 +177,76 @@ def power_sums(spec, n_max):
 
     With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m is
     that delta, so only the M-lattice n = k M <= n_max is returned.  There
-    the sum is M e(k rho / 6D) sum_r h_r e(k r / D): N times one inverse
-    FFT of length D over the histogram, read at k mod D.  k rho is reduced
-    mod 6D in integers; only the FFT and the phase factor round.  verify
-    compares these with the numeric traces (propagator.trace_powers).
+    the sum is M sum_u h_u e(k (6u + rho) / 6D) over the histogram: D terms
+    for each of the n_max // M values of k.  Up to PYTHON_OPS terms in all
+    (2 D^2 at verify's n_max = 2N; at least the 6D of the table) it is
+    summed so in Python, with each phase k (6u + rho) reduced mod 6D in
+    integers and read from a table of the 6D-th roots of unity (_roots),
+    and numpy is not loaded.  Above that
+    it is N times one inverse FFT of length D over the histogram, read at
+    k mod D, times e(k rho / 6D), with k rho reduced mod 6D in integers.
+    Either way only the roots, the products and the sums round, and the
+    values are built-in complex numbers.  verify compares these with the
+    numeric traces (propagator.trace_powers).
     """
-    import numpy as np
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    D, M = spec.app.D, spec.app.M
+    steps = n_max // spec.app.M
+    if max(steps, 6) * spec.app.D <= PYTHON_OPS:
+        return _power_sums_python(spec, steps)
+    return _power_sums_numpy(spec, steps)
+
+
+def _power_sums_python(spec, steps):
+    """The lattice power sums as M sum_u h_u e(k (6u + rho) / 6D), k = 1..steps."""
+    D, M, rho = spec.app.D, spec.app.M, spec.rho
     size = 6 * D
-    k = np.arange(1, n_max // M + 1)
+    roots = _roots(size)
+    levels = [(6 * u + rho, h) for u, h in enumerate(spec.hist) if h]
+    return [M * sum(h * roots[k * t % size] for t, h in levels) for k in range(1, steps + 1)]
+
+
+def _power_sums_numpy(spec, steps):
+    """The lattice power sums as N e(k rho / 6D) ifft(h)[k mod D], k = 1..steps."""
+    import numpy as np
+
+    D = spec.app.D
+    size = 6 * D
+    k = np.arange(1, steps + 1)
     phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
     return (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
+
+
+# Largest operation count (complex products) that verify's numeric layer
+# runs on Python complex numbers; above it, numpy.  The count is each
+# step's own: 2 N S(N) for the weights' two FFTs (propagator._dft, S(N) the
+# sum of N's prime factors with multiplicity), 2 D^2 for the trace loop and
+# for the power sums.  Importing numpy takes 55-60 ms of a verify
+# subprocess.  On a 2-vCPU VM (CPython 3.11) these loops took 45-200 ns per
+# product (the power sums at the low end, the FFT's radix 2 at the high
+# end): at 2^16 products the weights took 8-10 ms (N = 181, 1536), the
+# trace loop 5 ms and the power sums 4 ms (D = 181), so the Python form is
+# the faster wherever it is chosen.  The largest count of the benchmark's
+# verify-ladder is 28140 (N = 201), so the line is not set from it.
+PYTHON_OPS = 1 << 16
+_QUARTER_TURNS = (1, 1j, -1, -1j)
+
+
+def _roots(n):
+    """[e(j/n) for j < n], each to about the unit roundoff.
+
+    e(j/n) = i^q e(r / 4n) with q = round(4j/n) and r = 4j - q n in
+    [-n/2, n/2): the angle pi r / 2n handed to cmath.exp is at most pi/4
+    in modulus, so it rounds by under a unit roundoff, and the quarter
+    turn i^q is exact.  j is an exact integer residue, so no phase
+    accumulates.
+    """
+    out = []
+    for j in range(n):
+        q = (8 * j + n) // (2 * n)
+        r = 4 * j - q * n
+        out.append(cmath.exp(1j * (math.pi * r / (2 * n))) * _QUARTER_TURNS[q % 4])
+    return out
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")

@@ -109,6 +109,13 @@ MUTANTS = [
         "(math.pi**2 * (K + 1))",
         [STATISTICS + "test_fourier_tail_bound_certified_and_tight"],
     ),
+    # the weights, in the Python and in the numpy form
+    (
+        "propagator.py",
+        "roots[-m * m % N]",
+        "roots[m * m % N]",
+        [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
+    ),
     (
         "propagator.py",
         "(-m * m)",
@@ -117,9 +124,34 @@ MUTANTS = [
     ),
     (
         "propagator.py",
+        "_dft(x[j::p], factors[1:], roots, step * p)",
+        "_dft(x[j::p], factors[1:], roots, step)",
+        [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
+    ),
+    (
+        "spectrum.py",
+        "_QUARTER_TURNS = (1, 1j, -1, -1j)",
+        "_QUARTER_TURNS = (1, -1j, -1, 1j)",
+        [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
+    ),
+    # the rounding model e is shared: each form's test must see it scaled down
+    (
+        "propagator.py",
         "(1 + 4 * math.sqrt(2)) * 2.0**-53",
         "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
         [PROPAGATOR + "test_unitarity_across_set"],
+    ),
+    (
+        "propagator.py",
+        "(1 + 4 * math.sqrt(2)) * 2.0**-53",
+        "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
+        [PROPAGATOR + "test_weights_error_within_the_model[numpy]"],
+    ),
+    (
+        "propagator.py",
+        "max(abs(1 - x) for x in mod2)",
+        "max(1 - x for x in mod2)",
+        [PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix"],
     ),
     (
         "propagator.py",
@@ -132,16 +164,47 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        " + e * e)",
-        ")",
+        "math.sqrt(top) + e * e",
+        "math.sqrt(top)",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
+    # each step picks its form by its own count: a small verify loads no numpy
+    (
+        "propagator.py",
+        "2 * N * sum(_prime_factors(N)) <= PYTHON_OPS",
+        "2 * N * sum(_prime_factors(N)) > PYTHON_OPS",
+        [CLI + "test_cli_import_does_not_load_numpy"],
+    ),
+    (
+        "propagator.py",
+        "steps * D <= PYTHON_OPS",
+        "steps * D > PYTHON_OPS",
+        [CLI + "test_cli_import_does_not_load_numpy"],
+    ),
+    (
+        "spectrum.py",
+        "max(steps, 6) * spec.app.D <= PYTHON_OPS",
+        "max(steps, 6) * spec.app.D > PYTHON_OPS",
+        [CLI + "test_cli_import_does_not_load_numpy"],
+    ),
     # the trace formula on the M-lattice
+    (
+        "spectrum.py",
+        "roots[k * t % size]",
+        "roots[(k + 1) * t % size]",
+        [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
+    ),
     (
         "spectrum.py",
         "[k % D]",
         "[(k + 1) % D]",
         [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
+    ),
+    (
+        "spectrum.py",
+        "(6 * u + rho, h)",
+        "(6 * u + rho + 1, h)",
+        [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
     ),
     (
         "spectrum.py",
@@ -151,8 +214,8 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "range(n_max // M)",
-        "range(n_max // M - 1)",
+        "steps = n_max // M\n",
+        "steps = n_max // M - 1\n",
         [CLI + "test_verify_fails_a_trace_it_did_not_compare"],
     ),
     (

@@ -1026,9 +1026,13 @@ def test_runs_without_scipy():
 # Commands that build no array: each must run with numpy blocked.  spacing
 # and numvar --method direct read one period of D levels, at any N;
 # spectrum tiles its rows from that period, and the fourier series (figure1,
-# numvar --method fourier) takes its Gauss sums in closed form.  Only verify
-# needs numpy.
+# numvar --method fourier) takes its Gauss sums in closed form.  verify
+# needs numpy only above spectrum.PYTHON_OPS: below it the weights' FFTs,
+# the trace loop and the power sums run on Python complex numbers.
 NO_NUMPY_COMMANDS = [
+    ("verify --a 3 --N 9", 0),
+    ("verify --a 440 --N 272", 0),
+    ("verify --a 0 --N 7", 0),
     ("spectrum --a 24 --N 16", 0),
     ("spectrum --a 8 --N 13 --format json", 0),
     ("spectrum --a 0 --N 5000", 0),
@@ -1082,25 +1086,28 @@ def test_cli_import_does_not_load_numpy():
         "import skewtorus.cli\n"
         "assert not {'numpy', 'dataclasses', 'json'} & set(sys.modules)\n"
         "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert skewtorus.cli.main(['verify', '--a', '1', '--N', '2048']) == 0\n"
         "assert 'numpy' in sys.modules\n"
         "assert 'dataclasses' not in sys.modules\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ok"] is True
+    reports = proc.stdout.replace("}\n{", "}\n\0{").split("\0")
+    assert [json.loads(r)["ok"] for r in reports] == [True, True]
 
 
 def test_verify_does_not_load_numpy_random():
-    # numpy.random's first import costs about 10 ms of the 130 ms of a
-    # verify at N = 272.  numpy 1.22 loads it with numpy itself; there the
-    # test has nothing to see
+    # numpy.random's first import costs about 10 ms of a verify that loads
+    # numpy, as at N = 2048, whose weights are above spectrum.PYTHON_OPS.
+    # numpy 1.22 loads it with numpy itself; there the test has nothing to see
     script = (
         "import sys\n"
         "import numpy\n"
         "if 'numpy.random' in sys.modules:\n"
         "    sys.exit(3)\n"
         "import skewtorus.cli\n"
-        "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
+        "assert skewtorus.cli.main(['verify', '--a', '1', '--N', '2048']) == 0\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
     proc = _python("-c", script)

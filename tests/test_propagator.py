@@ -23,12 +23,14 @@ import pytest
 
 from skewtorus import cli
 from skewtorus.diophantine import Approximant
+from skewtorus import propagator
 from skewtorus.propagator import (
     Propagator,
     build_propagator,
     trace_powers,
     unitarity_defect,
 )
+from skewtorus.spectrum import PYTHON_OPS, _power_sums_numpy, _power_sums_python, _roots
 from skewtorus.spectrum import eigenphases, power_sums
 
 from oracles import (
@@ -56,6 +58,16 @@ TRACE_SET = [
 
 # N = 1, a = 0 (so D = N), a >= N, huge a, and D = N with a = N
 EDGE_SET = [(1, 1), (0, 1), (0, 7), (25, 9), (10**30 + 7, 12), (12, 12), (36, 12)]
+
+# Sizes whose weights take numpy's FFT (2 N S(N) > PYTHON_OPS): the sets
+# above all take the Python FFT.  D = 1 and D = 2 run the Python trace loop
+# on the numpy weights, D = N = 2048 the numpy loop; 191 is the smallest
+# prime above the line
+NUMPY_SET = [(1, 2048), (2, 2048), (0, 2048), (5, 191)]
+
+
+def _weight_ops(N):
+    return 2 * N * sum(propagator._prime_factors(N))
 
 
 def brute_matrix(a, N):
@@ -163,7 +175,7 @@ def test_analytic_modulus_periodic_in_n():
 
 
 def test_numeric_matches_analytic_sweep():
-    for a, N in TRACE_SET:
+    for a, N in TRACE_SET + NUMPY_SET:
         app = Approximant(a, N)
         numeric = trace_powers(build_propagator(app), 2 * N)
         analytic = power_sums(eigenphases(app), 2 * N)
@@ -218,7 +230,7 @@ def test_momentum_form_is_computed_once():
     U = build_propagator(Approximant(3, 9))
     assert U.momentum is U.momentum
     w, e = U.momentum
-    assert w.shape == (9,) and 0 <= e < 1e-14
+    assert len(w) == 9 and 0 <= e < 1e-14
 
 
 def test_momentum_form_does_not_depend_on_a():
@@ -309,11 +321,15 @@ CORRUPTIONS = {"shifted": _shifted, "perturbed": _perturbed, "scaled": _scaled, 
 def test_unitarity_fails_on_corrupted_matrix(kind):
     # the shifted matrix is unitary, so U U^dagger - I cannot see it; its
     # weights sit off the support m -> m + a, which the bound charges to E
+    # weights read as an array (numpy) and as a list (Python)
     for a, N in [(1, 2), (3, 9), (24, 16), (0, 7), (90, 63)]:
         bad = CORRUPTIONS[kind](a, N)
         defect = unitarity_defect(bad)
         assert defect > 1e-12, (a, N)
         assert defect >= dense_unitarity_defect(bad.entries), (a, N)
+        w, e = bad.momentum
+        bad.momentum = w.tolist(), e
+        assert unitarity_defect(bad) == defect, (a, N)
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
@@ -326,3 +342,95 @@ def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
     if kind == "shifted":
         # the weights of (a + 1, N) sit off the support of a: no traces of a
         assert "FAIL: trace-formula" in captured.err
+
+
+def _long_double_dft(g):
+    # F g with F_{mk} = e(-m k / N) in long double, the roots from a long
+    # double pi and each exponent reduced mod N in integers, 256 rows at a time
+    N = len(g)
+    j = np.arange(N)
+    angle = -8 * np.arctan(np.longdouble(1)) * j.astype(np.longdouble) / N
+    roots = np.cos(angle) + 1j * np.sin(angle).astype(np.clongdouble)
+    x = np.array(g, dtype=np.clongdouble)
+    out = np.empty(N, dtype=np.clongdouble)
+    for s in range(0, N, 256):
+        k = np.arange(s, min(N, s + 256))
+        out[k] = roots[np.outer(k, j) % N] @ x
+    return out
+
+
+# Sizes of the weights' error check, by form: every N <= 64, the primes
+# 127, 179 and 181 and the composites 1024 and 1536 below the line; the
+# prime 191 and 2048 above it
+ERROR_SIZES = {
+    "python": list(range(1, 65)) + [127, 179, 181, 1024, 1536],
+    "numpy": [191, 2048],
+}
+
+
+@pytest.mark.parametrize("form", sorted(ERROR_SIZES))
+def test_weights_error_within_the_model(form):
+    # The forward FFT of the library's circulant column g, against F g in
+    # long double, entry by entry, under the model e = c u log2(N) of
+    # Propagator.momentum.  The Python FFT reads at most 2.2 u log2(N), at
+    # the primes, against c = 6.66
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    for N in ERROR_SIZES[form]:
+        w, e = Propagator(N, 1).momentum
+        if form == "python":
+            roots, factors = _roots(N), propagator._prime_factors(N)
+            chirp = [roots[-m * m % N] for m in range(N)]
+            g = [z / N for z in propagator._dft(chirp, factors, roots, 1)]
+            assert type(w) is list and w == propagator._dft(g, factors, roots, -1), N
+        else:
+            m = np.arange(N)
+            g = np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N))
+            assert type(w) is np.ndarray and np.array_equal(w, np.fft.fft(g)), N
+        gap = np.max(np.abs(np.array(w, dtype=np.clongdouble) - _long_double_dft(g)))
+        assert gap <= e, (N, float(gap), e)
+
+
+def test_python_forms_match_numpy_forms():
+    # each step's two forms at sizes on both sides of the line, called
+    # directly: the weights within 1e-14, the lattice traces and the power
+    # sums within 1e-12 N; the Python forms return built-in complex numbers
+    for N in (1, 2, 7, 64, 181, 191, 272, 1536, 2048):
+        w_py, w_np = propagator._weights_python(N), propagator._weights_numpy(N)
+        assert all(type(z) is complex for z in w_py), N
+        assert np.max(np.abs(np.array(w_py) - w_np)) <= 1e-14, N
+    for a, N in [(3, 9), (0, 64), (440, 272), (0, 181), (0, 182), (1, 2048), (0, 300)]:
+        app = Approximant(a, N)
+        D, M = app.D, app.M
+        w = propagator._weights_numpy(N)
+        for form in (w, w.tolist()):
+            python = propagator._traces_python(form, D, M, 2 * D)
+            numpy = propagator._traces_numpy(form, D, M, 2 * D)
+            assert all(type(z) is complex for z in python + numpy), (a, N)
+            assert max(abs(x - y) for x, y in zip(python, numpy)) <= 1e-12 * N, (a, N)
+        spec = eigenphases(app)
+        python, numpy = _power_sums_python(spec, 2 * D), _power_sums_numpy(spec, 2 * D)
+        assert len(python) == len(numpy) == 2 * D, (a, N)
+        assert all(type(z) is complex for z in python + numpy), (a, N)
+        assert max(abs(x - y) for x, y in zip(python, numpy)) <= 1e-12 * N, (a, N)
+
+
+# (a, N) by the forms verify runs: (Python or numpy weights, Python or
+# numpy trace loop and power sums)
+FORM_COMBINATIONS = {
+    (440, 272): (list, True),
+    (0, 1024): (list, False),
+    (1, 4096): (np.ndarray, True),
+    (0, 4096): (np.ndarray, False),
+}
+
+
+@pytest.mark.parametrize("a, N", sorted(FORM_COMBINATIONS))
+def test_verify_runs_each_form_combination(a, N, capsys):
+    weights, loop_in_python = FORM_COMBINATIONS[a, N]
+    D = math.gcd(a, N)
+    assert type(Propagator(N, a).momentum[0]) is weights
+    assert (2 * D * D <= PYTHON_OPS) is loop_in_python
+    assert cli.main(["verify", "--a", str(a), "--N", str(N)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and all(c["ok"] for c in report["checks"])
