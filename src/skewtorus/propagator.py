@@ -29,11 +29,13 @@ from |w_m| and a stated model of the FFT's rounding, and the numeric traces
 are the power sums of the M-th roots of the D cycle products of the w_m:
 O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 
-Each step has two forms, chosen by its own count of complex products
-against spectrum.PYTHON_OPS: at or below it the step runs on Python complex
+Two steps have two forms each, chosen by the step's own count of complex
+products against spectrum.PYTHON_OPS: the weights' FFTs and the trace
+loop's running power.  At or below it the step runs on Python complex
 numbers (the weights by the mixed-radix FFT _dft), above it on numpy, which
-is imported only then.  The weights' count reads N alone and the trace
-loop's D alone, so a small verify loads no numpy.
+is imported only then and whose arrays stay inside the step: the weights
+are one list of Python complex numbers either way.  The weights' count
+reads N alone and the loop's D alone, so a small verify loads no numpy.
 
 What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
 since g is its inverse transform.  The checks are of the chain from the
@@ -43,6 +45,7 @@ levels (spectrum.eigenphases).  The numeric route is kept as the matrix
 layer of that chain, not as an independent proof that U is unitary.
 """
 
+import cmath
 import functools
 import math
 
@@ -73,8 +76,8 @@ class Propagator:
         and its spectral norm is the largest error of an FFT output entry.
         Each transform makes N S(N) products, S(N) the sum of N's prime
         factors with multiplicity (_dft).  When the two make at most
-        spectrum.PYTHON_OPS, w is a list of Python complex numbers from
-        _dft, and otherwise a numpy array from numpy's pocketfft; the
+        spectrum.PYTHON_OPS they are _dft's, and otherwise numpy's
+        pocketfft's; w is a list of Python complex numbers either way.  The
         choice reads N alone, so neither w nor e contains a.
 
         e is that error under a stated per-entry rounding model, not a proof.
@@ -149,11 +152,13 @@ def _weights_python(N):
 
 
 def _weights_numpy(N):
-    """w = fft(ifft(e(-m^2/N))) as a numpy array, by pocketfft."""
+    """w = fft(ifft(e(-m^2/N))) as a list, by pocketfft."""
     import numpy as np
 
     m = np.arange(N, dtype=np.int64)
-    return np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
+    w = np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
+    del m  # the list is 40 N bytes; only w is held while it is made
+    return w.tolist()
 
 
 def build_propagator(app):
@@ -170,32 +175,22 @@ def unitarity_defect(U):
     + E W^dagger P^dagger + E E^dagger, whose spectral norm is at most the
     sum of the three terms.  F / sqrt(N) is unitary, so V V^dagger - I is
     unitarily similar to U U^dagger - I and has the same spectral norm,
-    which bounds every entry of U U^dagger - I.
+    which bounds every entry of U U^dagger - I.  |1 - r^2| falls on
+    0 <= r <= 1 and rises above, so over the moduli it is largest at the
+    least or the greatest.
 
     For the factorised propagator E is the error of the weights, and e is
     its rounding model (Propagator.momentum), so the result is a bound under
     that model, for the U of the computed circulant column.  Over the test
-    sets it is above the entries of the dense U U^dagger - I.  The weights
-    are read in the form momentum gave them: a list in Python, an array in
-    numpy.
+    sets it is above the entries of the dense U U^dagger - I.  A NaN or
+    infinite weight makes it NaN: min and max pass over a NaN that is not
+    first, so the weights' sum is what sees it.
     """
     w, e = U.momentum
-    off, top = _moduli_python(w) if isinstance(w, list) else _moduli_numpy(w)
-    return off + 2 * e * math.sqrt(top) + e * e
-
-
-def _moduli_python(w):
-    """(max|1 - |w_m|^2|, max |w_m|^2) of a list of weights."""
-    mod2 = [z.real**2 + z.imag**2 for z in w]
-    return max(abs(1 - x) for x in mod2), max(mod2)
-
-
-def _moduli_numpy(w):
-    """(max|1 - |w_m|^2|, max |w_m|^2) of an array of weights."""
-    import numpy as np
-
-    mod2 = w.real**2 + w.imag**2
-    return float(np.max(np.abs(1 - mod2))), float(mod2.max())
+    if not cmath.isfinite(sum(w)):
+        return math.nan
+    lo, hi = min(map(abs, w)), max(map(abs, w))
+    return max(abs(1 - lo * lo), abs(1 - hi * hi)) + 2 * e * hi + e * e
 
 
 def trace_powers(U, n_max):
@@ -208,10 +203,9 @@ def trace_powers(U, n_max):
     otherwise (the M-th roots of unity sum to zero), so only the M-lattice
     is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one running
     product over the D cycles: O(N + D n_max / M) after the momentum form.
-    The running product makes D n_max / M complex products (2 D^2 at
-    verify's n_max = 2N); up to spectrum.PYTHON_OPS of them it runs in
-    Python, above in numpy, and either form reads the weights as a list or
-    an array.
+    The c_r are made once, in Python.  The running product makes
+    D n_max / M complex products (2 D^2 at verify's n_max = 2N); up to
+    spectrum.PYTHON_OPS of them it runs in Python, above in numpy.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
     ||E||_2 <= e of one of U's.  For the traces themselves,
@@ -234,15 +228,15 @@ def trace_powers(U, n_max):
     D = math.gcd(int(U.a), N)
     M = N // D
     steps = n_max // M
-    if steps * D <= PYTHON_OPS:
-        return _traces_python(w, D, M, steps)
-    return _traces_numpy(w, D, M, steps)
-
-
-def _traces_python(w, D, M, steps):
-    """M sum_r c_r^k for k = 1..steps, on Python complex numbers."""
     cycles = [math.prod(w[r::D]) for r in range(D)]
-    power = [1] * D
+    if steps * D <= PYTHON_OPS:
+        return _traces_python(cycles, M, steps)
+    return _traces_numpy(cycles, M, steps)
+
+
+def _traces_python(cycles, M, steps):
+    """M sum_r c_r^k for k = 1..steps, on Python complex numbers."""
+    power = [1] * len(cycles)
     out = []
     for _ in range(steps):
         power = [x * c for x, c in zip(power, cycles)]
@@ -250,12 +244,12 @@ def _traces_python(w, D, M, steps):
     return out
 
 
-def _traces_numpy(w, D, M, steps):
+def _traces_numpy(cycles, M, steps):
     """M sum_r c_r^k for k = 1..steps, on numpy arrays."""
     import numpy as np
 
-    cycles = np.prod(np.asarray(w).reshape(M, D), axis=0)
-    power = np.ones(D, dtype=complex)
+    cycles = np.array(cycles, dtype=complex)
+    power = np.ones(len(cycles), dtype=complex)
     out = []
     for _ in range(steps):
         power *= cycles

@@ -147,16 +147,23 @@ MUTANTS = [
         "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
         [PROPAGATOR + "test_weights_error_within_the_model[numpy]"],
     ),
+    # the unitarity bound reads both ends of the moduli, and a NaN among them
     (
         "propagator.py",
-        "max(abs(1 - x) for x in mod2)",
-        "max(1 - x for x in mod2)",
-        [PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix"],
+        "max(abs(1 - lo * lo), abs(1 - hi * hi))",
+        "abs(1 - hi * hi)",
+        [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
     (
         "propagator.py",
-        "np.max(np.abs(1 - mod2))",
-        "np.max(1 - mod2)",
+        "max(abs(1 - lo * lo), abs(1 - hi * hi))",
+        "abs(1 - lo * lo)",
+        [PROPAGATOR + "test_unitarity_bound_terms"],
+    ),
+    (
+        "propagator.py",
+        "    if not cmath.isfinite(sum(w)):\n        return math.nan\n",
+        "",
         [
             PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix",
             PROPAGATOR + "test_verify_fails_unitarity_on_corrupted_matrix",
@@ -164,8 +171,8 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "math.sqrt(top) + e * e",
-        "math.sqrt(top)",
+        "2 * e * hi + e * e",
+        "2 * e * hi",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
     # each step picks its form by its own count: a small verify loads no numpy
