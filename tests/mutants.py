@@ -162,7 +162,7 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "    if not cmath.isfinite(sum(w)):\n        return math.nan\n",
+        "    if not math.isfinite(sum(r)):\n        return math.nan\n",
         "",
         [
             PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix",
