@@ -3,13 +3,15 @@
 The propagator is a diagonal times a circulant, so in the momentum basis
 it is a weighted permutation m -> m + a (mod N): D cycles of length M,
 with the circulant's eigenvalues w_m as weights, one FFT of its first
-column.  Two checks follow: a bound on the unitarity defect from |w_m| and
-a stated model e of their FFT rounding, and numeric traces of powers (the
-power sums of the M-th roots of the D cycle products of the weights)
+column.  Three checks follow: a bound on the unitarity defect from |w_m|
+and a stated model e of their FFT rounding; each of the D cycle products
+of the weights against e(t_r/6D), the level of base level eta = r in the
+exact spectrum, within delta(N, M) from the same model; and numeric traces
+of powers (the power sums of the M-th roots of the cycle products)
 against the paper's trace formula, which is the eigenvalue power sums of
-the exact spectrum.  Both vanish unless M divides
-n, so both return the 2D traces at n = kM <= 2N.  Agreement here pins down
-the explicit eigenphase formula numerically.
+the exact spectrum.  Both vanish unless M divides n, so both return the 2D
+traces at n = kM <= 2N.  Agreement here pins down the explicit eigenphase
+formula numerically, cycle by cycle.
 """
 
 import cmath
@@ -17,6 +19,8 @@ import cmath
 from skewtorus import (
     Approximant,
     build_propagator,
+    cycle_products,
+    cycle_tolerance,
     eigenphases,
     power_sums,
     trace_powers,
@@ -28,9 +32,11 @@ for a, N in ((8, 5), (3, 9), (24, 15), (24, 16)):
     U = build_propagator(app)
     pairs = zip(trace_powers(U, 2 * N), power_sums(eigenphases(app), 2 * N), strict=True)
     worst = max(abs(x - y) for x, y in pairs)
+    cycles = max(abs(x - y) for x, y in zip(U.cycles, cycle_products(app), strict=True))
     print(f"a/N = {a}/{N} (D={app.D} cycles of length M={app.M}):")
     print(f"  weight rounding model e {U.momentum[1]:.2e}")
     print(f"  unitarity bound         {unitarity_defect(U):.2e}")
+    print(f"  cycle products          {cycles:.2e}  (delta {cycle_tolerance(N, app.M):.2e})")
     print(f"  trace formula, n=kM<=2N {worst:.2e}")
 
 # the N levels by hand, phi = q + rho/6 with hist[q mod D] levels at each q,

@@ -38,6 +38,7 @@ _LAYERS = {
     ),
     "spectrum": (
         "Spectrum",
+        "cycle_products",
         "eigenphases",
         "power_sums",
         "reduced_spectrum",
@@ -47,6 +48,7 @@ _LAYERS = {
     "propagator": (
         "Propagator",
         "build_propagator",
+        "cycle_tolerance",
         "trace_powers",
         "unitarity_defect",
     ),

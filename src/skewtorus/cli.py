@@ -101,11 +101,12 @@ MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
 # spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
 MAX_SPECTRUM_N = 1 << 50
-# verify's N.  The propagator's own work is O(N log N), so the cap stands
-# for the trace check: trace_powers makes 2 D^2 complex products (about
-# 0.6 s at D = N = 16384), and the trace formula's residual grows as N^2 u
-# against a tolerance 1e-9 N (propagator.trace_powers).  verify --a 0
-# --N 16384 takes about 0.8 s at 35 MB peak RSS (2-vCPU VM, one BLAS thread).
+# verify's N.  The propagator's own work is O(N log N), and the trace loop
+# and the power sums make at most spectrum.PYTHON_OPS products each, so the
+# cap stands for the trace formula's tolerance: cycle-products carries the
+# traces that verify does not compute only while 2 N^2 (c log2 N + sqrt 5) u
+# stays below 1e-9 N, up to about N = 4e4 (cmd_verify).  verify --a 0
+# --N 16384 takes about 0.27 s at 36 MB peak RSS (2-vCPU VM, one BLAS thread).
 MAX_VERIFY_N = 16384
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
@@ -427,16 +428,37 @@ def cmd_witness(args):
 
 
 def cmd_verify(args):
-    """Cross-method checks of one approximant: each passes when it has residuals and all pass."""
+    """Cross-method checks of one approximant: each passes when it has residuals and all pass.
+
+    cycle-products compares each of the D cycle products c_r of the
+    weights (Propagator.cycles) with the eigenphase formula's
+    z_r = e(t_r / 6D) (spectrum.cycle_products), within
+    delta = cycle_tolerance(N, M).  trace-formula compares the lattice
+    traces Tr U^(kM) = M sum_r c_r^k with the trace formula's M sum_r z_r^k
+    at k = 1..min(2D, PYTHON_OPS // D) only, so that each side makes at
+    most spectrum.PYTHON_OPS complex products.  Nothing beyond that is
+    lost: |x^k - y^k| <= k |x - y| max(|x|, |y|)^(k-1), so if every
+    |c_r - z_r| <= delta, then at every k
+
+        |M sum_r c_r^k - M sum_r z_r^k| <= M D k delta (1 + delta)^(k-1),
+
+    and at k = 2D, with delta about M (c log2 N + sqrt 5) u, that is about
+    2 N^2 (c log2 N + sqrt 5) u: at most 1e-9 N for every k <= 2D and every
+    N <= MAX_VERIFY_N (5.9e-6 against 1.6e-5 at N = 16384).
+    """
     _use("diophantine", "propagator", "spectrum", "statistics")
+    from .spectrum import PYTHON_OPS
+
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
     if N > MAX_VERIFY_N:
         raise ValueError(f"--N {N} exceeds verify's cap of {MAX_VERIFY_N}")
     U = build_propagator(app)
+    cycles = zip_longest(U.cycles, cycle_products(app), fillvalue=math.nan)
     # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
-    pairs = zip_longest(trace_powers(U, 2 * N), power_sums(spec, 2 * N), fillvalue=math.nan)
+    n = min(2 * D, PYTHON_OPS // D) * M
+    pairs = zip_longest(trace_powers(U, n), power_sums(spec, n), fillvalue=math.nan)
     # every statistic of (a, N) is that of its D-level block
     block = reduced_spectrum(D)
     direct = [(L, number_variance_direct(spec, L)) for L in VERIFY_LS]
@@ -448,7 +470,13 @@ def cmd_verify(args):
             1e-12,
             "bound under the FFT rounding model c u log2(N), c = 1 + 4 sqrt(2)",
         ),
-        ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
+        (
+            "cycle-products",
+            [abs(x - y) for x, y in cycles],
+            cycle_tolerance(N, M),
+            f"r = 0..{D - 1}: c_r against e(t_r/6D) under the FFT rounding model",
+        ),
+        ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = kM, k = 1..{n // M}"),
         (
             "spacing-law",
             [0.0 if spacings(spec).atoms == spacings(block).atoms else 1.0],

@@ -29,21 +29,23 @@ from |w_m| and a stated model of the FFT's rounding, and the numeric traces
 are the power sums of the M-th roots of the D cycle products of the w_m:
 O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 
-Two steps have two forms each, chosen by the step's own count of complex
-products against spectrum.PYTHON_OPS: the weights' FFTs and the trace
-loop's running power.  At or below it the step runs on Python complex
-numbers (the weights by the mixed-radix FFT _dft), above it on numpy, which
-is imported only then.  The weights' count reads N alone and the loop's D
-alone, so a small verify loads no numpy.  The weights are a list from _dft
-and an array from numpy, and the unitarity bound and the cycle products
-read either one way, element by element.
+One step has two forms: the weights' two FFTs run on Python complex
+numbers (the mixed-radix FFT _dft) while they make at most
+spectrum.PYTHON_OPS complex products, and on numpy above, which is
+imported only then.  The count reads N alone, so a small verify loads no
+numpy.  The weights are a list from _dft and an array from numpy; the
+unitarity bound and the cycle products (Propagator.cycles) read either one
+way, element by element, and the products and the trace loop run on
+Python complex numbers.
 
 What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
 since g is its inverse transform.  The checks are of the chain from the
-factorisation to w_m, to the cycle products, to the traces, which are
-compared with spectrum.power_sums, the paper's trace formula over the exact
-levels (spectrum.eigenphases).  The numeric route is kept as the matrix
-layer of that chain, not as an independent proof that U is unitary.
+factorisation to w_m, to the cycle products, which are compared with
+spectrum.cycle_products, the eigenphase formula's base levels, and to the
+traces, which are compared with spectrum.power_sums, the paper's trace
+formula over the exact levels (spectrum.eigenphases).  The numeric route
+is kept as the matrix layer of that chain, not as an independent proof
+that U is unitary.
 """
 
 import functools
@@ -104,10 +106,56 @@ class Propagator:
         (test_weights_error_within_the_model).
         """
         N = self.N
-        e = (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
         if 2 * N * sum(_prime_factors(N)) <= PYTHON_OPS:
-            return _weights_python(N), e
-        return _weights_numpy(N), e
+            return _weights_python(N), _weight_error(N)
+        return _weights_numpy(N), _weight_error(N)
+
+    @functools.cached_property
+    def cycles(self):
+        """[c_r for r < D]: the product of the weights on each cycle of the shift.
+
+        The shift m -> m + a splits the momenta into the D = gcd(a, N)
+        residue classes r = m mod D, M = N / D each.  The products are made
+        once, in one pass over the weights in momentum order, each weight
+        read as a Python complex number, list or array alike: a weight that
+        is not finite gives a product that is not finite, with no numpy
+        scalar arithmetic to warn about it.  M - 1 complex products round
+        on each cycle (cycle_tolerance).
+        """
+        w, _ = self.momentum
+        D = math.gcd(int(self.a), self.N)
+        cycles = [1] * D
+        for m, z in enumerate(w):
+            cycles[m % D] *= complex(z)
+        return cycles
+
+
+def _weight_error(N):
+    """e = c u log2(N), c = 1 + 4 sqrt(2): the model of each weight's rounding (momentum)."""
+    return (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
+
+
+def cycle_tolerance(N, M):
+    """delta(N, M): a bound on |c_r - e(t_r / 6D)| for each cycle product, under the model.
+
+    Under momentum's model every computed weight is within
+    e = c u log2(N) of its exact value, the chirp e(-m^2/N) of modulus 1.
+    So the exact product P of a cycle's M computed weights is within
+    (1 + e)^M - 1 of the exact cycle product, and |P| <= (1 + e)^M.
+    Forming P takes M - 1 complex products (the first factor is the
+    integer 1, which is exact), and each has a relative error of at most
+    sqrt(5) u (Brent, Percival and Zimmermann, "Error bounds on complex
+    floating-point multiplication", Math. Comp. 76 (2007) 1469-1481), so
+    the computed c_r is within (1 + e)^M (1 + sqrt(5) u)^(M - 1) - 1 of the
+    exact product.  The exact side e(t_r / 6D) comes from spectrum._root:
+    its angle, at most pi/4 in modulus, takes three roundings
+    (3 pi u / 4), and its cosine and sine one ulp each (2 u), so it is
+    within 5 u.  delta is the sum, with no fitted constant; the
+    powers are summed as logarithms, since 1 + e rounds e away.
+    """
+    u = 2.0**-53
+    e = _weight_error(N)
+    return math.expm1(M * math.log1p(e) + (M - 1) * math.log1p(math.sqrt(5) * u)) + 5 * u
 
 
 def _prime_factors(n):
@@ -200,63 +248,34 @@ def trace_powers(U, n_max):
 
     P W splits into D cycles of length M; on cycle r (the momenta
     m = r mod D) its M-th power is c_r times the identity, with c_r the
-    product of the cycle's weights, so its eigenvalues are the M M-th roots
-    of c_r.  Their n-th power sum is M c_r^(n/M) when M divides n and 0
-    otherwise (the M-th roots of unity sum to zero), so only the M-lattice
-    is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one running
-    product over the D cycles: O(N + D n_max / M) after the momentum form.
-    The c_r are made once, in one pass over the weights in momentum
-    order, whether they are a list or an array.  The running product makes
-    D n_max / M complex products (2 D^2 at verify's n_max = 2N); up to
-    spectrum.PYTHON_OPS of them it runs in Python, above in numpy.
+    product of the cycle's weights (U.cycles), so its eigenvalues are the M
+    M-th roots of c_r.  Their n-th power sum is M c_r^(n/M) when M divides
+    n and 0 otherwise (the M-th roots of unity sum to zero), so only the
+    M-lattice is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one
+    running product over the D cycles, D n_max / M complex products on
+    Python complex numbers after the cycle products.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
     ||E||_2 <= e of one of U's.  For the traces themselves,
     Tr V^n - Tr (P W)^n is a sum of n terms Tr(V^j E (P W)^(n-1-j)), each at
     most N e in modulus while every weight has modulus near 1.
 
-    Tolerance model.  Each weight is off by a few u; c_r^(n/M) compounds n
-    of them, so each of the N terms of Tr U^n is off by about n u, and the
-    residual against the trace formula over n <= 2N grows as N^2 u.
-    Measured for verify --a 1: 5.1e-9, 2.3e-8 and 9.6e-8 at N = 4096, 8192
-    and 16384, and 5.7e-4 at N = 2^20.  verify's tolerance 1e-9 N grows only
-    as N (1.6e-5 at N = 16384, a margin of 170x); the two cross near
-    N = 2e6, far above cli.MAX_VERIFY_N.  The tolerance is not widened to
-    reach past that.
+    Tolerance model.  Each c_r is within cycle_tolerance(N, M) of the
+    formula's, and c_r^k compounds k of those errors, so the residual
+    against the trace formula over n = kM <= 2N grows as N^2 u.  Measured
+    for verify --a 1: 5.1e-9, 2.3e-8 and 9.6e-8 at N = 4096, 8192 and
+    16384, and 5.7e-4 at N = 2^20.  verify's tolerance 1e-9 N grows only as
+    N (1.6e-5 at N = 16384, a margin of 170x), and verify compares at most
+    spectrum.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w, _ = U.momentum
-    N = U.N
-    D = math.gcd(int(U.a), N)
-    M = N // D
+    cycles = U.cycles
+    M = U.N // len(cycles)
     steps = n_max // M
-    cycles = [1] * D
-    for m, z in enumerate(w):
-        cycles[m % D] *= z
-    if steps * D <= PYTHON_OPS:
-        return _traces_python(cycles, M, steps)
-    return _traces_numpy(cycles, M, steps)
-
-
-def _traces_python(cycles, M, steps):
-    """M sum_r c_r^k for k = 1..steps, on Python complex numbers."""
     power = [1] * len(cycles)
     out = []
     for _ in range(steps):
         power = [x * c for x, c in zip(power, cycles)]
-        out.append(complex(M * sum(power)))
-    return out
-
-
-def _traces_numpy(cycles, M, steps):
-    """M sum_r c_r^k for k = 1..steps, on numpy arrays."""
-    import numpy as np
-
-    cycles = np.array(cycles, dtype=complex)
-    power = np.ones(len(cycles), dtype=complex)
-    out = []
-    for _ in range(steps):
-        power *= cycles
-        out.append(complex(M * power.sum()))
+        out.append(M * sum(power))
     return out

@@ -177,63 +177,62 @@ def power_sums(spec, n_max):
 
     With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m is
     that delta, so only the M-lattice n = k M <= n_max is returned.  There
-    the sum is M sum_u h_u e(k (6u + rho) / 6D) over the histogram: D terms
-    for each of the n_max // M values of k.  Up to PYTHON_OPS terms in all
-    (2 D^2 at verify's n_max = 2N; at least the 6D of the table) it is
-    summed so in Python, with each phase k (6u + rho) reduced mod 6D in
-    integers and read from a table of the 6D-th roots of unity (_roots),
-    and numpy is not loaded.  Above that
-    it is N times one inverse FFT of length D over the histogram, read at
-    k mod D, times e(k rho / 6D), with k rho reduced mod 6D in integers.
-    Either way only the roots, the products and the sums round, and the
-    values are built-in complex numbers.  verify compares these with the
-    numeric traces (propagator.trace_powers).
+    the sum is M sum_u h_u e(k (6u + rho) / 6D) over the histogram, one
+    term per occupied u for each of the n_max // M values of k, on Python
+    complex numbers: each phase k (6u + rho) is reduced mod 6D in integers
+    and read from a table of the 6D-th roots of unity (_roots), so only the
+    roots, the products and the sums round.  verify asks for at most
+    PYTHON_OPS // D values of k, so at most PYTHON_OPS terms, and compares
+    them with the numeric traces (propagator.trace_powers).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    steps = n_max // spec.app.M
-    if max(steps, 6) * spec.app.D <= PYTHON_OPS:
-        return _power_sums_python(spec, steps)
-    return _power_sums_numpy(spec, steps)
-
-
-def _power_sums_python(spec, steps):
-    """The lattice power sums as M sum_u h_u e(k (6u + rho) / 6D), k = 1..steps."""
     D, M, rho = spec.app.D, spec.app.M, spec.rho
     size = 6 * D
     roots = _roots(size)
     levels = [(6 * u + rho, h) for u, h in enumerate(spec.hist) if h]
-    return [M * sum(h * roots[k * t % size] for t, h in levels) for k in range(1, steps + 1)]
+    return [M * sum(h * roots[k * t % size] for t, h in levels) for k in range(1, n_max // M + 1)]
 
 
-def _power_sums_numpy(spec, steps):
-    """The lattice power sums as N e(k rho / 6D) ifft(h)[k mod D], k = 1..steps."""
-    import numpy as np
+def cycle_products(app):
+    """[e(t_r / 6D) for r < D]: the exact product of the weights on each cycle.
 
-    D = spec.app.D
-    size = 6 * D
-    k = np.arange(1, steps + 1)
-    phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
-    return (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
+    Cycle r of the shift m -> m + a holds the momenta m = r + j D, j < M,
+    whose exact weights are the chirp e(-m^2/N), so its product is
+    e(-sum_j m^2 / N) = e(-(6 r^2 + D^2 (M-1)(2M-1)) / 6D), an integer
+    r (M - 1) dropped.  With a = a' D, that constant and _offset's
+    -a^2 (M-1)(2M-1) = 6 c + rho differ by D^2 (a'^2 - 1)(M-1)(2M-1), which
+    is 0 mod 6D: for p = 2 and 3, p divides (M-1)(2M-1), or p divides M,
+    and then not a' (gcd(a', M) = 1), so p divides a'^2 - 1.  So
+    t_r = 6 ((c - r^2) mod D) + rho: the level of base level eta = r that
+    eigenphases counts, and the M eigenvalues on cycle r are the M-th roots
+    of this product.  Each value is one 6D-th root of unity (_root).
+    """
+    D, (c, rho) = app.D, _offset(app)
+    return [_root(6 * ((c - r * r) % D) + rho, 6 * D) for r in range(D)]
 
 
-# Largest operation count (complex products) that verify's numeric layer
-# runs on Python complex numbers; above it, numpy.  The count is each
-# step's own: 2 N S(N) for the weights' two FFTs (propagator._dft, S(N) the
-# sum of N's prime factors with multiplicity), 2 D^2 for the trace loop and
-# for the power sums.  Importing numpy takes 55-60 ms of a verify
-# subprocess.  On a 2-vCPU VM (CPython 3.11) these loops took 45-200 ns per
-# product (the power sums at the low end, the FFT's radix 2 at the high
-# end): at 2^16 products the weights took 8-10 ms (N = 181, 1536), the
-# trace loop 5 ms and the power sums 4 ms (D = 181), so the Python form is
-# the faster wherever it is chosen.  The largest count of the benchmark's
-# verify-ladder is 28140 (N = 201), so the line is not set from it.
+# Largest count of complex products that verify's weights take on Python
+# complex numbers; above it, numpy's FFT.  The weights' two FFTs make
+# 2 N S(N) products (propagator._dft, S(N) the sum of N's prime factors
+# with multiplicity), so N = 1536 takes the Python FFT and the prime
+# N = 191 numpy's.  The constant also bounds the lattice points that
+# verify's trace-formula compares, k <= PYTHON_OPS // D of the 2D
+# (cli.cmd_verify), so that the trace loop and the power sums make at most
+# PYTHON_OPS products each, in Python, at every N.  Importing numpy takes
+# 55-60 ms of a verify subprocess.  On a 2-vCPU VM (CPython 3.11) these
+# loops took 45-200 ns per product (the power sums at the low end, the
+# FFT's radix 2 at the high end): at 2^16 products the weights took 8-10 ms
+# (N = 181, 1536), the trace loop 5 ms and the power sums 4 ms (D = 181),
+# so the Python FFT is the faster wherever it is chosen.  The largest count
+# of the benchmark's verify-ladder is 28140 (N = 201), so the line is not
+# set from it.
 PYTHON_OPS = 1 << 16
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 
 
-def _roots(n):
-    """[e(j/n) for j < n], each to about the unit roundoff.
+def _root(j, n):
+    """e(j/n) for an integer j in [0, n), to about the unit roundoff.
 
     e(j/n) = i^q e(r / 4n) with q = round(4j/n) and r = 4j - q n in
     [-n/2, n/2): the angle pi r / 2n handed to cmath.exp is at most pi/4
@@ -241,12 +240,13 @@ def _roots(n):
     turn i^q is exact.  j is an exact integer residue, so no phase
     accumulates.
     """
-    out = []
-    for j in range(n):
-        q = (8 * j + n) // (2 * n)
-        r = 4 * j - q * n
-        out.append(cmath.exp(1j * (math.pi * r / (2 * n))) * _QUARTER_TURNS[q % 4])
-    return out
+    q = (8 * j + n) // (2 * n)
+    return cmath.exp(1j * (math.pi * (4 * j - q * n) / (2 * n))) * _QUARTER_TURNS[q % 4]
+
+
+def _roots(n):
+    """[e(j/n) for j < n], each from _root."""
+    return [_root(j, n) for j in range(n)]
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")

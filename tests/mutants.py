@@ -175,24 +175,31 @@ MUTANTS = [
         "2 * e * hi",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
-    # each step picks its form by its own count: a small verify loads no numpy
+    # the weights pick their form by their own count: a small verify loads no numpy
     (
         "propagator.py",
         "2 * N * sum(_prime_factors(N)) <= PYTHON_OPS",
         "2 * N * sum(_prime_factors(N)) > PYTHON_OPS",
         [CLI + "test_cli_import_does_not_load_numpy"],
     ),
+    # each cycle product against its base level, within the model's delta
     (
         "propagator.py",
-        "steps * D <= PYTHON_OPS",
-        "steps * D > PYTHON_OPS",
-        [CLI + "test_cli_import_does_not_load_numpy"],
+        "    return math.expm1(M * math.log1p(e) + (M - 1) * math.log1p(math.sqrt(5) * u)) + 5 * u\n",
+        "    return (math.expm1(M * math.log1p(e) + (M - 1) * math.log1p(math.sqrt(5) * u)) + 5 * u) / 100\n",
+        [PROPAGATOR + "test_cycle_tolerance_is_pinned_on_a_ladder"],
     ),
     (
         "spectrum.py",
-        "max(steps, 6) * spec.app.D <= PYTHON_OPS",
-        "max(steps, 6) * spec.app.D > PYTHON_OPS",
-        [CLI + "test_cli_import_does_not_load_numpy"],
+        "(2 * M - 1) % (6 * app.N)",
+        "(2 * M + 1) % (6 * app.N)",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
+    ),
+    (
+        "propagator.py",
+        "cycles[m % D] *= complex(z)",
+        "cycles[(m + 1) % D] *= complex(z)",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
     ),
     # the trace formula on the M-lattice
     (
@@ -203,20 +210,14 @@ MUTANTS = [
     ),
     (
         "spectrum.py",
-        "[k % D]",
-        "[(k + 1) % D]",
+        "for k in range(1, n_max // M + 1)",
+        "for k in range(n_max // M)",
         [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
     ),
     (
         "spectrum.py",
         "(6 * u + rho, h)",
         "(6 * u + rho + 1, h)",
-        [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
-    ),
-    (
-        "spectrum.py",
-        "* spec.rho",
-        "* (spec.rho + 1)",
         [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
     ),
     (
@@ -240,8 +241,8 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        '1e-9 * N, f"n = kM, k = 1..{2 * D}"',
-        '1e-6 * N, f"n = kM, k = 1..{2 * D}"',
+        '1e-9 * N, f"n = kM, k = 1..{n // M}"',
+        '1e-6 * N, f"n = kM, k = 1..{n // M}"',
         [CLI + "test_verify_gates_are_pinned"],
     ),
     (
@@ -399,6 +400,12 @@ MUTANTS = [
 # Retired: spectrum._TAIL_CAP = 2^52 (the cap of the per-binade decimal
 # tails).  The constant is gone: cli.MAX_SPECTRUM_N = 2^50 refuses a longer
 # spectrum before any row is made, so no row reaches the repr path it bounded.
+# Retired with the numpy forms of the trace loop and the power sums, whose
+# code is gone: the flips of their selections (steps * D <= PYTHON_OPS,
+# max(steps, 6) * spec.app.D <= PYTHON_OPS), and the FFT form's k rho
+# phase (* spec.rho -> * (spec.rho + 1)), whose Python twin is the
+# (6 * u + rho, h) entry above.  Its k mod D index became the Python
+# form's range of k.
 
 
 def _pytest(src, tests):

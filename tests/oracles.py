@@ -5,8 +5,11 @@ with one Fraction per level, the l-sum that defines the propagator entries
 (O(N^3)), traces of powers by matrix power, from one running matrix product
 (O(N^4) for n up to 2N) or as power sums of one dense eigensolve (O(N^3)),
 the unitarity defect as the largest entry of the dense U U^dagger - I
-(O(N^3)), eigenvalue power sums from one Fraction-reduced exponential per
-level and per n (O(N n_max)), the number variance by an event sweep over
+(O(N^3)), the lattice traces from the cycle products and the trace formula's
+power sums over the whole range k <= 2D in numpy (traces_numpy,
+power_sums_fft, where verify makes at most spectrum.PYTHON_OPS products
+of either), eigenvalue power sums from one Fraction-reduced
+exponential per level and per n (O(N n_max)), the number variance by an event sweep over
 Fraction breakpoints with one bisection count per segment (O(N^2 log N)),
 and Sigma^2_D as the Bernoulli-B2 sum over pairs of D residues.  The N
 levels are also built as int64 arrays straight from the formula, with one
@@ -147,6 +150,38 @@ def eigvals_power_sums(entries, n_max):
         p *= lam
         out.append(complex(p.sum()))
     return out
+
+
+def traces_numpy(U, n_max):
+    """[Tr U^(kM) for k = 1..n_max // M] as M sum_r c_r^k, over numpy arrays.
+
+    The running product of propagator.trace_powers over U.cycles, one numpy
+    product of D values per k, so it reaches every lattice point up to
+    n_max = 2N (2 D^2 products) at any D, where verify compares only
+    spectrum.PYTHON_OPS // D of them.
+    """
+    cycles = np.array(U.cycles, dtype=complex)
+    M = U.N // len(cycles)
+    power = np.ones(len(cycles), dtype=complex)
+    out = []
+    for _ in range(n_max // M):
+        power *= cycles
+        out.append(complex(M * power.sum()))
+    return out
+
+
+def power_sums_fft(spec, n_max):
+    """The trace formula's lattice sums as N e(k rho / 6D) ifft(h)[k mod D], k = 1..n_max // M.
+
+    sum_u h_u e(k (6u + rho) / 6D) is e(k rho / 6D) times D ifft(h) at k mod
+    D, one inverse FFT of length D over the histogram for every k, with
+    k rho reduced mod 6D in integers.
+    """
+    D = spec.app.D
+    size = 6 * D
+    k = np.arange(1, n_max // spec.app.M + 1)
+    phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
+    return (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
 
 
 def dense_unitarity_defect(entries):

@@ -17,6 +17,7 @@ import pytest
 import skewtorus
 from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant
+from skewtorus.propagator import cycle_tolerance
 from skewtorus.spectrum import Spectrum, eigenphases
 from skewtorus.statistics import (
     _tail_bound,
@@ -479,6 +480,7 @@ def test_verify_green(capsys):
     names = [c["name"] for c in report["checks"]]
     assert names == [
         "unitarity",
+        "cycle-products",
         "trace-formula",
         "spacing-law",
         "numvar-direct-vs-block",
@@ -553,11 +555,15 @@ UNITARITY_DETAIL = "bound under the FFT rounding model c u log2(N), c = 1 + 4 sq
 
 
 # verify's gates, written out: (name, tolerance, detail) at each D.  The
-# tolerances are 1e-12 (unitarity), 1e-9 N (trace formula), 0 (the exact
-# checks) and the fourier series' certified tail bound at K = 2000.
+# tolerances are 1e-12 (unitarity), delta(N, M) from the same rounding
+# model (cycle products), 1e-9 N (trace formula, at every k <= 2D while
+# 2 D^2 <= PYTHON_OPS), 0 (the exact checks) and the fourier series'
+# certified tail bound at K = 2000.
 def _verify_gates(N, D):
+    cycles = f"r = 0..{D - 1}: c_r against e(t_r/6D) under the FFT rounding model"
     return [
         ("unitarity", 1e-12, UNITARITY_DETAIL),
+        ("cycle-products", cycle_tolerance(N, N // D), cycles),
         ("trace-formula", 1e-9 * N, f"n = kM, k = 1..{2 * D}"),
         ("spacing-law", 0.0, f"empirical vs D-level block, D={D}"),
         (
@@ -625,6 +631,37 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
     for c in report["checks"]:
         assert c["ok"] is (c["name"] != name), c
         assert (c["residual"] is None) is (c["name"] == name), c
+
+
+@pytest.mark.parametrize("a", [1, 0])
+def test_verify_fails_an_infinite_array_weight(a):
+    # At N = 2048 the weights are a numpy array.  One infinite weight fails
+    # unitarity, cycle-products and trace-formula under -W error, with no
+    # traceback: the cycle products read each weight as a Python complex
+    # number, so no numpy scalar product warns of inf * 0.  D = 1 puts it in
+    # the one cycle, D = N in a cycle of its own
+    script = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from skewtorus import cli\n"
+        "from skewtorus.propagator import build_propagator\n"
+        "def inf_weight(app):\n"
+        "    U = build_propagator(app)\n"
+        "    w, _ = U.momentum\n"
+        "    assert isinstance(w, np.ndarray)\n"
+        "    w[app.N // 2] = math.inf\n"
+        "    return U\n"
+        "cli.build_propagator = inf_weight\n"
+        f"sys.exit(cli.main(['verify', '--a', '{a}', '--N', '2048']))\n"
+    )
+    proc = _python("-W", "error", "-c", script)
+    assert (proc.returncode, proc.stderr) == (
+        1,
+        "FAIL: unitarity\nFAIL: cycle-products\nFAIL: trace-formula\n",
+    )
+    report = _strict_json(proc.stdout)
+    failing = {c["name"]: c["residual"] for c in report["checks"] if not c["ok"]}
+    assert failing == {"unitarity": None, "cycle-products": None, "trace-formula": None}
 
 
 @pytest.mark.parametrize("short", ["last", "all", "both"])
@@ -1027,12 +1064,15 @@ def test_runs_without_scipy():
 # and numvar --method direct read one period of D levels, at any N;
 # spectrum tiles its rows from that period, and the fourier series (figure1,
 # numvar --method fourier) takes its Gauss sums in closed form.  verify
-# needs numpy only above spectrum.PYTHON_OPS: below it the weights' FFTs,
-# the trace loop and the power sums run on Python complex numbers.
+# needs numpy only for weights above spectrum.PYTHON_OPS (N > 1536): the
+# cycle products, the trace loop and the power sums run on Python complex
+# numbers at every D, D = N = 272 and 1024 among them.
 NO_NUMPY_COMMANDS = [
     ("verify --a 3 --N 9", 0),
     ("verify --a 440 --N 272", 0),
     ("verify --a 0 --N 7", 0),
+    ("verify --a 0 --N 272", 0),
+    ("verify --a 0 --N 1024", 0),
     ("spectrum --a 24 --N 16", 0),
     ("spectrum --a 8 --N 13 --format json", 0),
     ("spectrum --a 0 --N 5000", 0),

@@ -28,11 +28,12 @@ from skewtorus import propagator
 from skewtorus.propagator import (
     Propagator,
     build_propagator,
+    cycle_tolerance,
     trace_powers,
     unitarity_defect,
 )
-from skewtorus.spectrum import PYTHON_OPS, _power_sums_numpy, _power_sums_python, _roots
-from skewtorus.spectrum import eigenphases, power_sums
+from skewtorus.spectrum import PYTHON_OPS, _roots
+from skewtorus.spectrum import cycle_products, eigenphases, power_sums
 
 from oracles import (
     DenseMatrix,
@@ -40,9 +41,11 @@ from oracles import (
     dense_unitarity_defect,
     eigvals_power_sums,
     momentum_two_buffer,
+    power_sums_fft,
     propagator_lsum,
     robustness_pairs,
     trace_power_numeric,
+    traces_numpy,
     traces_running_product,
 )
 
@@ -61,9 +64,9 @@ TRACE_SET = [
 EDGE_SET = [(1, 1), (0, 1), (0, 7), (25, 9), (10**30 + 7, 12), (12, 12), (36, 12)]
 
 # Sizes whose weights take numpy's FFT (2 N S(N) > PYTHON_OPS): the sets
-# above all take the Python FFT.  D = 1 and D = 2 run the Python trace loop
-# on the numpy weights, D = N = 2048 the numpy loop; 191 is the smallest
-# prime above the line
+# above all take the Python FFT.  The cycle products and the trace loop read
+# the numpy weights as Python complex numbers; 191 is the smallest prime
+# above the line
 NUMPY_SET = [(1, 2048), (2, 2048), (0, 2048), (5, 191)]
 
 
@@ -378,6 +381,8 @@ def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
     assert unitarity["ok"] is False
     # a NaN bound is written as null, a failed finite one as its value
     assert (unitarity["residual"] is None) is (kind in NON_FINITE)
+    # every corruption moves a cycle product by far more than delta(9, 3)
+    assert "FAIL: cycle-products" in captured.err
     if kind == "shifted" or kind in NON_FINITE:
         # the weights of (a + 1, N) sit off the support of a: no traces of
         # a; a non-finite weight makes its cycle's product and traces so
@@ -432,53 +437,100 @@ def test_weights_error_within_the_model(form):
 
 
 def test_python_forms_match_numpy_forms():
-    # each step's two forms at sizes on both sides of the line, called
-    # directly: the weights (N = 1536 and 2048) within 1e-14, the lattice
-    # traces from the same cycle products and the power sums (D = 181 and
-    # 182) within 1e-12 N.  The Python weights, the traces and the power
-    # sums are lists of built-in complex numbers
-    def complex_list(values):
-        return type(values) is list and all(type(z) is complex for z in values)
-
+    # the weights' two forms at sizes on both sides of the line, called
+    # directly, within 1e-14; the Python weights are a list of built-in
+    # complex numbers
     for N in (1, 2, 7, 64, 181, 191, 272, 1536, 2048):
         w_py, w_np = propagator._weights_python(N), propagator._weights_numpy(N)
-        assert complex_list(w_py), N
+        assert type(w_py) is list and all(type(z) is complex for z in w_py), N
         assert max(abs(x - y) for x, y in zip(w_py, w_np)) <= 1e-14, N
-    for a, N in [(3, 9), (0, 64), (440, 272), (0, 181), (0, 182), (1, 2048), (0, 300)]:
-        app = Approximant(a, N)
-        D, M = app.D, app.M
-        w = Propagator(N, a).momentum[0]
-        cycles = [math.prod(w[r::D]) for r in range(D)]
-        python = propagator._traces_python(cycles, M, 2 * D)
-        numpy = propagator._traces_numpy(cycles, M, 2 * D)
-        assert complex_list(python) and complex_list(numpy), (a, N)
-        assert max(abs(x - y) for x, y in zip(python, numpy)) <= 1e-12 * N, (a, N)
-        spec = eigenphases(app)
-        python, numpy = _power_sums_python(spec, 2 * D), _power_sums_numpy(spec, 2 * D)
-        assert len(python) == len(numpy) == 2 * D, (a, N)
-        assert complex_list(python) and complex_list(numpy), (a, N)
-        assert max(abs(x - y) for x, y in zip(python, numpy)) <= 1e-12 * N, (a, N)
 
 
-# (a, N) by the forms verify runs: (whether the Python FFT makes the
-# weights, whether the trace loop and the power sums run in Python)
+# (a, N) by the form of the weights that verify runs: whether the Python
+# FFT makes them.  The cycle products, the trace loop and the power sums
+# run in Python at every size
 FORM_COMBINATIONS = {
-    (440, 272): (True, True),
-    (0, 1024): (True, False),
-    (1, 4096): (False, True),
-    (0, 4096): (False, False),
+    (440, 272): True,
+    (0, 1024): True,
+    (1, 4096): False,
+    (0, 4096): False,
 }
 
 
 @pytest.mark.parametrize("a, N", sorted(FORM_COMBINATIONS))
 def test_verify_runs_each_form_combination(a, N, capsys):
     # which FFT made the weights is read off their values, bit for bit
-    fft_in_python, loop_in_python = FORM_COMBINATIONS[a, N]
-    D = math.gcd(a, N)
+    fft_in_python = FORM_COMBINATIONS[a, N]
     w = Propagator(N, a).momentum[0]
     python, numpy = propagator._weights_python(N), propagator._weights_numpy(N)
     assert (np.array_equal(w, python), np.array_equal(w, numpy)) == (fft_in_python, not fft_in_python)
-    assert (2 * D * D <= PYTHON_OPS) is loop_in_python
     assert cli.main(["verify", "--a", str(a), "--N", str(N)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True and all(c["ok"] for c in report["checks"])
+
+
+def _cycle_residual(a, N):
+    app = Approximant(a, N)
+    exact = cycle_products(app)
+    cycles = build_propagator(app).cycles
+    assert len(cycles) == len(exact) == app.D, (a, N)
+    return max(abs(x - y) for x, y in zip(cycles, exact))
+
+
+def test_cycle_products_are_the_base_levels():
+    # every cycle of every (a, N) with N < 60 and a <= 2N + 2, a >= N and
+    # D = N among them: the product of its weights is e(t_r / 6D), with t_r
+    # the level of base level eta = r, within delta(N, M)
+    for N in range(1, 60):
+        for a in range(2 * N + 3):
+            M = N // math.gcd(a, N)
+            assert _cycle_residual(a, N) <= cycle_tolerance(N, M), (a, N)
+
+
+# delta(N, M) on a ladder: N = 1, the primes 191 and 16381 (D = 1 and
+# D = N), D = N = 16384 and D = 1 at 16384.  Each value is the model's sum
+# (1 + e)^M (1 + sqrt(5) u)^(M - 1) - 1 + 5 u, e = (1 + 4 sqrt(2)) u log2(N)
+CYCLE_TOLERANCES = {
+    (1, 1): 5.551115123125783e-16,
+    (1, 191): 1.1173555659505503e-12,
+    (16381, 16381): 1.0901746263684347e-14,
+    (0, 16384): 1.0901941515416938e-14,
+    (1, 16384): 1.7359015360070494e-10,
+}
+
+
+@pytest.mark.parametrize("a, N", sorted(CYCLE_TOLERANCES))
+def test_cycle_tolerance_is_pinned_on_a_ladder(a, N):
+    M = N // math.gcd(a, N)
+    delta = cycle_tolerance(N, M)
+    assert delta == pytest.approx(CYCLE_TOLERANCES[a, N], rel=1e-12), delta
+    assert _cycle_residual(a, N) <= delta, (a, N)
+
+
+@pytest.mark.parametrize("a, N", [(0, 4096), (16381, 16381)])
+def test_traces_beyond_verify_range_within_tolerance(a, N):
+    # verify compares k = 1..PYTHON_OPS // D (16 and 4 here) of the 2D
+    # lattice traces; the oracle's running product reaches all of them, and
+    # every one is within verify's 1e-9 N of the trace formula
+    app = Approximant(a, N)
+    U = build_propagator(app)
+    traces, sums = traces_numpy(U, 2 * N), power_sums_fft(eigenphases(app), 2 * N)
+    assert len(traces) == len(sums) == 2 * app.D > PYTHON_OPS // app.D
+    assert max(abs(x - y) for x, y in zip(traces, sums)) <= 1e-9 * N
+    shown = trace_powers(U, PYTHON_OPS // app.D * app.M)
+    assert max(abs(x - y) for x, y in zip(shown, traces)) <= 1e-12 * N
+
+
+def test_cycle_bound_carries_every_trace_up_to_the_cap():
+    # cli.cmd_verify's inequality: if every cycle product is within delta,
+    # every lattice trace up to k = 2D is within M D k delta (1 + delta)^(k-1)
+    # of the formula's.  At k = 2D it is at most 1e-9 N, verify's tolerance,
+    # for every divisor D of every N <= cli.MAX_VERIFY_N
+    worst = 0.0
+    for D in range(1, cli.MAX_VERIFY_N + 1):
+        for M in range(1, cli.MAX_VERIFY_N // D + 1):
+            N, k = D * M, 2 * D
+            delta = cycle_tolerance(N, M)
+            bound = M * D * k * delta * (1 + delta) ** (k - 1)
+            worst = max(worst, bound / (1e-9 * N))
+    assert worst <= 1, worst
