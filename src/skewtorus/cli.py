@@ -101,12 +101,12 @@ MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
 # spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
 MAX_SPECTRUM_N = 1 << 50
-# verify's N.  The propagator's own work is O(N log N), and the trace loop
-# and the power sums make at most spectrum.PYTHON_OPS products each, so the
+# verify's N.  The propagator's own work is O(N log N), and each side of
+# the trace formula makes at most spectrum.PYTHON_OPS products, so the
 # cap stands for the trace formula's tolerance: cycle-products carries the
 # traces that verify does not compute only while 2 N^2 (c log2 N + sqrt 5) u
 # stays below 1e-9 N, up to about N = 4e4 (cmd_verify).  verify --a 0
-# --N 16384 takes about 0.27 s at 36 MB peak RSS (2-vCPU VM, one BLAS thread).
+# --N 16384 takes about 0.26 s at 34 MB peak RSS (2-vCPU VM, one BLAS thread).
 MAX_VERIFY_N = 16384
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
@@ -163,9 +163,14 @@ def _series_gaps(D, direct, K):
     return gaps, bound
 
 
+def _rank(residual):
+    """A residual's rank among residuals: a NaN above every number."""
+    return math.isnan(residual), residual
+
+
 def _largest(residuals):
     """The largest residual (a NaN above all) as a float; None (null) if not finite or empty."""
-    worst = float(max(residuals, key=lambda r: (math.isnan(r), r), default=math.nan))
+    worst = float(max(residuals, key=_rank, default=math.nan))
     return worst if math.isfinite(worst) else None
 
 
@@ -443,8 +448,14 @@ def cmd_verify(args):
         |M sum_r c_r^k - M sum_r z_r^k| <= M D k delta (1 + delta)^(k-1),
 
     and at k = 2D, with delta about M (c log2 N + sqrt 5) u, that is about
-    2 N^2 (c log2 N + sqrt 5) u: at most 1e-9 N for every k <= 2D and every
-    N <= MAX_VERIFY_N (5.9e-6 against 1.6e-5 at N = 16384).
+    2 N^2 (c log2 N + sqrt 5) u.  The formula side rounds too: its sum at k
+    is within eps_k = M D ((1 + 5 u)^k (1 + sqrt(5) u)^(k-1) / (1 - D u) - 1)
+    of the exact trace formula (spectrum.power_sums), so a residual r at a
+    compared k puts the numeric trace within r + eps_k of it.  The bound at
+    k = 2D plus eps_k at the largest compared k is at most 1e-9 N for every
+    N <= MAX_VERIFY_N (5.9e-6 against 1.6e-5 at N = 16384, eps_k 3.0e-8 of
+    it at D = N).  When cycle-products fails, its detail names the r of the
+    largest residual, a NaN first.
     """
     _use("diophantine", "propagator", "spectrum", "statistics")
     from .spectrum import PYTHON_OPS
@@ -454,7 +465,10 @@ def cmd_verify(args):
     if N > MAX_VERIFY_N:
         raise ValueError(f"--N {N} exceeds verify's cap of {MAX_VERIFY_N}")
     U = build_propagator(app)
-    cycles = zip_longest(U.cycles, cycle_products(app), fillvalue=math.nan)
+    exact = cycle_products(app)
+    cycles = [abs(x - y) for x, y in zip_longest(U.cycles, exact, fillvalue=math.nan)]
+    delta = cycle_tolerance(N, M)
+    worst = max(range(len(cycles)), key=lambda r: _rank(cycles[r]))
     # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
     n = min(2 * D, PYTHON_OPS // D) * M
@@ -472,9 +486,10 @@ def cmd_verify(args):
         ),
         (
             "cycle-products",
-            [abs(x - y) for x, y in cycles],
-            cycle_tolerance(N, M),
-            f"r = 0..{D - 1}: c_r against e(t_r/6D) under the FFT rounding model",
+            cycles,
+            delta,
+            f"r = 0..{D - 1}: c_r against e(t_r/6D) under the FFT rounding model"
+            + ("" if cycles[worst] <= delta else f"; largest at r = {worst}"),
         ),
         ("trace-formula", [abs(x - y) for x, y in pairs], 1e-9 * N, f"n = kM, k = 1..{n // M}"),
         (

@@ -36,7 +36,12 @@ imported only then.  The count reads N alone, so a small verify loads no
 numpy.  The weights are a list from _dft and an array from numpy; the
 unitarity bound and the cycle products (Propagator.cycles) read either one
 way, element by element, and the products and the trace loop run on
-Python complex numbers.
+Python complex numbers.  The trace loop (spectrum._lattice_traces) is the
+one that forms spectrum.power_sums from the exact levels' roots: the two
+sides of the trace formula differ only in the values they raise.  As a
+subprocess on a 2-vCPU VM with one BLAS thread, verify --a 0 --N 16384
+(D = N) takes about 0.26 s at 34 MB peak RSS, and the prime
+verify --a 16381 --N 16381 about 0.21 s.
 
 What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
 since g is its inverse transform.  The checks are of the chain from the
@@ -51,7 +56,7 @@ that U is unitary.
 import functools
 import math
 
-from .spectrum import PYTHON_OPS, _roots
+from .spectrum import PYTHON_OPS, _lattice_traces, _roots
 
 
 class Propagator:
@@ -252,8 +257,9 @@ def trace_powers(U, n_max):
     M-th roots of c_r.  Their n-th power sum is M c_r^(n/M) when M divides
     n and 0 otherwise (the M-th roots of unity sum to zero), so only the
     M-lattice is returned: Tr U^(kM) = M sum_r c_r^k, the c_r^k from one
-    running product over the D cycles, D n_max / M complex products on
-    Python complex numbers after the cycle products.
+    running product over the D cycles (spectrum._lattice_traces, shared
+    with power_sums), D n_max / M complex products on Python complex
+    numbers after the cycle products.
 
     U is normal, so by Bauer-Fike every eigenvalue of P W lies within
     ||E||_2 <= e of one of U's.  For the traces themselves,
@@ -272,10 +278,4 @@ def trace_powers(U, n_max):
         raise ValueError("n_max must be >= 1")
     cycles = U.cycles
     M = U.N // len(cycles)
-    steps = n_max // M
-    power = [1] * len(cycles)
-    out = []
-    for _ in range(steps):
-        power = [x * c for x, c in zip(power, cycles)]
-        out.append(M * sum(power))
-    return out
+    return _lattice_traces(cycles, M, n_max // M)

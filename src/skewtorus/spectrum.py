@@ -177,21 +177,51 @@ def power_sums(spec, n_max):
 
     With t_j = 6 phi_j = 6 (r + D m) + rho, the sum over the M copies m is
     that delta, so only the M-lattice n = k M <= n_max is returned.  There
-    the sum is M sum_u h_u e(k (6u + rho) / 6D) over the histogram, one
-    term per occupied u for each of the n_max // M values of k, on Python
-    complex numbers: each phase k (6u + rho) is reduced mod 6D in integers
-    and read from a table of the 6D-th roots of unity (_roots), so only the
-    roots, the products and the sums round.  verify asks for at most
-    PYTHON_OPS // D values of k, so at most PYTHON_OPS terms, and compares
-    them with the numeric traces (propagator.trace_powers).
+    the sum is M sum_r z_r^k over the D base levels, z_r = e((6u + rho) / 6D)
+    at the level's position u, each occupied u's root made once (_root, from
+    its exact integer phase) and repeated hist[u] times: the loop of
+    propagator.trace_powers (_lattice_traces) over these D values in place
+    of the cycle products, D products for each of the n_max // M values of
+    k.  verify asks for at most PYTHON_OPS // D values of k, so at most
+    PYTHON_OPS products, and compares them with the numeric traces.
+
+    Error model, with no fitted constant.  Each root is within 5 u of its
+    exact value (u = 2^-53; cycle_tolerance's reading of _root).  The
+    running product's k - 1 products after the first (the first, by the
+    integer 1, is exact) each add a relative sqrt(5) u (Brent, Percival and
+    Zimmermann), so each computed z_r^k is within P_k - 1 of the exact
+    power, P_k = (1 + 5 u)^k (1 + sqrt(5) u)^(k-1), and of modulus at most
+    P_k.  The sum of the D powers adds at most
+    gamma_(D-1) = (D - 1) u / (1 - (D - 1) u) times the sum of their moduli
+    (recursive summation, the real and the imaginary parts alike), and the
+    product by M, exact as a double, a relative u.  So each returned value
+    is within
+
+        M D ((1 + 5 u)^k (1 + sqrt(5) u)^(k-1) / (1 - D u) - 1)
+
+    of the exact trace formula (Higham, Lemma 3.3: (1 + gamma_(D-1))
+    (1 + u) <= 1 + gamma_D = 1 / (1 - D u)).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     D, M, rho = spec.app.D, spec.app.M, spec.rho
-    size = 6 * D
-    roots = _roots(size)
-    levels = [(6 * u + rho, h) for u, h in enumerate(spec.hist) if h]
-    return [M * sum(h * roots[k * t % size] for t, h in levels) for k in range(1, n_max // M + 1)]
+    levels = [repeat(_root(6 * u + rho, 6 * D), h) for u, h in enumerate(spec.hist) if h]
+    return _lattice_traces(list(chain.from_iterable(levels)), M, n_max // M)
+
+
+def _lattice_traces(values, M, steps):
+    """[M sum_r x_r^k for k = 1..steps] over the list values, on Python complex numbers.
+
+    The powers x_r^k are one running product per value, started at the
+    integer 1, so the first product is exact and each later one rounds
+    once: len(values) complex products for each k.
+    """
+    power = [1] * len(values)
+    out = []
+    for _ in range(steps):
+        power = [x * c for x, c in zip(power, values)]
+        out.append(M * sum(power))
+    return out
 
 
 def cycle_products(app):
@@ -217,16 +247,17 @@ def cycle_products(app):
 # 2 N S(N) products (propagator._dft, S(N) the sum of N's prime factors
 # with multiplicity), so N = 1536 takes the Python FFT and the prime
 # N = 191 numpy's.  The constant also bounds the lattice points that
-# verify's trace-formula compares, k <= PYTHON_OPS // D of the 2D
-# (cli.cmd_verify), so that the trace loop and the power sums make at most
-# PYTHON_OPS products each, in Python, at every N.  Importing numpy takes
-# 55-60 ms of a verify subprocess.  On a 2-vCPU VM (CPython 3.11) these
-# loops took 45-200 ns per product (the power sums at the low end, the
-# FFT's radix 2 at the high end): at 2^16 products the weights took 8-10 ms
-# (N = 181, 1536), the trace loop 5 ms and the power sums 4 ms (D = 181),
-# so the Python FFT is the faster wherever it is chosen.  The largest count
-# of the benchmark's verify-ladder is 28140 (N = 201), so the line is not
-# set from it.
+# verify's trace-formula compares, K = min(2D, PYTHON_OPS // D)
+# (cli.cmd_verify), so that each side of the trace check makes
+# D K <= PYTHON_OPS products in one loop (_lattice_traces), over the cycle
+# products or over the level roots, in Python, at every N.  Importing numpy
+# takes 55-60 ms of a verify subprocess.  On a 2-vCPU VM (CPython 3.11)
+# these loops took 75-200 ns per product (the running powers at the low
+# end, the FFT's radix 2 at the high end): at 2^16 products the weights
+# took 8-10 ms (N = 181, 1536) and each side of the trace check 5 ms
+# (D = 181), so the Python FFT is the faster wherever it is chosen.  The
+# largest count of the benchmark's verify-ladder is 28140 (N = 201), so
+# the line is not set from it.
 PYTHON_OPS = 1 << 16
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 

@@ -201,29 +201,39 @@ MUTANTS = [
         "cycles[(m + 1) % D] *= complex(z)",
         [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
     ),
-    # the trace formula on the M-lattice
+    # the trace formula on the M-lattice: one running-power loop
+    # (_lattice_traces) raises the cycle products and the level roots alike
     (
         "spectrum.py",
-        "roots[k * t % size]",
-        "roots[(k + 1) * t % size]",
+        "power = [1] * len(values)",
+        "power = list(values)",
+        [
+            SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum",
+            PROPAGATOR + "test_trace_powers_agrees_with_matrix_power",
+        ],
+    ),
+    (
+        "spectrum.py",
+        "[x * c for x, c in zip(power, values)]",
+        "[x * c * c for x, c in zip(power, values)]",
         [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
     ),
     (
         "spectrum.py",
-        "for k in range(1, n_max // M + 1)",
-        "for k in range(n_max // M)",
+        "M, n_max // M)",
+        "M, n_max // M - 1)",
         [SPECTRUM + "test_power_sums_form_factor_is_the_gauss_sum"],
     ),
     (
         "spectrum.py",
-        "(6 * u + rho, h)",
-        "(6 * u + rho + 1, h)",
+        "_root(6 * u + rho, 6 * D)",
+        "_root(6 * u + rho + 1, 6 * D)",
         [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
     ),
     (
         "propagator.py",
-        "steps = n_max // M\n",
-        "steps = n_max // M - 1\n",
+        "M, n_max // M)",
+        "M, n_max // M - 1)",
         [CLI + "test_verify_fails_a_trace_it_did_not_compare"],
     ),
     (
@@ -285,9 +295,16 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "key=lambda r: (math.isnan(r), r), ",
-        "",
+        "return math.isnan(residual), residual",
+        "return residual",
         [CLI + "test_verify_nan_residual_fails_its_check"],
+    ),
+    # a failing cycle-products names its worst cycle, a NaN first
+    (
+        "cli.py",
+        "key=lambda r: _rank(cycles[r])",
+        "key=lambda r: cycles[r]",
+        [CLI + "test_verify_names_the_failing_cycle"],
     ),
     # a check compares every trace, and one with no residual fails
     (
@@ -404,8 +421,7 @@ MUTANTS = [
 # code is gone: the flips of their selections (steps * D <= PYTHON_OPS,
 # max(steps, 6) * spec.app.D <= PYTHON_OPS), and the FFT form's k rho
 # phase (* spec.rho -> * (spec.rho + 1)), whose Python twin is the
-# (6 * u + rho, h) entry above.  Its k mod D index became the Python
-# form's range of k.
+# level-root phase entry above (6 * u + rho -> 6 * u + rho + 1).
 
 
 def _pytest(src, tests):

@@ -31,7 +31,8 @@ with json.dumps for the JSON.  The Gauss-sum series takes its table
 |S_D(r)|^2 from one gauss_sum call per residue r < D (O(D^2)), where the
 library evaluates |S_D(k)|^2 in closed form from gcd(k, D).
 robustness_pairs lists the edge-case approximants that the seeded
-randomized cross-checks share.
+randomized cross-checks share.  power_sums_error and power_sums_fft_error
+write out the rounding that spectrum.power_sums and power_sums_fft state.
 """
 import cmath
 import functools
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewtorus.propagator import Propagator
+from skewtorus.propagator import Propagator, _weight_error
 from skewtorus.spectrum import _level_blocks
 from skewtorus.statistics import gauss_sum
 
@@ -176,12 +177,36 @@ def power_sums_fft(spec, n_max):
     sum_u h_u e(k (6u + rho) / 6D) is e(k rho / 6D) times D ifft(h) at k mod
     D, one inverse FFT of length D over the histogram for every k, with
     k rho reduced mod 6D in integers.
+
+    Its rounding, to first order in u = 2^-53 (power_sums_fft_error): the
+    FFT's entries under propagator.momentum's model, Higham's normwise
+    bound c u log2(D) ||ifft(h)||_2 taken entrywise, with
+    ||ifft(h)||_2 = ||h||_2 / sqrt(D), and each of modulus at most 1; the
+    phase's angle, below 2 pi, rounds three times (6 pi u) and its cosine
+    and sine one ulp each (2 u); the scaling by 1/D and the product by N a
+    u each, and the product of the two factors sqrt(5) u.  All of it is
+    relative to N.
     """
     D = spec.app.D
     size = 6 * D
     k = np.arange(1, n_max // spec.app.M + 1)
     phase = np.exp(2j * np.pi * ((k % size) * spec.rho % size) / size)
     return (spec.N * phase * np.fft.ifft(spec.hist)[k % D]).tolist()
+
+
+def power_sums_fft_error(spec):
+    """N (c u log2(D) ||h||_2 / sqrt(D) + (6 pi + 4 + sqrt(5)) u): power_sums_fft's rounding."""
+    D = spec.app.D
+    fft = _weight_error(D) * math.sqrt(sum(h * h for h in spec.hist) / D)
+    return spec.N * (fft + (6 * math.pi + 4 + math.sqrt(5)) * 2.0**-53)
+
+
+def power_sums_error(D, M, k):
+    """M D ((1 + 5 u)^k (1 + sqrt(5) u)^(k-1) / (1 - D u) - 1): spectrum.power_sums' model at k."""
+    u = 2.0**-53
+    return M * D * math.expm1(
+        k * math.log1p(5 * u) + (k - 1) * math.log1p(math.sqrt(5) * u) - math.log1p(-D * u)
+    )
 
 
 def dense_unitarity_defect(entries):

@@ -664,6 +664,34 @@ def test_verify_fails_an_infinite_array_weight(a):
     assert failing == {"unitarity": None, "cycle-products": None, "trace-formula": None}
 
 
+@pytest.mark.parametrize("value", [math.nan, 2])
+@pytest.mark.parametrize("a, N, m", [(3, 9, 4), (4, 2048, 1027)])
+def test_verify_names_the_failing_cycle(capsys, monkeypatch, a, N, m, value):
+    # One corrupted weight w_m fails its own cycle, r = m mod D, and the
+    # cycle-products detail names it: a NaN must rank above the finite
+    # residuals of the other cycles, and a weight of modulus 2 doubles its
+    # cycle's product.  (3, 9) holds its weights as a list, (4, 2048) as a
+    # numpy array
+    build = cli.build_propagator
+
+    def corrupt(app):
+        U = build(app)
+        U.momentum[0][m] = value
+        return U
+
+    monkeypatch.setattr(cli, "build_propagator", corrupt)
+    code, out, err = run(capsys, "verify", "--a", str(a), "--N", str(N))
+    assert code == 1 and "FAIL: cycle-products\n" in err
+    report = _strict_json(out)
+    D = report["D"]
+    check = report["checks"][1]
+    assert (check["name"], check["ok"]) == ("cycle-products", False)
+    assert check["detail"] == (
+        f"r = 0..{D - 1}: c_r against e(t_r/6D) under the FFT rounding model; "
+        f"largest at r = {m % D}"
+    )
+
+
 @pytest.mark.parametrize("short", ["last", "all", "both"])
 def test_verify_fails_a_trace_it_did_not_compare(capsys, monkeypatch, short):
     # (3, 9) has 2D = 6 lattice traces, and verify passes with all of them.

@@ -41,6 +41,7 @@ from oracles import (
     dense_unitarity_defect,
     eigvals_power_sums,
     momentum_two_buffer,
+    power_sums_error,
     power_sums_fft,
     propagator_lsum,
     robustness_pairs,
@@ -205,12 +206,20 @@ def test_randomized_trace_routes_cross_check():
 
 
 def test_trace_powers_agrees_with_matrix_power():
-    # (8, 5) has D = 1 and M = 5: n = 5 is the one lattice point up to 7
+    # (8, 5) has D = 1 and M = 5: n = 5 is the one lattice point up to 7.
+    # Its one cycle product is 1, so (2, 6), with D = 2, M = 3 and cycle
+    # products other than 1, tells each power of them from the next
     series = trace_powers(build_propagator(Approximant(8, 5)), 7)
     assert len(series) == 1
     assert abs(series[0] - trace_power_numeric(dense_propagator(8, 5), 5)) < 1e-12
     for n in (1, 2, 7):
         assert abs(trace_power_numeric(dense_propagator(8, 5), n)) < 1e-12
+    U = build_propagator(Approximant(2, 6))
+    assert all(abs(c - 1) > 0.1 for c in U.cycles)
+    series = trace_powers(U, 12)
+    assert len(series) == 4
+    for k, z in enumerate(series, 1):
+        assert abs(z - trace_power_numeric(dense_propagator(2, 6), 3 * k)) < 1e-12, k
 
 
 def test_circulant_build_matches_lsum_oracle():
@@ -524,13 +533,16 @@ def test_traces_beyond_verify_range_within_tolerance(a, N):
 def test_cycle_bound_carries_every_trace_up_to_the_cap():
     # cli.cmd_verify's inequality: if every cycle product is within delta,
     # every lattice trace up to k = 2D is within M D k delta (1 + delta)^(k-1)
-    # of the formula's.  At k = 2D it is at most 1e-9 N, verify's tolerance,
-    # for every divisor D of every N <= cli.MAX_VERIFY_N
+    # of the formula's.  At k = 2D, plus the formula side's own rounding
+    # (spectrum.power_sums' model) at the largest k that verify compares,
+    # it is at most 1e-9 N, verify's tolerance, for every divisor D of every
+    # N <= cli.MAX_VERIFY_N
     worst = 0.0
     for D in range(1, cli.MAX_VERIFY_N + 1):
         for M in range(1, cli.MAX_VERIFY_N // D + 1):
             N, k = D * M, 2 * D
             delta = cycle_tolerance(N, M)
             bound = M * D * k * delta * (1 + delta) ** (k - 1)
+            bound += power_sums_error(D, M, min(k, PYTHON_OPS // D))
             worst = max(worst, bound / (1e-9 * N))
     assert worst <= 1, worst

@@ -18,6 +18,7 @@ import pytest
 from skewtorus import cli, spectrum
 from skewtorus.diophantine import Approximant, golden, nearest_approximant
 from skewtorus.spectrum import (
+    PYTHON_OPS,
     Spectrum,
     eigenphases,
     power_sums,
@@ -30,6 +31,9 @@ from skewtorus.statistics import _gauss_sum_sq
 from oracles import (
     eigenphases_fraction,
     level_arrays,
+    power_sums_error,
+    power_sums_fft,
+    power_sums_fft_error,
     power_sums_fraction,
     robustness_pairs,
     spectrum_csv,
@@ -229,6 +233,26 @@ def test_power_sums_form_factor_is_the_gauss_sum():
         for k, z in enumerate(sums, 1):
             gap = abs(abs(z) ** 2 - M * M * _gauss_sum_sq(D, k))
             assert gap <= 1e-12 * N * N, (app, k, gap)
+
+
+@pytest.mark.parametrize(
+    "a, N",
+    [(440, 272), (1, 16384), (0, 1024), (0, 4096), (0, 16384), (16381, 16381), (10**30 + 7, 200)],
+)
+def test_power_sums_within_their_error_model(a, N):
+    # at every k that verify compares, k <= min(2D, PYTHON_OPS // D), each
+    # sum is within the docstring's bound of the exact trace formula, and
+    # the FFT oracle within its own stated rounding: D = 1 to D = N, the
+    # prime D = 16381, and an a far past the float range
+    app = Approximant(a, N)
+    D, M = app.D, app.M
+    spec = eigenphases(app)
+    n = min(2 * D, PYTHON_OPS // D) * M
+    sums, oracle = power_sums(spec, n), power_sums_fft(spec, n)
+    assert len(sums) == len(oracle) == n // M
+    slack = power_sums_fft_error(spec)
+    for k, (x, y) in enumerate(zip(sums, oracle), 1):
+        assert abs(x - y) <= power_sums_error(D, M, k) + slack, (k, abs(x - y))
 
 
 def test_spectrum_csv():
