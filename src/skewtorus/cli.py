@@ -106,7 +106,9 @@ MAX_SPECTRUM_N = 1 << 50
 # cap stands for the trace formula's tolerance: cycle-products carries the
 # traces that verify does not compute only while 2 N^2 (c log2 N + sqrt 5) u
 # stays below 1e-9 N, up to about N = 4e4 (cmd_verify).  verify --a 0
-# --N 16384 takes about 0.26 s at 34 MB peak RSS (2-vCPU VM, one BLAS thread).
+# --N 16384 takes about 0.19 s at 20 MB peak RSS, and the prime
+# verify --a 16381 --N 16381, whose weights take Bluestein's FFT, 0.5-0.7 s
+# at 23 MB (2-vCPU VM).
 MAX_VERIFY_N = 16384
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096

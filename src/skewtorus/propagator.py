@@ -19,8 +19,7 @@ diag(F g) and F diag(e(a k/N)) F^-1 is the cyclic shift S_a: m -> m + a
 
 the weighted permutation V[(m + a) mod N, m] = w_m, zero elsewhere.  The
 weights take one FFT of g and do not contain a.  The chirp's exponents are
-exact integer residues mod N (m^2 stays in int64 for N < 3e9), so no phase
-accumulates.
+exact integer residues mod N, in Python ints, so no phase accumulates.
 
 The shift splits the N momenta into D = gcd(a, N) cycles of length M = N/D,
 one per residue class mod D, which is how the paper derives the
@@ -29,19 +28,20 @@ from |w_m| and a stated model of the FFT's rounding, and the numeric traces
 are the power sums of the M-th roots of the D cycle products of the w_m:
 O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 
-One step has two forms: the weights' two FFTs run on Python complex
-numbers (the mixed-radix FFT _dft) while they make at most
-spectrum.PYTHON_OPS complex products, and on numpy above, which is
-imported only then.  The count reads N alone, so a small verify loads no
-numpy.  The weights are a list from _dft and an array from numpy; the
-unitarity bound and the cycle products (Propagator.cycles) read either one
-way, element by element, and the products and the trace loop run on
-Python complex numbers.  The trace loop (spectrum._lattice_traces) is the
-one that forms spectrum.power_sums from the exact levels' roots: the two
-sides of the trace formula differ only in the values they raise.  As a
-subprocess on a 2-vCPU VM with one BLAS thread, verify --a 0 --N 16384
-(D = N) takes about 0.26 s at 34 MB peak RSS, and the prime
-verify --a 16381 --N 16381 about 0.21 s.
+The weights' two FFTs run on Python complex numbers at every N, in
+O(N log N) (_dft): the radix-2 transform _fft when N is a power of two, and
+otherwise Bluestein's chirp convolution over it.  Every twiddle and chirp
+phase is an exact integer residue read through spectrum._root.  The
+weights are kept as one array('d') of re/im pairs, 16 bytes a weight, and
+the unitarity bound and the cycle products (Propagator.cycles) read it in
+one pass; the products and the trace loop run on Python complex numbers.
+The trace loop (spectrum._lattice_traces) is the one that forms
+spectrum.power_sums from the exact levels' roots: the two sides of the
+trace formula differ only in the values they raise.  No numpy is
+imported.  As a subprocess on a 2-vCPU VM, verify --a 0 --N 16384 (D = N)
+takes about 0.19 s at 20 MB peak RSS, and the prime
+verify --a 16381 --N 16381, where Bluestein's transforms have length
+32768, 0.5-0.7 s at 23 MB (numpy's FFT took 0.22-0.34 s at 34 MB).
 
 What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
 since g is its inverse transform.  The checks are of the chain from the
@@ -55,8 +55,10 @@ that U is unitary.
 
 import functools
 import math
+from array import array
+from itertools import chain
 
-from .spectrum import PYTHON_OPS, _lattice_traces, _roots
+from .spectrum import _lattice_traces, _root
 
 
 class Propagator:
@@ -81,39 +83,34 @@ class Propagator:
         and w = F g is one FFT; neither contains a.  V = S_a diag(F g)
         exactly for the U of that g, so V - S_a diag(w) = S_a diag(F g - w)
         and its spectral norm is the largest error of an FFT output entry.
-        Each transform makes N S(N) products, S(N) the sum of N's prime
-        factors with multiplicity (_dft).  When the two make at most
-        spectrum.PYTHON_OPS, w is a list of Python complex numbers from
-        _dft, and otherwise a numpy array from numpy's pocketfft, which
-        keeps 16 bytes a weight where a list keeps 40 (a 32-byte complex
-        and its pointer).  The choice reads N alone, so neither w nor e
-        contains a.
+        Both transforms are _dft's, O(N log N) at every N, and w is kept
+        as one array('d') of re/im pairs, 16 bytes a weight, where a list
+        of Python complex numbers keeps 40 (a 32-byte complex and its
+        pointer).  Neither w nor e contains a.
 
         e is that error under a stated per-entry rounding model, not a proof.
         Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
         bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
         ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
         with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
-        pocketfft and _roots compute their twiddles to about the unit
-        roundoff u = 2^-53, so mu = u and, to first order in u, eta = c u
-        with c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is
-        near sqrt(N), and the model spreads the error evenly over the N
-        outputs: each is off by at most c u log2(N).  Taken entrywise, the
-        normwise bound allows sqrt(N) times that, which at N = 16384 is
-        above verify's unitarity tolerance.  The theorem is for radix 2;
-        both FFTs factor other lengths into other radices (pocketfft uses
-        Bluestein's algorithm for a large prime factor, _dft sums a prime
-        length directly), and the model keeps c for them.  Against F g
-        summed in long double, the largest entry error of pocketfft was
-        1.7 u log2(N) over N = 2..300 and 16 lengths up to 16384, primes
-        among them, and that of _dft 2.2 u log2(N) over N = 2..64, the
-        primes 127, 179 and 181 and N = 1024 and 1536
+        spectrum._root computes each twiddle to about the unit roundoff
+        u = 2^-53, so mu = u and, to first order in u, eta = c u with
+        c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
+        sqrt(N), and the model spreads the error evenly over the N outputs:
+        each is off by at most c u log2(N).  Taken entrywise, the normwise
+        bound allows sqrt(N) times that, which at N = 16384 is above
+        verify's unitarity tolerance.  The theorem is for radix 2.  At
+        other lengths _dft is Bluestein's, three radix-2 transforms of
+        length L < 4N with chirp products between them, and the model keeps
+        c there as measured, not derived: against F g summed in long
+        double, the largest entry error was 1.6 u log2(N) over
+        N = 2..300 (at N = 118), and 1.1 u log2(N) at the primes 4093 and
+        16381.  At the powers of two up to 16384 it was 0.42 u log2(N)
         (test_weights_error_within_the_model).
         """
         N = self.N
-        if 2 * N * sum(_prime_factors(N)) <= PYTHON_OPS:
-            return _weights_python(N), _weight_error(N)
-        return _weights_numpy(N), _weight_error(N)
+        w = array("d", chain.from_iterable((z.real, z.imag) for z in _weights(N)))
+        return w, _weight_error(N)
 
     @functools.cached_property
     def cycles(self):
@@ -122,16 +119,15 @@ class Propagator:
         The shift m -> m + a splits the momenta into the D = gcd(a, N)
         residue classes r = m mod D, M = N / D each.  The products are made
         once, in one pass over the weights in momentum order, each weight
-        read as a Python complex number, list or array alike: a weight that
-        is not finite gives a product that is not finite, with no numpy
-        scalar arithmetic to warn about it.  M - 1 complex products round
-        on each cycle (cycle_tolerance).
+        read off its re/im pair as a Python complex number: a weight that
+        is not finite gives a product that is not finite.  M - 1 complex
+        products round on each cycle (cycle_tolerance).
         """
         w, _ = self.momentum
         D = math.gcd(int(self.a), self.N)
         cycles = [1] * D
-        for m, z in enumerate(w):
-            cycles[m % D] *= complex(z)
+        for m, z in enumerate(_complexes(w)):
+            cycles[m % D] *= z
         return cycles
 
 
@@ -163,55 +159,93 @@ def cycle_tolerance(N, M):
     return math.expm1(M * math.log1p(e) + (M - 1) * math.log1p(math.sqrt(5) * u)) + 5 * u
 
 
-def _prime_factors(n):
-    """The prime factors of n >= 1 with multiplicity, ascending."""
-    out, p = [], 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1
-    return out + [n] if n > 1 else out
+def _twiddles(n):
+    """[e(-j/n) for j < n/2], each read through spectrum._root at its exact integer residue."""
+    return [_root(-j % n, n) for j in range(n // 2)]
 
 
-def _dft(x, factors, roots, step):
-    """[sum_j x_j e(s j k / n) for k < n] of the list x, over Python complex numbers.
+def _fft(x, twiddles):
+    """Replace the list x by F x, [sum_j x_j e(-j k/n) for k < n], in place.
 
-    n = len(x) is the product of the ascending prime list factors, and
-    roots[t * step % len(roots)] = e(s t / n) for the sign s = +-1, so one
-    table from spectrum._roots serves every length that divides its own.
-    Cooley-Tukey on the smallest prime factor p: with n = p m, the p
-    transforms Y_j of x[j::p] give X_k = sum_j e(s j k / n) Y_j[k mod m],
-    n p products and sums.  At a prime length m = 1 and Y_j = x_j, so that
-    step is the direct DFT.  A transform of length n thus makes n S(n)
-    products, S(n) = sum(factors), and every twiddle is read at an exact
-    integer residue.
+    n = len(x) is a power of two and twiddles is _twiddles(n).  The
+    iterative radix-2 transform puts x in bit-reversed order, then makes
+    log2(n) stages of n/2 butterflies on Python complex numbers: the stage
+    of half-length h reads the twiddles e(-j/2h) = twiddles[j n / 2h].
     """
-    if len(x) == 1:
-        return x
-    p, size = factors[0], len(roots)
-    ys = [_dft(x[j::p], factors[1:], roots, step * p) for j in range(p)]
-    out = ys[0] * p
-    for j in range(1, p):
-        t = j * step
-        out = [z + y * roots[k * t % size] for k, (z, y) in enumerate(zip(out, ys[j] * p))]
-    return out
+    n = len(x)
+    j = 0
+    for i in range(1, n):
+        bit = n >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        if i < j:
+            x[i], x[j] = x[j], x[i]
+    h = 1
+    while h < n:
+        step = len(twiddles) // h
+        for j in range(h):
+            w = twiddles[j * step]
+            for i in range(j, n, 2 * h):
+                k = i + h
+                u, z = x[i], x[k] * w
+                x[i], x[k] = u + z, u - z
+        h *= 2
 
 
-def _weights_python(N):
-    """w = F F^-1 e(-m^2/N) as a list, by two _dft transforms over one table."""
-    roots, factors = _roots(N), _prime_factors(N)
-    chirp = [roots[-m * m % N] for m in range(N)]
-    g = [z / N for z in _dft(chirp, factors, roots, 1)]
-    return _dft(g, factors, roots, -1)
+def _dft(N):
+    """F of length N, as a function that replaces a list of N complex numbers by its transform.
+
+    At a power of two it is _fft.  Otherwise it is Bluestein's chirp
+    convolution: j k = (j^2 + k^2 - (k - j)^2) / 2, so with the chirp
+    c_j = e(-j^2 / 2N), (F x)_k = c_k sum_j (x_j c_j) conj(c_(k-j)), a
+    cyclic convolution of length L, the least power of two >= 2N - 1.  It
+    takes three _fft of length L: of x c padded with zeros, of the filter
+    conj(c) wrapped around, made once here, and of conj of the product,
+    since F^-1 y = conj(F conj(y)) / L.  Every chirp phase is an exact
+    integer residue mod 2N.
+    """
+    if N & (N - 1) == 0:
+        twiddles = _twiddles(N)
+        return lambda x: _fft(x, twiddles)
+    L = 1 << (2 * N - 2).bit_length()
+    twiddles = _twiddles(L)
+    chirp = [_root(-j * j % (2 * N), 2 * N) for j in range(N)]
+    filt = [c.conjugate() for c in chirp]
+    filt += [0j] * (L - 2 * N + 1) + filt[:0:-1]
+    _fft(filt, twiddles)
+
+    def bluestein(x):
+        y = [z * c for z, c in zip(x, chirp)] + [0j] * (L - N)
+        _fft(y, twiddles)
+        y = [(z * f).conjugate() for z, f in zip(y, filt)]
+        _fft(y, twiddles)
+        x[:] = [c * z.conjugate() / L for c, z in zip(chirp, y)]
+
+    return bluestein
 
 
-def _weights_numpy(N):
-    """w = fft(ifft(e(-m^2/N))) as a numpy array, by pocketfft."""
-    import numpy as np
+def _weights(N):
+    """w = F F^-1 e(-m^2/N) as a list, by two transforms of one _dft.
 
-    m = np.arange(N, dtype=np.int64)
-    return np.fft.fft(np.fft.ifft(np.exp(2j * np.pi * ((-m * m) % N) / N)))
+    F^-1 x = conj(F conj(x)) / N, and conj(e(-m^2/N)) = e(m^2/N).  The list
+    (40 N bytes) is returned, not packed here, so that the twiddles (20 N)
+    are freed before momentum packs it (test_checks_hold_a_few_vectors).
+    """
+    dft = _dft(N)
+    x = [_root(m * m % N, N) for m in range(N)]
+    dft(x)
+    for m, z in enumerate(x):
+        x[m] = z.conjugate() / N
+    dft(x)
+    return x
+
+
+def _complexes(w):
+    """The weights held as the re/im pairs of w, as Python complex numbers in order."""
+    pairs = iter(w)
+    return map(complex, pairs, pairs)
 
 
 def build_propagator(app):
@@ -237,11 +271,11 @@ def unitarity_defect(U):
     that model, for the U of the computed circulant column.  Over the test
     sets it is above the entries of the dense U U^dagger - I.  A NaN or
     infinite weight makes it NaN: min and max pass over a NaN that is not
-    first, so the moduli's sum is what sees it.  The weights are read
-    element by element, as a list or an array alike.
+    first, so the moduli's sum is what sees it.  The moduli are read off
+    the weights' re/im pairs in one pass.
     """
     w, e = U.momentum
-    r = [abs(z) for z in w]
+    r = [abs(z) for z in _complexes(w)]
     if not math.isfinite(sum(r)):
         return math.nan
     lo, hi = min(r), max(r)
@@ -269,9 +303,9 @@ def trace_powers(U, n_max):
     Tolerance model.  Each c_r is within cycle_tolerance(N, M) of the
     formula's, and c_r^k compounds k of those errors, so the residual
     against the trace formula over n = kM <= 2N grows as N^2 u.  Measured
-    for verify --a 1: 5.1e-9, 2.3e-8 and 9.6e-8 at N = 4096, 8192 and
-    16384, and 5.7e-4 at N = 2^20.  verify's tolerance 1e-9 N grows only as
-    N (1.6e-5 at N = 16384, a margin of 170x), and verify compares at most
+    for verify --a 1: 1.2e-9, 5.3e-9 and 1.2e-8 at N = 4096, 8192 and
+    16384, and 1.6e-5 at N = 2^20.  verify's tolerance 1e-9 N grows only as
+    N (1.6e-5 at N = 16384, a margin of 1400x), and verify compares at most
     spectrum.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
     """
     if n_max < 1:

@@ -242,22 +242,13 @@ def cycle_products(app):
     return [_root(6 * ((c - r * r) % D) + rho, 6 * D) for r in range(D)]
 
 
-# Largest count of complex products that verify's weights take on Python
-# complex numbers; above it, numpy's FFT.  The weights' two FFTs make
-# 2 N S(N) products (propagator._dft, S(N) the sum of N's prime factors
-# with multiplicity), so N = 1536 takes the Python FFT and the prime
-# N = 191 numpy's.  The constant also bounds the lattice points that
-# verify's trace-formula compares, K = min(2D, PYTHON_OPS // D)
-# (cli.cmd_verify), so that each side of the trace check makes
+# Largest count of complex products that each side of verify's trace
+# formula makes.  It bounds the lattice points that trace-formula compares,
+# K = min(2D, PYTHON_OPS // D) (cli.cmd_verify), so that each side makes
 # D K <= PYTHON_OPS products in one loop (_lattice_traces), over the cycle
-# products or over the level roots, in Python, at every N.  Importing numpy
-# takes 55-60 ms of a verify subprocess.  On a 2-vCPU VM (CPython 3.11)
-# these loops took 75-200 ns per product (the running powers at the low
-# end, the FFT's radix 2 at the high end): at 2^16 products the weights
-# took 8-10 ms (N = 181, 1536) and each side of the trace check 5 ms
-# (D = 181), so the Python FFT is the faster wherever it is chosen.  The
-# largest count of the benchmark's verify-ladder is 28140 (N = 201), so
-# the line is not set from it.
+# products or over the level roots, in Python, at every N.  On a 2-vCPU VM
+# (CPython 3.11) the running powers took about 75 ns a product, so each
+# side of the trace check took 5 ms at D = 181.
 PYTHON_OPS = 1 << 16
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 
@@ -273,11 +264,6 @@ def _root(j, n):
     """
     q = (8 * j + n) // (2 * n)
     return cmath.exp(1j * (math.pi * (4 * j - q * n) / (2 * n))) * _QUARTER_TURNS[q % 4]
-
-
-def _roots(n):
-    """[e(j/n) for j < n], each from _root."""
-    return [_root(j, n) for j in range(n)]
 
 
 SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")

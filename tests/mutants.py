@@ -1,6 +1,6 @@
 """Mutation catalogue: deliberate faults that named tier-1 tests must catch.
 
-Run with numpy and pytest installed, from any directory:
+Run with the test dependencies (numpy, pytest) installed, from any directory:
 
     python tests/mutants.py
 
@@ -109,24 +109,48 @@ MUTANTS = [
         "(math.pi**2 * (K + 1))",
         [STATISTICS + "test_fourier_tail_bound_certified_and_tight"],
     ),
-    # the weights, in the Python and in the numpy form
+    # the weights: the chirp, the radix-2 transform and Bluestein's
     (
         "propagator.py",
-        "roots[-m * m % N]",
-        "roots[m * m % N]",
+        "_root(m * m % N, N)",
+        "_root(-m * m % N, N)",
         [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
     ),
     (
         "propagator.py",
-        "(-m * m)",
-        "(m * m)",
+        "x[m] = z.conjugate() / N",
+        "x[m] = z.conjugate()",
         [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
     ),
     (
         "propagator.py",
-        "_dft(x[j::p], factors[1:], roots, step * p)",
-        "_dft(x[j::p], factors[1:], roots, step)",
-        [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
+        "for i in range(1, n):",
+        "for i in range(2, n):",
+        [PROPAGATOR + "test_weights_error_within_the_model"],
+    ),
+    (
+        "propagator.py",
+        "_root(-j * j % (2 * N), 2 * N)",
+        "_root(j * j % (2 * N), 2 * N)",
+        [PROPAGATOR + "test_dft_is_the_forward_transform"],
+    ),
+    (
+        "propagator.py",
+        "_root(-j % n, n)",
+        "_root(j % n, n)",
+        [PROPAGATOR + "test_dft_is_the_forward_transform"],
+    ),
+    (
+        "propagator.py",
+        "L = 1 << (2 * N - 2).bit_length()",
+        "L = 1 << (2 * N - 3).bit_length()",
+        [PROPAGATOR + "test_weights_error_within_the_model"],
+    ),
+    (
+        "propagator.py",
+        "c * z.conjugate() / L",
+        "c * z.conjugate()",
+        [PROPAGATOR + "test_weights_error_within_the_model"],
     ),
     (
         "spectrum.py",
@@ -134,7 +158,7 @@ MUTANTS = [
         "_QUARTER_TURNS = (1, -1j, -1, 1j)",
         [SPECTRUM + "test_fft_power_sums_match_fraction_loop"],
     ),
-    # the rounding model e is shared: each form's test must see it scaled down
+    # the rounding model e: the unitarity bound and the error test each see it scaled down
     (
         "propagator.py",
         "(1 + 4 * math.sqrt(2)) * 2.0**-53",
@@ -145,7 +169,7 @@ MUTANTS = [
         "propagator.py",
         "(1 + 4 * math.sqrt(2)) * 2.0**-53",
         "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
-        [PROPAGATOR + "test_weights_error_within_the_model[numpy]"],
+        [PROPAGATOR + "test_weights_error_within_the_model"],
     ),
     # the unitarity bound reads both ends of the moduli, and a NaN among them
     (
@@ -175,13 +199,6 @@ MUTANTS = [
         "2 * e * hi",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
-    # the weights pick their form by their own count: a small verify loads no numpy
-    (
-        "propagator.py",
-        "2 * N * sum(_prime_factors(N)) <= PYTHON_OPS",
-        "2 * N * sum(_prime_factors(N)) > PYTHON_OPS",
-        [CLI + "test_cli_import_does_not_load_numpy"],
-    ),
     # each cycle product against its base level, within the model's delta
     (
         "propagator.py",
@@ -197,8 +214,8 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "cycles[m % D] *= complex(z)",
-        "cycles[(m + 1) % D] *= complex(z)",
+        "cycles[m % D] *= z",
+        "cycles[(m + 1) % D] *= z",
         [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
     ),
     # the trace formula on the M-lattice: one running-power loop
@@ -422,6 +439,14 @@ MUTANTS = [
 # max(steps, 6) * spec.app.D <= PYTHON_OPS), and the FFT form's k rho
 # phase (* spec.rho -> * (spec.rho + 1)), whose Python twin is the
 # level-root phase entry above (6 * u + rho -> 6 * u + rho + 1).
+# Retired with the mixed-radix FFT and the numpy form of the weights, whose
+# code is gone: the recursion's twiddle stride (step * p -> step), numpy's
+# chirp sign ((-m * m) -> (m * m)) and the flip of the weights' selection
+# (2 N S(N) <= PYTHON_OPS).  The chirp-sign entry now mutates the one
+# chirp, and the e/100 entry is killed by the one error test.  A flip of
+# the twiddles' sign, or of Bluestein's chirp, turns every transform into
+# conj(F) = N F^-1, and the weights only into w_(-m) = w_m: those two are
+# killed by the transform's own test.
 
 
 def _pytest(src, tests):

@@ -39,6 +39,7 @@ import functools
 import json
 import math
 import random
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -109,11 +110,20 @@ def momentum_two_buffer(entries, a):
     return w, math.sqrt(np.vdot(V, V).real)
 
 
+def weights_view(w):
+    """The library's weights, an array('d') of re/im pairs, as a complex128 view of its buffer.
+
+    Writing to the view writes to the weights.
+    """
+    return np.frombuffer(w, dtype=complex)
+
+
 class DenseMatrix(Propagator):
     """Any N x N array labelled (N, a), read by the library as a propagator.
 
-    Its momentum form comes from momentum_two_buffer, so unitarity_defect
-    and trace_powers read a matrix that need not be the propagator of a.
+    Its momentum form comes from momentum_two_buffer, with the weights
+    packed as the library keeps them, so unitarity_defect and trace_powers
+    read a matrix that need not be the propagator of a.
     """
 
     def __init__(self, N, a, entries):
@@ -122,7 +132,8 @@ class DenseMatrix(Propagator):
 
     @functools.cached_property
     def momentum(self):
-        return momentum_two_buffer(self.entries, self.a)
+        w, e = momentum_two_buffer(self.entries, self.a)
+        return array("d", np.ascontiguousarray(w, dtype=complex).tobytes()), e
 
 
 def trace_power_numeric(entries, n):

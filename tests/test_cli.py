@@ -635,21 +635,20 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
 
 @pytest.mark.parametrize("a", [1, 0])
 def test_verify_fails_an_infinite_array_weight(a):
-    # At N = 2048 the weights are a numpy array.  One infinite weight fails
-    # unitarity, cycle-products and trace-formula under -W error, with no
-    # traceback: the cycle products read each weight as a Python complex
-    # number, so no numpy scalar product warns of inf * 0.  D = 1 puts it in
-    # the one cycle, D = N in a cycle of its own
+    # The weights are one array('d') of re/im pairs.  One infinite weight,
+    # its real part at index N of the array, fails unitarity,
+    # cycle-products and trace-formula under -W error, with no traceback.
+    # D = 1 puts it in the one cycle, D = N in a cycle of its own
     script = (
         "import math, sys\n"
-        "import numpy as np\n"
+        "from array import array\n"
         "from skewtorus import cli\n"
         "from skewtorus.propagator import build_propagator\n"
         "def inf_weight(app):\n"
         "    U = build_propagator(app)\n"
         "    w, _ = U.momentum\n"
-        "    assert isinstance(w, np.ndarray)\n"
-        "    w[app.N // 2] = math.inf\n"
+        "    assert isinstance(w, array) and len(w) == 2 * app.N\n"
+        "    w[app.N] = math.inf\n"
         "    return U\n"
         "cli.build_propagator = inf_weight\n"
         f"sys.exit(cli.main(['verify', '--a', '{a}', '--N', '2048']))\n"
@@ -670,13 +669,14 @@ def test_verify_names_the_failing_cycle(capsys, monkeypatch, a, N, m, value):
     # One corrupted weight w_m fails its own cycle, r = m mod D, and the
     # cycle-products detail names it: a NaN must rank above the finite
     # residuals of the other cycles, and a weight of modulus 2 doubles its
-    # cycle's product.  (3, 9) holds its weights as a list, (4, 2048) as a
-    # numpy array
+    # cycle's product.  The value goes into the real part of w_m, at index
+    # 2m of the re/im pairs; (3, 9) takes Bluestein's FFT, (4, 2048) the
+    # radix-2 one
     build = cli.build_propagator
 
     def corrupt(app):
         U = build(app)
-        U.momentum[0][m] = value
+        U.momentum[0][2 * m] = value
         return U
 
     monkeypatch.setattr(cli, "build_propagator", corrupt)
@@ -1088,19 +1088,27 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-# Commands that build no array: each must run with numpy blocked.  spacing
-# and numvar --method direct read one period of D levels, at any N;
-# spectrum tiles its rows from that period, and the fourier series (figure1,
-# numvar --method fourier) takes its Gauss sums in closed form.  verify
-# needs numpy only for weights above spectrum.PYTHON_OPS (N > 1536): the
-# cycle products, the trace loop and the power sums run on Python complex
-# numbers at every D, D = N = 272 and 1024 among them.
+# Every command runs with numpy blocked: the package has no runtime
+# dependency.  spacing and numvar --method direct read one period of D
+# levels, at any N; spectrum tiles its rows from that period, and the
+# fourier series (figure1, numvar --method fourier) takes its Gauss sums in
+# closed form.  verify's weights take a Python FFT at every N, radix 2 at
+# the powers of two and Bluestein's elsewhere, and its cycle products,
+# trace loop and power sums run on Python complex numbers: D = 1 and
+# D = N up to the cap, and the primes 191 and 16381, among them.
 NO_NUMPY_COMMANDS = [
     ("verify --a 3 --N 9", 0),
     ("verify --a 440 --N 272", 0),
     ("verify --a 0 --N 7", 0),
     ("verify --a 0 --N 272", 0),
     ("verify --a 0 --N 1024", 0),
+    ("verify --a 5 --N 191", 0),
+    ("verify --a 1 --N 2048", 0),
+    ("verify --a 1 --N 4096", 0),
+    ("verify --a 0 --N 4096", 0),
+    ("verify --a 1 --N 16384", 0),
+    ("verify --a 0 --N 16384", 0),
+    ("verify --a 16381 --N 16381", 0),
     ("spectrum --a 24 --N 16", 0),
     ("spectrum --a 8 --N 13 --format json", 0),
     ("spectrum --a 0 --N 5000", 0),
@@ -1134,15 +1142,28 @@ NO_NUMPY_COMMANDS = [
 ]
 
 
-def test_exact_commands_run_without_numpy():
+def test_exact_commands_run_without_numpy(tmp_path):
+    # README's usage block and the commands above, each with its exit code;
+    # every verify report that exits 0 says ok at every check.  figure1
+    # --out writes into the test's directory
+    commands = [
+        ([str(tmp_path / a) if a.endswith(".csv") else a for a in argv], 0)
+        for argv in _readme_commands()
+    ]
+    commands += [(argv.split(), code) for argv, code in NO_NUMPY_COMMANDS]
     script = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
         "sys.modules['dataclasses'] = None\n"
         "import skewtorus\n"
         "from skewtorus import cli\n"
-        f"for argv, code in {NO_NUMPY_COMMANDS!r}:\n"
-        "    assert cli.main(argv.split()) == code, argv\n"
+        f"for argv, code in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(argv) == code, argv\n"
+        "    if argv[0] == 'verify' and code == 0:\n"
+        "        report = json.loads(out.getvalue())\n"
+        "        assert report['ok'] and all(c['ok'] for c in report['checks']), argv\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
@@ -1154,34 +1175,13 @@ def test_cli_import_does_not_load_numpy():
         "import skewtorus.cli\n"
         "assert not {'numpy', 'dataclasses', 'json'} & set(sys.modules)\n"
         "assert skewtorus.cli.main(['verify', '--a', '3', '--N', '9']) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
         "assert skewtorus.cli.main(['verify', '--a', '1', '--N', '2048']) == 0\n"
-        "assert 'numpy' in sys.modules\n"
-        "assert 'dataclasses' not in sys.modules\n"
+        "assert not {'numpy', 'dataclasses'} & set(sys.modules)\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     reports = proc.stdout.replace("}\n{", "}\n\0{").split("\0")
     assert [json.loads(r)["ok"] for r in reports] == [True, True]
-
-
-def test_verify_does_not_load_numpy_random():
-    # numpy.random's first import costs about 10 ms of a verify that loads
-    # numpy, as at N = 2048, whose weights are above spectrum.PYTHON_OPS.
-    # numpy 1.22 loads it with numpy itself; there the test has nothing to see
-    script = (
-        "import sys\n"
-        "import numpy\n"
-        "if 'numpy.random' in sys.modules:\n"
-        "    sys.exit(3)\n"
-        "import skewtorus.cli\n"
-        "assert skewtorus.cli.main(['verify', '--a', '1', '--N', '2048']) == 0\n"
-        "assert 'numpy.random' not in sys.modules\n"
-    )
-    proc = _python("-c", script)
-    if proc.returncode == 3:
-        pytest.skip("import numpy loads numpy.random")
-    assert proc.returncode == 0, proc.stderr
 
 
 # Each command imports only the library layers it runs; the layers that the
