@@ -1184,6 +1184,26 @@ def test_cli_import_does_not_load_numpy():
     assert [json.loads(r)["ok"] for r in reports] == [True, True]
 
 
+def test_verify_does_not_load_numpy_random():
+    # A verify in a process that has imported numpy loads nothing more of
+    # it: numpy.random's first import costs about 10 ms.  N = 2048 takes the
+    # radix-2 FFT.  numpy 1.22 loads numpy.random with numpy itself; there
+    # the test has nothing to see
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "import skewtorus.cli\n"
+        "assert skewtorus.cli.main(['verify', '--a', '1', '--N', '2048']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = _python("-c", script)
+    if proc.returncode == 3:
+        pytest.skip("import numpy loads numpy.random")
+    assert proc.returncode == 0, proc.stderr
+
+
 # Each command imports only the library layers it runs; the layers that the
 # statistics layer imports itself (diophantine, spectrum) come with it.
 _LAYERS_LOADED = (

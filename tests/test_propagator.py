@@ -407,12 +407,24 @@ def _long_double_dft(g):
 ERROR_SIZES = list(range(1, 65)) + [127, 179, 181, 191, 1024, 1536, 2048, 4093]
 
 
-def test_weights_error_within_the_model():
-    # The forward FFT of the library's circulant column g, against F g in
-    # long double, entry by entry, under the model e = c u log2(N) of
-    # Propagator.momentum.  The weights read at most 1.4 u log2(N) here, by
+@pytest.mark.parametrize("reference", ["numpy", "python"])
+def test_weights_error_within_the_model(reference):
+    # The weights under the model e = c u log2(N) of Propagator.momentum,
+    # entry by entry, against one of two references.  "python": the forward
+    # FFT of the library's circulant column g, replayed bit for bit, against
+    # F g in long double.  The weights read at most 1.4 u log2(N) here, by
     # Bluestein's at N = 63, and 0.34 u log2(N) by the radix-2 transform,
-    # against c = 6.66
+    # against c = 6.66.  "numpy": numpy's FFT of the same chirp, a transform
+    # that shares nothing with the library's, within 2e, as both are within
+    # e of the exact weights; it needs no long double, so it runs where the
+    # "python" reference skips
+    if reference == "numpy":
+        for N in ERROR_SIZES:
+            w, e = Propagator(N, 1).momentum
+            chirp = [_root(-m * m % N, N) for m in range(N)]
+            gap = np.max(np.abs(weights_view(w) - np.fft.fft(np.fft.ifft(chirp))))
+            assert gap <= 2 * e, (N, float(gap), e)
+        return
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("long double is no wider than double here")
     for N in ERROR_SIZES:
