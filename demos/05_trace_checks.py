@@ -34,7 +34,7 @@ for a, N in ((8, 5), (3, 9), (24, 15), (24, 16)):
     worst = max(abs(x - y) for x, y in pairs)
     cycles = max(abs(x - y) for x, y in zip(U.cycles, cycle_products(app), strict=True))
     print(f"a/N = {a}/{N} (D={app.D} cycles of length M={app.M}):")
-    print(f"  weight rounding model e {U.momentum[1]:.2e}")
+    print(f"  weight rounding model e {U.e:.2e}")
     print(f"  unitarity bound         {unitarity_defect(U):.2e}")
     print(f"  cycle products          {cycles:.2e}  (delta {cycle_tolerance(N, app.M):.2e})")
     print(f"  trace formula, n=kM<=2N {worst:.2e}")

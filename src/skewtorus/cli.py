@@ -102,14 +102,22 @@ MAX_FOURIER_K = 1_000_000
 # spectrum's per-binade decimal tails hold for its rows' floor(phi) < N <= 2^50
 MAX_SPECTRUM_N = 1 << 50
 # verify's N.  The propagator's own work is O(N log N), and each side of
-# the trace formula makes at most spectrum.PYTHON_OPS products, so the
-# cap stands for the trace formula's tolerance: cycle-products carries the
+# the trace formula makes at most PYTHON_OPS products (below), so the cap
+# stands for the trace formula's tolerance: cycle-products carries the
 # traces that verify does not compute only while 2 N^2 (c log2 N + sqrt 5) u
 # stays below 1e-9 N, up to about N = 4e4 (cmd_verify).  verify --a 0
 # --N 16384 takes about 0.19 s at 20 MB peak RSS, and the prime
 # verify --a 16381 --N 16381, whose weights take Bluestein's FFT, 0.5-0.7 s
 # at 23 MB (2-vCPU VM).
 MAX_VERIFY_N = 16384
+# Largest count of complex products that each side of verify's trace
+# formula makes.  It bounds the lattice points that trace-formula compares,
+# K = min(2D, PYTHON_OPS // D) (cmd_verify), so that each side makes
+# D K <= PYTHON_OPS products in one loop (spectrum._lattice_traces), over
+# the cycle products or over the level roots, in Python, at every N.  On a
+# 2-vCPU VM (CPython 3.11) the running powers took about 75 ns a product,
+# so each side of the trace check took 5 ms at D = 181.
+PYTHON_OPS = 1 << 16
 # Lines per write of a _table CSV: a few hundred KB of text at most.
 TABLE_BLOCK = 4096
 
@@ -438,12 +446,12 @@ def cmd_verify(args):
     """Cross-method checks of one approximant: each passes when it has residuals and all pass.
 
     cycle-products compares each of the D cycle products c_r of the
-    weights (Propagator.cycles) with the eigenphase formula's
-    z_r = e(t_r / 6D) (spectrum.cycle_products), within
-    delta = cycle_tolerance(N, M).  trace-formula compares the lattice
-    traces Tr U^(kM) = M sum_r c_r^k with the trace formula's M sum_r z_r^k
-    at k = 1..min(2D, PYTHON_OPS // D) only, so that each side makes at
-    most spectrum.PYTHON_OPS complex products.  Nothing beyond that is
+    weights (Propagator.cycles, made once by build_propagator) with the
+    eigenphase formula's z_r = e(t_r / 6D) (spectrum.cycle_products),
+    within delta = cycle_tolerance(N, M).  trace-formula compares the
+    lattice traces Tr U^(kM) = M sum_r c_r^k with the trace formula's
+    M sum_r z_r^k at k = 1..min(2D, PYTHON_OPS // D) only, so that each
+    side makes at most PYTHON_OPS complex products.  Nothing beyond that is
     lost: |x^k - y^k| <= k |x - y| max(|x|, |y|)^(k-1), so if every
     |c_r - z_r| <= delta, then at every k
 
@@ -460,8 +468,6 @@ def cmd_verify(args):
     largest residual, a NaN first.
     """
     _use("diophantine", "propagator", "spectrum", "statistics")
-    from .spectrum import PYTHON_OPS
-
     app = _approximant(args)
     N, D, M = app.N, app.D, app.M
     if N > MAX_VERIFY_N:

@@ -31,10 +31,12 @@ O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 The weights' two FFTs run on Python complex numbers at every N, in
 O(N log N) (_dft): the radix-2 transform _fft when N is a power of two, and
 otherwise Bluestein's chirp convolution over it.  Every twiddle and chirp
-phase is an exact integer residue read through spectrum._root.  The
-weights are kept as one array('d') of re/im pairs, 16 bytes a weight, and
-the unitarity bound and the cycle products (Propagator.cycles) read it in
-one pass; the products and the trace loop run on Python complex numbers.
+phase is an exact integer residue read through spectrum._root.
+build_propagator makes the weights once and reads them in one pass
+(Propagator.from_weights) into the D cycle products and the least and
+greatest modulus: with the rounding model e, that is all that the
+unitarity bound and the traces read, and no weight is kept.  The products
+and the trace loop run on Python complex numbers.
 The trace loop (spectrum._lattice_traces) is the one that forms
 spectrum.power_sums from the exact levels' roots: the two sides of the
 trace formula differ only in the values they raise.  No numpy is
@@ -53,93 +55,90 @@ is kept as the matrix layer of that chain, not as an independent proof
 that U is unitary.
 """
 
-import functools
 import math
-from array import array
-from itertools import chain
+from collections import namedtuple
 
 from .spectrum import _lattice_traces, _root
 
 
-class Propagator:
-    """The propagator U_N by its defining integers (N, a).
+class Propagator(namedtuple("Propagator", "N a e lo hi cycles")):
+    """What the checks read of U_N = diag(e(a k/N)) Circ(g), the record of its weights.
 
-    U = diag(e(a k/N)) Circ(g) is held through (N, a): the diagonal is exact
-    in them, and momentum makes g and reads the weights w = F g from it.  No
-    N x N array is made or kept.
+    (N, a) define U; the diagonal is exact in them.  e is each weight's
+    error under the rounding model (_weight_error), lo and hi are the least
+    and the greatest modulus |w_m| (both NaN when a weight is not finite),
+    and cycles is the tuple of the D = gcd(a, N) cycle products c_r.  No
+    weight is kept, and no N x N array is made.
     """
 
+    __slots__ = ()
     N: int
     a: int
 
-    def __init__(self, N, a):
-        self.N, self.a = N, a
-
-    @functools.cached_property
-    def momentum(self):
-        """(w, e): the weights w_m = V[(m + a) mod N, m] and e >= ||V - S_a diag(w)||_2.
-
-        g = F^-1 e(-m^2/N) is the circulant's first column, one inverse FFT,
-        and w = F g is one FFT; neither contains a.  V = S_a diag(F g)
-        exactly for the U of that g, so V - S_a diag(w) = S_a diag(F g - w)
-        and its spectral norm is the largest error of an FFT output entry.
-        Both transforms are _dft's, O(N log N) at every N, and w is kept
-        as one array('d') of re/im pairs, 16 bytes a weight, where a list
-        of Python complex numbers keeps 40 (a 32-byte complex and its
-        pointer).  Neither w nor e contains a.
-
-        e is that error under a stated per-entry rounding model, not a proof.
-        Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
-        bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
-        ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
-        with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
-        spectrum._root computes each twiddle to about the unit roundoff
-        u = 2^-53, so mu = u and, to first order in u, eta = c u with
-        c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
-        sqrt(N), and the model spreads the error evenly over the N outputs:
-        each is off by at most c u log2(N).  Taken entrywise, the normwise
-        bound allows sqrt(N) times that, which at N = 16384 is above
-        verify's unitarity tolerance.  The theorem is for radix 2.  At
-        other lengths _dft is Bluestein's, three radix-2 transforms of
-        length L < 4N with chirp products between them, and the model keeps
-        c there as measured, not derived: against F g summed in long
-        double, the largest entry error was 1.6 u log2(N) over
-        N = 2..300 (at N = 118), and 1.1 u log2(N) at the primes 4093 and
-        16381.  At the powers of two up to 16384 it was 0.42 u log2(N)
-        (test_weights_error_within_the_model).
-        """
-        N = self.N
-        w = array("d", chain.from_iterable((z.real, z.imag) for z in _weights(N)))
-        return w, _weight_error(N)
-
-    @functools.cached_property
-    def cycles(self):
-        """[c_r for r < D]: the product of the weights on each cycle of the shift.
+    @classmethod
+    def from_weights(cls, N, a, w, e):
+        """The record of the weights w_m = V[(m + a) mod N, m], in order of m, in one pass.
 
         The shift m -> m + a splits the momenta into the D = gcd(a, N)
-        residue classes r = m mod D, M = N / D each.  The products are made
-        once, in one pass over the weights in momentum order, each weight
-        read off its re/im pair as a Python complex number: a weight that
+        residue classes r = m mod D, M = N / D each, and c_r is the product
+        of the weights of class r, on Python complex numbers: a weight that
         is not finite gives a product that is not finite.  M - 1 complex
-        products round on each cycle (cycle_tolerance).
+        products round on each cycle (cycle_tolerance).  A NaN modulus
+        compares false, so lo and hi pass over it; the moduli's sum is what
+        sees a weight that is not finite, and makes lo and hi NaN.
         """
-        w, _ = self.momentum
-        D = math.gcd(int(self.a), self.N)
+        D = math.gcd(int(a), N)
         cycles = [1] * D
-        for m, z in enumerate(_complexes(w)):
+        lo, hi, total = math.inf, 0.0, 0.0
+        for m, z in enumerate(w):
             cycles[m % D] *= z
-        return cycles
+            r = abs(z)
+            total += r
+            if r < lo:
+                lo = r
+            if r > hi:
+                hi = r
+        if not math.isfinite(total):
+            lo = hi = math.nan
+        return cls(N, a, e, lo, hi, tuple(cycles))
 
 
 def _weight_error(N):
-    """e = c u log2(N), c = 1 + 4 sqrt(2): the model of each weight's rounding (momentum)."""
+    """e = c u log2(N), c = 1 + 4 sqrt(2): the model of each weight's rounding.
+
+    The weights w = F g are one FFT of g = F^-1 e(-m^2/N), the circulant's
+    first column, itself one inverse FFT (_weights); neither contains a.
+    V = S_a diag(F g) exactly for the U of that g, so V - S_a diag(w) =
+    S_a diag(F g - w) and its spectral norm is the largest error of an FFT
+    output entry.  Both transforms are _dft's, O(N log N) at every N.
+
+    e is that error under a stated per-entry rounding model, not a proof.
+    Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
+    bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
+    ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
+    with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
+    spectrum._root computes each twiddle to about the unit roundoff
+    u = 2^-53, so mu = u and, to first order in u, eta = c u with
+    c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
+    sqrt(N), and the model spreads the error evenly over the N outputs:
+    each is off by at most c u log2(N).  Taken entrywise, the normwise
+    bound allows sqrt(N) times that, which at N = 16384 is above
+    verify's unitarity tolerance.  The theorem is for radix 2.  At
+    other lengths _dft is Bluestein's, three radix-2 transforms of
+    length L < 4N with chirp products between them, and the model keeps
+    c there as measured, not derived: against F g summed in long
+    double, the largest entry error was 1.6 u log2(N) over
+    N = 2..300 (at N = 118), and 1.1 u log2(N) at the primes 4093 and
+    16381.  At the powers of two up to 16384 it was 0.42 u log2(N)
+    (test_weights_error_within_the_model).
+    """
     return (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
 
 
 def cycle_tolerance(N, M):
     """delta(N, M): a bound on |c_r - e(t_r / 6D)| for each cycle product, under the model.
 
-    Under momentum's model every computed weight is within
+    Under _weight_error's model every computed weight is within
     e = c u log2(N) of its exact value, the chirp e(-m^2/N) of modulus 1.
     So the exact product P of a cycle's M computed weights is within
     (1 + e)^M - 1 of the exact cycle product, and |P| <= (1 + e)^M.
@@ -230,8 +229,8 @@ def _weights(N):
     """w = F F^-1 e(-m^2/N) as a list, by two transforms of one _dft.
 
     F^-1 x = conj(F conj(x)) / N, and conj(e(-m^2/N)) = e(m^2/N).  The list
-    (40 N bytes) is returned, not packed here, so that the twiddles (20 N)
-    are freed before momentum packs it (test_checks_hold_a_few_vectors).
+    (40 N bytes) is returned, so that the twiddles (20 N) are freed before
+    build_propagator reads it (test_checks_hold_a_few_vectors).
     """
     dft = _dft(N)
     x = [_root(m * m % N, N) for m in range(N)]
@@ -242,19 +241,14 @@ def _weights(N):
     return x
 
 
-def _complexes(w):
-    """The weights held as the re/im pairs of w, as Python complex numbers in order."""
-    pairs = iter(w)
-    return map(complex, pairs, pairs)
-
-
 def build_propagator(app):
-    """U_N for the approximant; the momentum form is computed on first use."""
-    return Propagator(app.N, app.a)
+    """U_N for the approximant, as the record of its weights: _weights runs once, here."""
+    N = app.N
+    return Propagator.from_weights(N, app.a, _weights(N), _weight_error(N))
 
 
 def unitarity_defect(U):
-    """Bound on ||U U^dagger - I||_2 from the momentum form (w, e); O(N).
+    """Bound on ||U U^dagger - I||_2 from the record's lo, hi and e; O(1).
 
     Returns max|1 - |w_m|^2| + 2 e max|w_m| + e^2.  Write V = P W + E with
     P W the weighted permutation of the weights and ||E||_2 <= e.  Then
@@ -264,21 +258,16 @@ def unitarity_defect(U):
     unitarily similar to U U^dagger - I and has the same spectral norm,
     which bounds every entry of U U^dagger - I.  |1 - r^2| falls on
     0 <= r <= 1 and rises above, so over the moduli it is largest at the
-    least or the greatest.
+    least (lo) or the greatest (hi).
 
     For the factorised propagator E is the error of the weights, and e is
-    its rounding model (Propagator.momentum), so the result is a bound under
+    its rounding model (_weight_error), so the result is a bound under
     that model, for the U of the computed circulant column.  Over the test
     sets it is above the entries of the dense U U^dagger - I.  A NaN or
-    infinite weight makes it NaN: min and max pass over a NaN that is not
-    first, so the moduli's sum is what sees it.  The moduli are read off
-    the weights' re/im pairs in one pass.
+    infinite weight makes it NaN, through the NaN that
+    Propagator.from_weights gives lo and hi.
     """
-    w, e = U.momentum
-    r = [abs(z) for z in _complexes(w)]
-    if not math.isfinite(sum(r)):
-        return math.nan
-    lo, hi = min(r), max(r)
+    lo, hi, e = U.lo, U.hi, U.e
     return max(abs(1 - lo * lo), abs(1 - hi * hi)) + 2 * e * hi + e * e
 
 
@@ -306,7 +295,7 @@ def trace_powers(U, n_max):
     for verify --a 1: 1.2e-9, 5.3e-9 and 1.2e-8 at N = 4096, 8192 and
     16384, and 1.6e-5 at N = 2^20.  verify's tolerance 1e-9 N grows only as
     N (1.6e-5 at N = 16384, a margin of 1400x), and verify compares at most
-    spectrum.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
+    cli.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

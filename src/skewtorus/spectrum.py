@@ -182,8 +182,8 @@ def power_sums(spec, n_max):
     its exact integer phase) and repeated hist[u] times: the loop of
     propagator.trace_powers (_lattice_traces) over these D values in place
     of the cycle products, D products for each of the n_max // M values of
-    k.  verify asks for at most PYTHON_OPS // D values of k, so at most
-    PYTHON_OPS products, and compares them with the numeric traces.
+    k.  verify asks for at most cli.PYTHON_OPS // D values of k, so at most
+    cli.PYTHON_OPS products, and compares them with the numeric traces.
 
     Error model, with no fitted constant.  Each root is within 5 u of its
     exact value (u = 2^-53; cycle_tolerance's reading of _root).  The
@@ -242,14 +242,6 @@ def cycle_products(app):
     return [_root(6 * ((c - r * r) % D) + rho, 6 * D) for r in range(D)]
 
 
-# Largest count of complex products that each side of verify's trace
-# formula makes.  It bounds the lattice points that trace-formula compares,
-# K = min(2D, PYTHON_OPS // D) (cli.cmd_verify), so that each side makes
-# D K <= PYTHON_OPS products in one loop (_lattice_traces), over the cycle
-# products or over the level roots, in Python, at every N.  On a 2-vCPU VM
-# (CPython 3.11) the running powers took about 75 ns a product, so each
-# side of the trace check took 5 ms at D = 181.
-PYTHON_OPS = 1 << 16
 _QUARTER_TURNS = (1, 1j, -1, -1j)
 
 

@@ -171,7 +171,8 @@ MUTANTS = [
         "(1 + 4 * math.sqrt(2)) * 2.0**-53 / 100",
         [PROPAGATOR + "test_weights_error_within_the_model"],
     ),
-    # the unitarity bound reads both ends of the moduli, and a NaN among them
+    # the unitarity bound reads both ends of the moduli, and the record
+    # marks a NaN among them
     (
         "propagator.py",
         "max(abs(1 - lo * lo), abs(1 - hi * hi))",
@@ -186,7 +187,7 @@ MUTANTS = [
     ),
     (
         "propagator.py",
-        "    if not math.isfinite(sum(r)):\n        return math.nan\n",
+        "        if not math.isfinite(total):\n            lo = hi = math.nan\n",
         "",
         [
             PROPAGATOR + "test_unitarity_fails_on_corrupted_matrix",
@@ -197,6 +198,13 @@ MUTANTS = [
         "propagator.py",
         "2 * e * hi + e * e",
         "2 * e * hi",
+        [PROPAGATOR + "test_unitarity_bound_terms"],
+    ),
+    # the record takes the least and the greatest modulus in their places
+    (
+        "propagator.py",
+        "cls(N, a, e, lo, hi, tuple(cycles))",
+        "cls(N, a, e, hi, lo, tuple(cycles))",
         [PROPAGATOR + "test_unitarity_bound_terms"],
     ),
     # each cycle product against its base level, within the model's delta

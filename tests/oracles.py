@@ -7,7 +7,7 @@ with one Fraction per level, the l-sum that defines the propagator entries
 the unitarity defect as the largest entry of the dense U U^dagger - I
 (O(N^3)), the lattice traces from the cycle products and the trace formula's
 power sums over the whole range k <= 2D in numpy (traces_numpy,
-power_sums_fft, where verify makes at most spectrum.PYTHON_OPS products
+power_sums_fft, where verify makes at most cli.PYTHON_OPS products
 of either), eigenvalue power sums from one Fraction-reduced
 exponential per level and per n (O(N n_max)), the number variance by an event sweep over
 Fraction breakpoints with one bisection count per segment (O(N^2 log N)),
@@ -35,11 +35,9 @@ randomized cross-checks share.  power_sums_error and power_sums_fft_error
 write out the rounding that spectrum.power_sums and power_sums_fft state.
 """
 import cmath
-import functools
 import json
 import math
 import random
-from array import array
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -110,30 +108,15 @@ def momentum_two_buffer(entries, a):
     return w, math.sqrt(np.vdot(V, V).real)
 
 
-def weights_view(w):
-    """The library's weights, an array('d') of re/im pairs, as a complex128 view of its buffer.
+def dense_record(entries, a):
+    """The library's record of any N x N array labelled (N, a).
 
-    Writing to the view writes to the weights.
+    The array need not be the propagator of a.  Propagator.from_weights
+    reads the weights and e of momentum_two_buffer, as Python complex
+    numbers, as build_propagator reads the library's own.
     """
-    return np.frombuffer(w, dtype=complex)
-
-
-class DenseMatrix(Propagator):
-    """Any N x N array labelled (N, a), read by the library as a propagator.
-
-    Its momentum form comes from momentum_two_buffer, with the weights
-    packed as the library keeps them, so unitarity_defect and trace_powers
-    read a matrix that need not be the propagator of a.
-    """
-
-    def __init__(self, N, a, entries):
-        super().__init__(N, a)
-        self.entries = entries
-
-    @functools.cached_property
-    def momentum(self):
-        w, e = momentum_two_buffer(self.entries, self.a)
-        return array("d", np.ascontiguousarray(w, dtype=complex).tobytes()), e
+    w, e = momentum_two_buffer(entries, a)
+    return Propagator.from_weights(len(entries), a, w.tolist(), e)
 
 
 def trace_power_numeric(entries, n):
@@ -170,7 +153,7 @@ def traces_numpy(U, n_max):
     The running product of propagator.trace_powers over U.cycles, one numpy
     product of D values per k, so it reaches every lattice point up to
     n_max = 2N (2 D^2 products) at any D, where verify compares only
-    spectrum.PYTHON_OPS // D of them.
+    cli.PYTHON_OPS // D of them.
     """
     cycles = np.array(U.cycles, dtype=complex)
     M = U.N // len(cycles)
@@ -190,7 +173,7 @@ def power_sums_fft(spec, n_max):
     k rho reduced mod 6D in integers.
 
     Its rounding, to first order in u = 2^-53 (power_sums_fft_error): the
-    FFT's entries under propagator.momentum's model, Higham's normwise
+    FFT's entries under propagator._weight_error's model, Higham's normwise
     bound c u log2(D) ||ifft(h)||_2 taken entrywise, with
     ||ifft(h)||_2 = ||h||_2 / sqrt(D), and each of modulus at most 1; the
     phase's angle, below 2 pi, rounds three times (6 pi u) and its cosine

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import skewtorus
-from skewtorus import cli, spectrum
+from skewtorus import cli, propagator, spectrum
 from skewtorus.diophantine import Approximant
 from skewtorus.propagator import cycle_tolerance
 from skewtorus.spectrum import Spectrum, eigenphases
@@ -634,23 +634,21 @@ def test_verify_nan_residual_fails_its_check(capsys, monkeypatch, name):
 
 
 @pytest.mark.parametrize("a", [1, 0])
-def test_verify_fails_an_infinite_array_weight(a):
-    # The weights are one array('d') of re/im pairs.  One infinite weight,
-    # its real part at index N of the array, fails unitarity,
-    # cycle-products and trace-formula under -W error, with no traceback.
-    # D = 1 puts it in the one cycle, D = N in a cycle of its own
+def test_verify_fails_an_infinite_weight(a):
+    # One infinite weight, the real part of w_(N/2) set to inf before the
+    # propagator's record is made, fails unitarity, cycle-products and
+    # trace-formula under -W error, with no traceback.  D = 1 puts it in
+    # the one cycle, D = N in a cycle of its own
     script = (
         "import math, sys\n"
-        "from array import array\n"
-        "from skewtorus import cli\n"
-        "from skewtorus.propagator import build_propagator\n"
-        "def inf_weight(app):\n"
-        "    U = build_propagator(app)\n"
-        "    w, _ = U.momentum\n"
-        "    assert isinstance(w, array) and len(w) == 2 * app.N\n"
-        "    w[app.N] = math.inf\n"
-        "    return U\n"
-        "cli.build_propagator = inf_weight\n"
+        "from skewtorus import cli, propagator\n"
+        "weights = propagator._weights\n"
+        "def inf_weight(N):\n"
+        "    w = weights(N)\n"
+        "    assert len(w) == N\n"
+        "    w[N // 2] = complex(math.inf, w[N // 2].imag)\n"
+        "    return w\n"
+        "propagator._weights = inf_weight\n"
         f"sys.exit(cli.main(['verify', '--a', '{a}', '--N', '2048']))\n"
     )
     proc = _python("-W", "error", "-c", script)
@@ -669,17 +667,17 @@ def test_verify_names_the_failing_cycle(capsys, monkeypatch, a, N, m, value):
     # One corrupted weight w_m fails its own cycle, r = m mod D, and the
     # cycle-products detail names it: a NaN must rank above the finite
     # residuals of the other cycles, and a weight of modulus 2 doubles its
-    # cycle's product.  The value goes into the real part of w_m, at index
-    # 2m of the re/im pairs; (3, 9) takes Bluestein's FFT, (4, 2048) the
-    # radix-2 one
-    build = cli.build_propagator
+    # cycle's product.  The value goes into the real part of w_m before the
+    # propagator's record is made; (3, 9) takes Bluestein's FFT, (4, 2048)
+    # the radix-2 one
+    weights = propagator._weights
 
-    def corrupt(app):
-        U = build(app)
-        U.momentum[0][2 * m] = value
-        return U
+    def corrupt(N):
+        w = weights(N)
+        w[m] = complex(value, w[m].imag)
+        return w
 
-    monkeypatch.setattr(cli, "build_propagator", corrupt)
+    monkeypatch.setattr(propagator, "_weights", corrupt)
     code, out, err = run(capsys, "verify", "--a", str(a), "--N", str(N))
     assert code == 1 and "FAIL: cycle-products\n" in err
     report = _strict_json(out)
@@ -1326,7 +1324,7 @@ def test_exit_code_as_first_command(argv, code):
 
 def test_cli_defaults_are_pinned():
     # README and CI quote these values
-    assert (cli.MAX_VERIFY_N, cli.DEFAULT_FOURIER_K) == (16384, 10_000)
+    assert (cli.MAX_VERIFY_N, cli.DEFAULT_FOURIER_K, cli.PYTHON_OPS) == (16384, 10_000, 1 << 16)
 
 
 def test_default_count_is_three(capsys):

@@ -33,12 +33,13 @@ from skewtorus.propagator import (
     trace_powers,
     unitarity_defect,
 )
-from skewtorus.spectrum import PYTHON_OPS, _root
+from skewtorus.cli import PYTHON_OPS
+from skewtorus.spectrum import _root
 from skewtorus.spectrum import cycle_products, eigenphases, power_sums
 
 from oracles import (
-    DenseMatrix,
     dense_propagator,
+    dense_record,
     dense_unitarity_defect,
     eigvals_power_sums,
     momentum_two_buffer,
@@ -49,7 +50,6 @@ from oracles import (
     trace_power_numeric,
     traces_numpy,
     traces_running_product,
-    weights_view,
 )
 
 UNITARITY_SET = [
@@ -116,7 +116,7 @@ def test_unitarity_across_set():
 def test_unitarity_detector_sees_corruption():
     bad = dense_propagator(1, 3)
     bad[0, 0] += 0.5
-    assert unitarity_defect(DenseMatrix(3, 1, bad)) > 0.1
+    assert unitarity_defect(dense_record(bad, 1)) > 0.1
 
 
 def test_unitarity_bound_terms():
@@ -133,9 +133,10 @@ def test_unitarity_bound_terms():
         for m, w in enumerate(weights):
             V[(m + 1) % 4, m] = w
         V[0, 0] = off
-        U = DenseMatrix(4, 1, np.fft.ifft(np.fft.fft(V, axis=1), axis=0))
-        assert U.momentum[1] == off
-        assert unitarity_defect(U) == bound >= dense_unitarity_defect(U.entries), weights
+        entries = np.fft.ifft(np.fft.fft(V, axis=1), axis=0)
+        U = dense_record(entries, 1)
+        assert U.e == off
+        assert unitarity_defect(U) == bound >= dense_unitarity_defect(entries), weights
 
 
 def test_trace_examples_1_3():
@@ -240,29 +241,40 @@ def test_eigenvalue_traces_match_running_product():
             assert max(gap, off) <= 1e-9 * N, (a, N, gap, off)
 
 
-def test_momentum_form_is_computed_once():
+def test_weights_are_made_inside_the_build(monkeypatch):
+    # build_propagator makes the weights once, inside the call that the
+    # benchmark's tracer times, and keeps none of them: the checks read
+    # only the record
+    made = []
+    weights = propagator._weights
+    monkeypatch.setattr(propagator, "_weights", lambda N: made.append(N) or weights(N))
     U = build_propagator(Approximant(3, 9))
-    assert U.momentum is U.momentum
-    w, e = U.momentum
-    assert len(weights_view(w)) == 9 and 0 <= e < 1e-14
+    assert made == [9]
+    assert Propagator._fields == ("N", "a", "e", "lo", "hi", "cycles")
+    assert 0 <= U.e < 1e-14 and len(U.cycles) == 3
+    unitarity_defect(U)
+    trace_powers(U, 18)
+    U.cycles
+    assert made == [9]
 
 
 def test_momentum_form_does_not_depend_on_a():
-    # w = F g and its rounding model contain no a, so they are the same
-    # bits for every a: a = 0 and a = N (D = N), a >= N and a huge a
+    # w = F g and its rounding model contain no a, so the record's moduli
+    # and e are the same bits for every a: a = 0 and a = N (D = N), a >= N
+    # and a huge a
     for N in (1, 7, 12, 16, 60, 272):
-        w, e = Propagator(N, 1).momentum
+        U = build_propagator(Approximant(1, N))
         for a in (0, 3, N, N + 5, 2 * N, 10**30 + 7):
-            w_a, e_a = Propagator(N, a).momentum
-            assert np.array_equal(w_a, w) and e_a == e, (a, N)
+            U_a = build_propagator(Approximant(a, N))
+            assert (U_a.e, U_a.lo, U_a.hi) == (U.e, U.lo, U.hi), (a, N)
 
 
 def test_momentum_matches_dense_oracle():
     # the weights against the two-FFT momentum form of the dense U
     for a, N in UNITARITY_SET + EDGE_SET + [(440, 272), (0, 600)]:
-        w, e = build_propagator(Approximant(a, N)).momentum
+        w, e = propagator._weights(N), build_propagator(Approximant(a, N)).e
         w_ref, e_ref = momentum_two_buffer(dense_propagator(a, N), a)
-        assert np.max(np.abs(weights_view(w) - w_ref)) <= 1e-14, (a, N)
+        assert np.max(np.abs(np.array(w) - w_ref)) <= 1e-14, (a, N)
         assert e < 1e-13 and e_ref < 1e-13, (a, N, e, e_ref)
         assert e > 0 or N == 1, (a, N)
 
@@ -273,21 +285,20 @@ def test_momentum_form_rebuilds_the_lsum():
     # N unit terms; the cases read at most 8.4e-16
     for a, N in [(5, 12), (6, 30), (0, 64), (13, 97)] + EDGE_SET:
         U = build_propagator(Approximant(a, N))
-        w, _ = U.momentum
         V = np.zeros((N, N), dtype=complex)
         m = np.arange(N)
-        V[(m + a % N) % N, m] = weights_view(w)
+        V[(m + U.a % N) % N, m] = propagator._weights(N)
         rebuilt = np.fft.ifft(np.fft.fft(V, axis=1), axis=0)
         assert np.max(np.abs(rebuilt - propagator_lsum(a, N))) <= 1e-14, (a, N)
 
 
 def test_checks_hold_a_few_vectors():
     # The budget is four complex N-vectors, 64 N bytes: the checks read
-    # 61.8 N here, while the radix-2 transforms run on a list of N Python
+    # 61.6 N here, while the radix-2 transforms run on a list of N Python
     # complex numbers (40 N) with their N/2 twiddles (20 N).  An N x N
     # array, or a block of four of its rows, fails it.  The propagator
-    # keeps the weights as re/im pairs in one array('d'), 16 N bytes and
-    # its growth margin.
+    # keeps no weight, only its record: 0.06 N bytes retained here, below
+    # a bound of N.
     N = 2048
     budget = 64 * N
 
@@ -306,35 +317,42 @@ def test_checks_hold_a_few_vectors():
         tracemalloc.stop()
     assert U.N == N
     assert peak <= budget, peak / budget
-    assert retained <= 20 * N, retained / N
+    assert retained <= N, retained / N
+
+
+# Each corruption gives (the record, the array it reads), or no array when
+# the weights themselves are corrupted before the record is made
+def _labelled(entries, a):
+    return dense_record(entries, a), entries
 
 
 def _shifted(a, N):
     # the matrix of (a + 1, N) labelled as a
-    return DenseMatrix(N, a, dense_propagator(a + 1, N))
+    return _labelled(dense_propagator(a + 1, N), a)
 
 
 def _perturbed(a, N):
     entries = dense_propagator(a, N)
     entries[N // 2, N // 3] += 1e-9
-    return DenseMatrix(N, a, entries)
+    return _labelled(entries, a)
 
 
 def _scaled(a, N):
-    return DenseMatrix(N, a, 0.9 * dense_propagator(a, N))
+    return _labelled(0.9 * dense_propagator(a, N), a)
 
 
 def _grown(a, N):
     # weights of modulus above 1: 1 - |w|^2 < 0, so the bound needs its abs
-    return DenseMatrix(N, a, 1.1 * dense_propagator(a, N))
+    return _labelled(1.1 * dense_propagator(a, N), a)
 
 
 def _nan(a, N, place=None, value=complex(math.nan)):
-    # one non-finite weight, by default at N // 2: min and max pass over a
-    # NaN that is not first
-    bad = DenseMatrix(N, a, dense_propagator(a, N))
-    weights_view(bad.momentum[0])[N // 2 if place is None else place] = value
-    return bad
+    # one non-finite weight, by default at N // 2, put into the weights
+    # before the record is made: the least and greatest modulus pass over
+    # a NaN
+    w, e = momentum_two_buffer(dense_propagator(a, N), a)
+    w[N // 2 if place is None else place] = value
+    return Propagator.from_weights(N, a, w.tolist(), e), None
 
 
 CORRUPTIONS = {
@@ -359,18 +377,18 @@ def test_unitarity_fails_on_corrupted_matrix(kind):
             corrupted = [CORRUPTIONS[kind](a, N, place) for place in (0, N // 2, N - 1)]
         else:
             corrupted = [CORRUPTIONS[kind](a, N)]
-        for bad in corrupted:
+        for bad, entries in corrupted:
             bound = unitarity_defect(bad)
             if kind in NON_FINITE:
                 assert not math.isfinite(bound), (a, N, bound)
             else:
                 assert bound > 1e-12, (a, N, bound)
-                assert bound >= dense_unitarity_defect(bad.entries), (a, N)
+                assert bound >= dense_unitarity_defect(entries), (a, N)
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_verify_fails_unitarity_on_corrupted_matrix(kind, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_propagator", lambda app: CORRUPTIONS[kind](app.a, app.N))
+    monkeypatch.setattr(cli, "build_propagator", lambda app: CORRUPTIONS[kind](app.a, app.N)[0])
     assert cli.main(["verify", "--a", "3", "--N", "9"]) == 1
     captured = capsys.readouterr()
     assert "FAIL: unitarity" in captured.err
@@ -409,7 +427,7 @@ ERROR_SIZES = list(range(1, 65)) + [127, 179, 181, 191, 1024, 1536, 2048, 4093]
 
 @pytest.mark.parametrize("reference", ["numpy", "python"])
 def test_weights_error_within_the_model(reference):
-    # The weights under the model e = c u log2(N) of Propagator.momentum,
+    # The weights under the model e = c u log2(N) of _weight_error,
     # entry by entry, against one of two references.  "python": the forward
     # FFT of the library's circulant column g, replayed bit for bit, against
     # F g in long double.  The weights read at most 1.4 u log2(N) here, by
@@ -420,23 +438,23 @@ def test_weights_error_within_the_model(reference):
     # "python" reference skips
     if reference == "numpy":
         for N in ERROR_SIZES:
-            w, e = Propagator(N, 1).momentum
+            w, e = propagator._weights(N), propagator._weight_error(N)
             chirp = [_root(-m * m % N, N) for m in range(N)]
-            gap = np.max(np.abs(weights_view(w) - np.fft.fft(np.fft.ifft(chirp))))
+            gap = np.max(np.abs(np.array(w) - np.fft.fft(np.fft.ifft(chirp))))
             assert gap <= 2 * e, (N, float(gap), e)
         return
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("long double is no wider than double here")
     for N in ERROR_SIZES:
-        w, e = Propagator(N, 1).momentum
+        w, e = propagator._weights(N), propagator._weight_error(N)
         dft = propagator._dft(N)
         g = [_root(m * m % N, N) for m in range(N)]
         dft(g)
         g = [z.conjugate() / N for z in g]
         forward = list(g)
         dft(forward)
-        assert weights_view(w).tolist() == forward, N
-        gap = np.max(np.abs(weights_view(w).astype(np.clongdouble) - _long_double_dft(g)))
+        assert w == forward, N
+        gap = np.max(np.abs(np.array(w, dtype=np.clongdouble) - _long_double_dft(g)))
         assert gap <= e, (N, float(gap), e)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from skewtorus import cli, spectrum
+from skewtorus.cli import PYTHON_OPS
 from skewtorus.diophantine import Approximant, golden, nearest_approximant
 from skewtorus.spectrum import (
-    PYTHON_OPS,
     Spectrum,
     eigenphases,
     power_sums,
@@ -199,7 +199,7 @@ def test_fft_power_sums_match_fraction_loop():
     # n_max beyond 6N wraps k = n / M around the FFT length D and the phase's 6D
     cases = [(1, 1, 20), (1, 3, 6 * 3 + 7), (10**30 + 7, 4, 60), (0, 5, 2 * 6 * 5 + 1)]
     cases += [(1, 3, 2), (2, 200, 99)]  # n_max < M: every sum is off the M-lattice
-    # 257 sums of D = 256 terms: above spectrum.PYTHON_OPS, which bounds
+    # 257 sums of D = 256 terms: above cli.PYTHON_OPS, which bounds
     # only what verify asks for
     cases.append((0, 256, 257))
     specs += [(eigenphases(Approximant(a, N)), n_max) for a, N, n_max in cases]
