@@ -94,8 +94,9 @@ DEFAULT_FOURIER_K = 10_000
 # Family size of approx --D and witness without --count.
 DEFAULT_COUNT = 3
 # Size caps (module docstring); each value takes a few seconds and well under
-# 200 MB: numvar --method closed over 100000 steps, orbit over 10^6 points,
-# the series over 10^6 terms (its phase table holds up to K + 1 floats).
+# 200 MB: numvar --method closed over 100000 steps (about 1 s on a 2-vCPU VM),
+# orbit over 10^6 points, the series over 10^6 terms (its phase table holds up
+# to K + 1 floats).
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000

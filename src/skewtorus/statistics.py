@@ -11,7 +11,10 @@ here loads numpy.  The number variance
 
 is computed three ways that must agree.  The spectrum repeats with period
 D, D levels per period, so Ncal(phi + L) - Ncal(phi) - L is D-periodic in
-phi and in L, and each route reads one period:
+phi and in L, and each route reads one period.  Each route reads L once as
+the ratio p/q of two ints (a float L is the rational it holds); the direct
+and closed routes then return one exact Fraction made by integer
+arithmetic, and the series one float:
 
   direct-exact   (1/D) int n^2 - R^2 on a circle of length D (R = L mod D,
                  n the count in a window of length R), with
@@ -28,7 +31,9 @@ phi and in L, and each route reads one period:
                  by convexity of 1/x^2, and that bound is reported alongside;
   closed-form    for D in {1, 2}: {L} - {L}^2, and for D in {3, 6}:
                  -8/9 + 5 F(L/3) + 2 F((L-2)/3) + 2 F((L+2)/3),
-                 F(x) = {x} - {x}^2.
+                 F(x) = {x} - {x}^2, taken as d^2 F(n/d) =
+                 (n mod d)(d - n mod d) over the denominator q^2 or 9 q^2;
+                 exact Fraction result.
 
 Note the minus sign in {L} - {L}^2: the defining integral forces it (a rigid
 unit-spaced spectrum has Sigma^2(1/2) = 1/4, not 3/4), and the direct-exact
@@ -140,19 +145,19 @@ def number_variance_direct(spec, L):
     Q(m) the squared window counts of the period (_window_squares).  Each
     Q(m) is made once per width and spectrum, and every L that needs it
     reuses it; Q(0) = 0, and Q(w - 1) is not needed when R is an integer
-    (f = 1).  The result is an exact Fraction for any rational L, with no
-    float.
+    (f = 1).  L is read once as the ratio p/q of two ints (a float L is the
+    rational it holds), R = (p mod D q)/q and w = ceil(p/q) are integer
+    divisions, and the result is one exact Fraction, with no float.
     """
-    L = Fraction(L)
-    if L < 0:
+    p, q = Fraction(L).as_integer_ratio()
+    if p < 0:
         raise ValueError("L must be >= 0")
     D = spec.app.D
-    R = L % D
-    if not R:
+    p %= D * q
+    if not p:
         return Fraction(0)
     # ((1 - f) Q(w - 1) + f Q(w)) / D - R^2 with R = p/q, as one Fraction
-    p, q = R.numerator, R.denominator
-    w = math.ceil(R)
+    w = -(-p // q)
     below = w * q - p
     inner = (p - (w - 1) * q) * _window_squares(spec, w)
     if below and w > 1:
@@ -251,24 +256,28 @@ def number_variance_fourier(D, L, K):
 
 
 def number_variance_closed(D, L):
-    """Closed-form Sigma^2_D(L) for D in {1, 2, 3, 6}.
+    """Closed-form Sigma^2_D(L) for D in {1, 2, 3, 6}, as one exact Fraction.
 
-    Exact for rational L (Fractions in, Fraction out); D=2 coincides with
-    D=1 and D=6 with D=3.  See the module docstring for the sign note.
+    L is read once as the ratio p/q of two ints (an int, a Fraction, or a
+    float read as the rational it holds, as in the other two routes).  With
+    F(n, d) = (n mod d)(d - n mod d) = d^2 F(n/d), D=1 and D=2 give
+    F(p, q) / q^2, and D=3 and D=6 give (-8 q^2 + 5 F(p, 3q) + 2 F(p - 2q, 3q)
+    + 2 F(p + 2q, 3q)) / (9 q^2), all in Python ints.  See the module
+    docstring for the sign note.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    if isinstance(L, int):
-        L = Fraction(L)
+    p, q = Fraction(L).as_integer_ratio()
 
-    def F(x):
-        t = x - math.floor(x)
-        return t - t * t
+    def F(n, d):
+        r = n % d
+        return r * (d - r)
 
     if D in (1, 2):
-        return F(L)
+        return Fraction(F(p, q), q * q)
     if D in (3, 6):
-        return Fraction(-8, 9) + 5 * F(L / 3) + 2 * F((L - 2) / 3) + 2 * F((L + 2) / 3)
+        s = 5 * F(p, 3 * q) + 2 * F(p - 2 * q, 3 * q) + 2 * F(p + 2 * q, 3 * q)
+        return Fraction(s - 8 * q * q, 9 * q * q)
     raise UnsupportedClosedFormError(f"no closed-form number variance for D={D}")
 
 

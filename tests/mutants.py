@@ -88,6 +88,46 @@ MUTANTS = [
             STATISTICS + "test_window_squares_every_width_match_fraction_sweep",
         ],
     ),
+    # the direct route's reduction of L = p/q mod D; w = -(-p // q) has no
+    # entry: p // q + 1 is equivalent, since at an integer R = p/q both give
+    # inner = q Q(R) (the extra width enters with weight p - (w - 1) q = 0)
+    (
+        "statistics.py",
+        "p %= D * q",
+        "p %= q",
+        [
+            STATISTICS + "test_number_variance_direct_frozen",
+            STATISTICS + "test_direct_sweeps_match_closed_across_d",
+        ],
+    ),
+    # the closed forms over the denominators q^2 and 9 q^2
+    (
+        "statistics.py",
+        "Fraction(F(p, q), q * q)",
+        "Fraction(F(p, q), q)",
+        [
+            STATISTICS + "test_closed_frozen_values",
+            STATISTICS + "test_direct_sweeps_match_closed_across_d",
+        ],
+    ),
+    (
+        "statistics.py",
+        "s - 8 * q * q",
+        "s - 8 * q",
+        [
+            STATISTICS + "test_closed_frozen_values",
+            STATISTICS + "test_direct_sweeps_match_closed_across_d",
+        ],
+    ),
+    (
+        "statistics.py",
+        "F(p + 2 * q, 3 * q)",
+        "F(p + q, 3 * q)",
+        [
+            STATISTICS + "test_closed_frozen_values",
+            STATISTICS + "test_direct_sweeps_match_closed_across_d",
+        ],
+    ),
     (
         "statistics.py",
         "sum(islice(spec.hist, r))",

@@ -586,6 +586,12 @@ def test_direct_sweeps_match_closed_across_d():
         for j in range(0, 4 * D + 1):
             L = Fraction(j, 2)
             assert number_variance_direct(spec, L) == number_variance_closed(D, L)
+        # an int, a float (the rational it holds) or a Fraction L: one exact
+        # Fraction, equal to the direct route's on the D-level block
+        for L in (0.1, 0.7, 2.5, 1e-7, 123.456, 5, Fraction(7, 3)):
+            closed = number_variance_closed(D, L)
+            assert type(closed) is Fraction
+            assert closed == number_variance_direct(reduced_spectrum(D), L)
 
 
 def test_closed_periodicity():
