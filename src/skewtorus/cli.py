@@ -107,9 +107,9 @@ MAX_SPECTRUM_N = 1 << 50
 # stands for the trace formula's tolerance: cycle-products carries the
 # traces that verify does not compute only while 2 N^2 (c log2 N + sqrt 5) u
 # stays below 1e-9 N, up to about N = 4e4 (cmd_verify).  verify --a 0
-# --N 16384 takes about 0.19 s at 20 MB peak RSS, and the prime
-# verify --a 16381 --N 16381, whose weights take Bluestein's FFT, 0.5-0.7 s
-# at 23 MB (2-vCPU VM).
+# --N 16384 takes about 0.17 s at 19 MB peak RSS, and the prime
+# verify --a 16381 --N 16381, whose weights take Bluestein's FFT, about
+# 0.34 s at 22 MB (2-vCPU VM, median of 10 runs).
 MAX_VERIFY_N = 16384
 # Largest count of complex products that each side of verify's trace
 # formula makes.  It bounds the lattice points that trace-formula compares,

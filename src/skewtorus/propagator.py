@@ -18,8 +18,9 @@ diag(F g) and F diag(e(a k/N)) F^-1 is the cyclic shift S_a: m -> m + a
     V = F U F^-1 = S_a diag(w),    w = F g,
 
 the weighted permutation V[(m + a) mod N, m] = w_m, zero elsewhere.  The
-weights take one FFT of g and do not contain a.  The chirp's exponents are
-exact integer residues mod N, in Python ints, so no phase accumulates.
+weights take one FFT of g and do not contain a.  Gauss's evaluation of
+G(N) = sum_j e(j^2/N) writes g in closed form (_column), with every phase
+an exact integer residue mod 4N, in Python ints, so no phase accumulates.
 
 The shift splits the N momenta into D = gcd(a, N) cycles of length M = N/D,
 one per residue class mod D, which is how the paper derives the
@@ -28,7 +29,7 @@ from |w_m| and a stated model of the FFT's rounding, and the numeric traces
 are the power sums of the M-th roots of the D cycle products of the w_m:
 O(N log N) in all, with no eigensolve, no dense product and no N x N array.
 
-The weights' two FFTs run on Python complex numbers at every N, in
+The weights' one FFT runs on Python complex numbers at every N, in
 O(N log N) (_dft): the radix-2 transform _fft when N is a power of two, and
 otherwise Bluestein's chirp convolution over it.  Every twiddle and chirp
 phase is an exact integer residue read through spectrum._root.
@@ -41,18 +42,19 @@ The trace loop (spectrum._lattice_traces) is the one that forms
 spectrum.power_sums from the exact levels' roots: the two sides of the
 trace formula differ only in the values they raise.  No numpy is
 imported.  As a subprocess on a 2-vCPU VM, verify --a 0 --N 16384 (D = N)
-takes about 0.19 s at 20 MB peak RSS, and the prime
+takes about 0.17 s at 19 MB peak RSS, and the prime
 verify --a 16381 --N 16381, where Bluestein's transforms have length
-32768, 0.5-0.7 s at 23 MB (numpy's FFT took 0.22-0.34 s at 34 MB).
+32768, about 0.34 s at 22 MB (numpy's FFT took 0.22-0.34 s at 34 MB).
 
-What this checks, candidly: w = F g is the chirp e(-m^2/N) by construction,
-since g is its inverse transform.  The checks are of the chain from the
-factorisation to w_m, to the cycle products, which are compared with
-spectrum.cycle_products, the eigenphase formula's base levels, and to the
-traces, which are compared with spectrum.power_sums, the paper's trace
-formula over the exact levels (spectrum.eigenphases).  The numeric route
-is kept as the matrix layer of that chain, not as an independent proof
-that U is unitary.
+What this checks, candidly: the cycle-products check compares F applied to
+the paper's column, written out by Gauss's evaluation (_column), with
+spectrum.cycle_products, the eigenphase formula's base levels, and the
+traces, the running powers of those cycle products, are compared with
+spectrum.power_sums, the paper's trace formula over the exact levels
+(spectrum.eigenphases).  That the closed-form column is the one of U's
+defining l-sum is Gauss's evaluation, which the checks do not test: verify
+never evaluates the l-sum.  The numeric route is kept as the matrix layer
+of that chain, not as an independent proof that U is unitary.
 """
 
 import math
@@ -106,11 +108,11 @@ class Propagator(namedtuple("Propagator", "N a e lo hi cycles")):
 def _weight_error(N):
     """e = c u log2(N), c = 1 + 4 sqrt(2): the model of each weight's rounding.
 
-    The weights w = F g are one FFT of g = F^-1 e(-m^2/N), the circulant's
-    first column, itself one inverse FFT (_weights); neither contains a.
-    V = S_a diag(F g) exactly for the U of that g, so V - S_a diag(w) =
-    S_a diag(F g - w) and its spectral norm is the largest error of an FFT
-    output entry.  Both transforms are _dft's, O(N log N) at every N.
+    The weights w = F g are one FFT (_dft, O(N log N) at every N) of the
+    circulant's first column g, written in closed form (_column); neither
+    contains a.  V = S_a diag(F g) exactly for the U of that g, so
+    V - S_a diag(w) = S_a diag(F g - w) and its spectral norm is the
+    largest error of an FFT output entry.
 
     e is that error under a stated per-entry rounding model, not a proof.
     Higham (Accuracy and Stability of Numerical Algorithms, Thm 24.2)
@@ -123,13 +125,27 @@ def _weight_error(N):
     sqrt(N), and the model spreads the error evenly over the N outputs:
     each is off by at most c u log2(N).  Taken entrywise, the normwise
     bound allows sqrt(N) times that, which at N = 16384 is above
-    verify's unitarity tolerance.  The theorem is for radix 2.  At
-    other lengths _dft is Bluestein's, three radix-2 transforms of
-    length L < 4N with chirp products between them, and the model keeps
-    c there as measured, not derived: against F g summed in long
-    double, the largest entry error was 1.6 u log2(N) over
-    N = 2..300 (at N = 118), and 1.1 u log2(N) at the primes 4093 and
-    16381.  At the powers of two up to 16384 it was 0.42 u log2(N)
+    verify's unitarity tolerance.
+
+    The same e bounds each weight against the exact chirp e(-m^2/N), that
+    is against F applied to the exact column.  Each entry of the computed
+    g is within nu |g_n| of the exact one, nu = (2 + sqrt(5)) u: u for the
+    root (_root), u for sqrt(N) and eps / sqrt(N) together, and sqrt(5) u
+    for their complex product.  F / sqrt(N) is unitary, so the column's
+    error adds at most nu ||F g||_2 normwise, nu per weight under the
+    model.  The radix-2 transform's first stage has the twiddle 1 only: its
+    products are exact, and it rounds by at most u where the model charges
+    eta, which leaves 4 sqrt(2) u > nu for the column, so c stands.
+
+    The theorem is for radix 2.  At other lengths _dft is Bluestein's,
+    three radix-2 transforms of length L < 4N with chirp products between
+    them, and the model keeps c there as measured, not derived.  Over
+    N = 2..300 the largest entry error was 1.53 u log2(N) against F g
+    summed in long double (at N = 204), and 2.64 u log2(N) against the
+    exact chirp (4.2 u at N = 3); at the prime 4093 it was 1.02 and 1.06
+    u log2(N), and at 16381 1.12 u log2(N) against the chirp.  At the
+    powers of two it was 0.39 u log2(N) against F g up to 2048, and 1.41
+    u log2(N) against the chirp (at N = 2; 0.50 from 4096 to 16384)
     (test_weights_error_within_the_model).
     """
     return (1 + 4 * math.sqrt(2)) * 2.0**-53 * math.log2(N)
@@ -139,7 +155,8 @@ def cycle_tolerance(N, M):
     """delta(N, M): a bound on |c_r - e(t_r / 6D)| for each cycle product, under the model.
 
     Under _weight_error's model every computed weight is within
-    e = c u log2(N) of its exact value, the chirp e(-m^2/N) of modulus 1.
+    e = c u log2(N) of its exact value, the chirp e(-m^2/N) of modulus 1,
+    the column's rounding included.
     So the exact product P of a cycle's M computed weights is within
     (1 + e)^M - 1 of the exact cycle product, and |P| <= (1 + e)^M.
     Forming P takes M - 1 complex products (the first factor is the
@@ -193,52 +210,65 @@ def _fft(x, twiddles):
         h *= 2
 
 
-def _dft(N):
-    """F of length N, as a function that replaces a list of N complex numbers by its transform.
+def _dft(x):
+    """Replace the list x by F x, [sum_j x_j e(-j k/N) for k < N], in place.
 
-    At a power of two it is _fft.  Otherwise it is Bluestein's chirp
-    convolution: j k = (j^2 + k^2 - (k - j)^2) / 2, so with the chirp
+    At a power of two N = len(x) it is _fft.  Otherwise it is Bluestein's
+    chirp convolution: j k = (j^2 + k^2 - (k - j)^2) / 2, so with the chirp
     c_j = e(-j^2 / 2N), (F x)_k = c_k sum_j (x_j c_j) conj(c_(k-j)), a
     cyclic convolution of length L, the least power of two >= 2N - 1.  It
     takes three _fft of length L: of x c padded with zeros, of the filter
-    conj(c) wrapped around, made once here, and of conj of the product,
-    since F^-1 y = conj(F conj(y)) / L.  Every chirp phase is an exact
-    integer residue mod 2N.
+    conj(c) wrapped around, and of conj of the product, since
+    F^-1 y = conj(F conj(y)) / L.  Every chirp phase is an exact integer
+    residue mod 2N.
     """
+    N = len(x)
     if N & (N - 1) == 0:
-        twiddles = _twiddles(N)
-        return lambda x: _fft(x, twiddles)
+        _fft(x, _twiddles(N))
+        return
     L = 1 << (2 * N - 2).bit_length()
     twiddles = _twiddles(L)
     chirp = [_root(-j * j % (2 * N), 2 * N) for j in range(N)]
     filt = [c.conjugate() for c in chirp]
     filt += [0j] * (L - 2 * N + 1) + filt[:0:-1]
     _fft(filt, twiddles)
+    y = [z * c for z, c in zip(x, chirp)] + [0j] * (L - N)
+    _fft(y, twiddles)
+    y = [(z * f).conjugate() for z, f in zip(y, filt)]
+    _fft(y, twiddles)
+    x[:] = [c * z.conjugate() / L for c, z in zip(chirp, y)]
 
-    def bluestein(x):
-        y = [z * c for z, c in zip(x, chirp)] + [0j] * (L - N)
-        _fft(y, twiddles)
-        y = [(z * f).conjugate() for z, f in zip(y, filt)]
-        _fft(y, twiddles)
-        x[:] = [c * z.conjugate() / L for c, z in zip(chirp, y)]
 
-    return bluestein
+# Gauss's evaluation, G(N) = sum_j e(j^2/N) = sqrt(N) (1, 0, i, 1 + i) for
+# N = 1, 2, 3, 0 (mod 4), gives eps_(N mod 4, n mod 2) of _column: row
+# N mod 4 holds (n even, n odd)
+_EPSILON = ((1 - 1j, 0), (1, -1j), (0, 1 - 1j), (-1j, 1))
+
+
+def _column(N):
+    """g_n = e(n^2/4N) eps_(N mod 4, n mod 2) / sqrt(N): the circulant's first column in closed form.
+
+    From 4 (m n - m^2) = n^2 - (2 m - n)^2, the column
+    g_n = (1/N) sum_m e(-m^2/N) e(m n/N) is e(n^2/4N)/N times a sum of
+    e(-k^2/4N) over k = 2 m - n mod 2N of the parity of n.  Over the even
+    k that sum is conj G(N), and over all k mod 2N it is
+    conj G(4N) / 2 = (1 - i) sqrt(N), so Gauss's evaluation gives
+    eps (_EPSILON); half of g is zero at even N.  Each phase is the exact
+    residue n^2 mod 4N, read through spectrum._root.
+    """
+    eps = [z / math.sqrt(N) for z in _EPSILON[N % 4]]
+    return [_root(n * n % (4 * N), 4 * N) * eps[n & 1] for n in range(N)]
 
 
 def _weights(N):
-    """w = F F^-1 e(-m^2/N) as a list, by two transforms of one _dft.
+    """w = F g as a list, one _dft of the closed-form column g (_column).
 
-    F^-1 x = conj(F conj(x)) / N, and conj(e(-m^2/N)) = e(m^2/N).  The list
-    (40 N bytes) is returned, so that the twiddles (20 N) are freed before
-    build_propagator reads it (test_checks_hold_a_few_vectors).
+    The list (40 N bytes) is returned, so that the twiddles (20 N) are freed
+    before build_propagator reads it (test_checks_hold_a_few_vectors).
     """
-    dft = _dft(N)
-    x = [_root(m * m % N, N) for m in range(N)]
-    dft(x)
-    for m, z in enumerate(x):
-        x[m] = z.conjugate() / N
-    dft(x)
-    return x
+    w = _column(N)
+    _dft(w)
+    return w
 
 
 def build_propagator(app):
@@ -292,9 +322,9 @@ def trace_powers(U, n_max):
     Tolerance model.  Each c_r is within cycle_tolerance(N, M) of the
     formula's, and c_r^k compounds k of those errors, so the residual
     against the trace formula over n = kM <= 2N grows as N^2 u.  Measured
-    for verify --a 1: 1.2e-9, 5.3e-9 and 1.2e-8 at N = 4096, 8192 and
-    16384, and 1.6e-5 at N = 2^20.  verify's tolerance 1e-9 N grows only as
-    N (1.6e-5 at N = 16384, a margin of 1400x), and verify compares at most
+    for verify --a 1: 1.4e-9, 1.4e-8 and 2.1e-8 at N = 4096, 8192 and
+    16384, and 7.6e-5 at N = 2^20.  verify's tolerance 1e-9 N grows only as
+    N (1.6e-5 at N = 16384, a margin of 790x), and verify compares at most
     cli.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
     """
     if n_max < 1:

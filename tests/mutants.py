@@ -149,18 +149,38 @@ MUTANTS = [
         "(math.pi**2 * (K + 1))",
         [STATISTICS + "test_fourier_tail_bound_certified_and_tight"],
     ),
-    # the weights: the chirp, the radix-2 transform and Bluestein's
+    # the weights: the column, the radix-2 transform and Bluestein's
     (
         "propagator.py",
-        "_root(m * m % N, N)",
-        "_root(-m * m % N, N)",
+        "_root(n * n % (4 * N)",
+        "_root(-n * n % (4 * N)",
         [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
     ),
     (
         "propagator.py",
-        "x[m] = z.conjugate() / N",
-        "x[m] = z.conjugate()",
-        [PROPAGATOR + "test_numeric_matches_analytic_sweep"],
+        "z / math.sqrt(N)",
+        "z",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
+    ),
+    # Gauss's evaluation in the closed-form column: eps's sign, the phase's
+    # residue n^2 mod 4N, and eps's parity
+    (
+        "propagator.py",
+        "1 - 1j, 0), (1, -1j)",
+        "1 + 1j, 0), (1, -1j)",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
+    ),
+    (
+        "propagator.py",
+        "n * n % (4 * N), 4 * N)",
+        "n * n % (2 * N), 2 * N)",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
+    ),
+    (
+        "propagator.py",
+        "eps[n & 1]",
+        "eps[~n & 1]",
+        [PROPAGATOR + "test_cycle_products_are_the_base_levels"],
     ),
     (
         "propagator.py",

@@ -294,7 +294,7 @@ def test_momentum_form_rebuilds_the_lsum():
 
 def test_checks_hold_a_few_vectors():
     # The budget is four complex N-vectors, 64 N bytes: the checks read
-    # 61.6 N here, while the radix-2 transforms run on a list of N Python
+    # 61.5 N here, while the radix-2 transforms run on a list of N Python
     # complex numbers (40 N) with their N/2 twiddles (20 N).  An N x N
     # array, or a block of four of its rows, fails it.  The propagator
     # keeps no weight, only its record: 0.06 N bytes retained here, below
@@ -429,13 +429,13 @@ ERROR_SIZES = list(range(1, 65)) + [127, 179, 181, 191, 1024, 1536, 2048, 4093]
 def test_weights_error_within_the_model(reference):
     # The weights under the model e = c u log2(N) of _weight_error,
     # entry by entry, against one of two references.  "python": the forward
-    # FFT of the library's circulant column g, replayed bit for bit, against
-    # F g in long double.  The weights read at most 1.4 u log2(N) here, by
-    # Bluestein's at N = 63, and 0.34 u log2(N) by the radix-2 transform,
-    # against c = 6.66.  "numpy": numpy's FFT of the same chirp, a transform
-    # that shares nothing with the library's, within 2e, as both are within
-    # e of the exact weights; it needs no long double, so it runs where the
-    # "python" reference skips
+    # FFT of the library's closed-form circulant column g (_column),
+    # replayed bit for bit, against F g in long double.  The weights read at
+    # most 1.49 u log2(N) here, by Bluestein's at N = 31, and 0.39 u log2(N)
+    # by the radix-2 transform, against c = 6.66.  "numpy": numpy's FFT of
+    # numpy's inverse FFT of the chirp, a transform that shares nothing with
+    # the library's, within 2e, as both are within e of the exact weights;
+    # it needs no long double, so it runs where the "python" reference skips
     if reference == "numpy":
         for N in ERROR_SIZES:
             w, e = propagator._weights(N), propagator._weight_error(N)
@@ -447,30 +447,44 @@ def test_weights_error_within_the_model(reference):
         pytest.skip("long double is no wider than double here")
     for N in ERROR_SIZES:
         w, e = propagator._weights(N), propagator._weight_error(N)
-        dft = propagator._dft(N)
-        g = [_root(m * m % N, N) for m in range(N)]
-        dft(g)
-        g = [z.conjugate() / N for z in g]
+        g = propagator._column(N)
         forward = list(g)
-        dft(forward)
+        propagator._dft(forward)
         assert w == forward, N
         gap = np.max(np.abs(np.array(w, dtype=np.clongdouble) - _long_double_dft(g)))
         assert gap <= e, (N, float(gap), e)
 
 
+def test_column_is_the_inverse_transform_of_the_chirp():
+    # Gauss's closed form of the circulant's first column, entry by entry
+    # against numpy's inverse FFT of the chirp e(-m^2/N), at every N <= 64
+    # and the primes of ERROR_SIZES.  The bound is the two sides' models,
+    # not fitted: numpy's transform within e = _weight_error(N) of the exact
+    # column (the normwise c u log2(N) ||g||_2, ||g||_2 = 1, taken entry by
+    # entry), and each closed-form entry, of modulus at most 1, within 5 u:
+    # u for the root (_root), u for sqrt(N) and eps / sqrt(N) together and
+    # sqrt(5) u for their complex product.  The gap read at most 0.12 of
+    # the bound, 1.41 u at N = 2
+    u = 2.0**-53
+    for N in list(range(1, 65)) + [127, 179, 181, 191, 4093]:
+        chirp = [_root(-m * m % N, N) for m in range(N)]
+        gap = np.max(np.abs(np.array(propagator._column(N)) - np.fft.ifft(chirp)))
+        assert gap <= propagator._weight_error(N) + 5 * u, (N, float(gap))
+
+
 def test_dft_is_the_forward_transform():
-    # _dft(N) is F, F_{jk} = e(-j k / N), on seeded vectors that no symmetry
-    # maps to themselves.  The weights cannot tell F from its conjugate:
-    # with F -> conj(F) = N F^-1 throughout, w = F F^-1 e(-m^2/N) becomes
-    # w_(-m), and the chirp is even in m.  Radix 2 at the powers of two and
-    # Bluestein's elsewhere, each against numpy's FFT within the rounding
-    # model e = c u log2(N) of both, normwise
+    # _dft(x) replaces x by F x, F_{jk} = e(-j k / N), on seeded vectors
+    # that no symmetry maps to themselves.  The weights cannot tell F from
+    # its conjugate: with F -> conj(F) = N F^-1, w = F g becomes
+    # N F^-1 F^-1 e(-m^2/N), the chirp at -m, and the chirp is even in m.
+    # Radix 2 at the powers of two and Bluestein's elsewhere, each against
+    # numpy's FFT within the rounding model e = c u log2(N) of both, normwise
     rng = random.Random(0)
     for N in list(range(1, 33)) + [127, 128, 191, 1000]:
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(N)]
         ref = np.fft.fft(x)
         y = list(x)
-        propagator._dft(N)(y)
+        propagator._dft(y)
         gap = np.linalg.norm(np.array(y) - ref)
         assert gap <= 2 * propagator._weight_error(N) * np.linalg.norm(ref), (N, gap)
 
