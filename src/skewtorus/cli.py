@@ -94,9 +94,9 @@ DEFAULT_FOURIER_K = 10_000
 # Family size of approx --D and witness without --count.
 DEFAULT_COUNT = 3
 # Size caps (module docstring); each value takes a few seconds and well under
-# 200 MB: numvar --method closed over 100000 steps (about 1 s on a 2-vCPU VM),
-# orbit over 10^6 points, the series over 10^6 terms (its phase table holds up
-# to K + 1 floats).
+# 200 MB: numvar --method closed over 100000 steps (1.0 s at 42 MB peak RSS
+# on a 2-vCPU VM, median of 10 runs), orbit over 10^6 points, the series over
+# 10^6 terms (its phase table holds up to K + 1 floats).
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
@@ -113,9 +113,10 @@ MAX_SPECTRUM_N = 1 << 50
 MAX_VERIFY_N = 16384
 # Largest count of complex products that each side of verify's trace
 # formula makes.  It bounds the lattice points that trace-formula compares,
-# K = min(2D, PYTHON_OPS // D) (cmd_verify), so that each side makes
+# K = max(1, min(2D, PYTHON_OPS // D)) (cmd_verify), so that each side makes
 # D K <= PYTHON_OPS products in one loop (spectrum._lattice_traces), over
-# the cycle products or over the level roots, in Python, at every N.  On a
+# the cycle products or over the level roots, in Python, at every N with
+# D <= PYTHON_OPS; above it K = 1, and each side makes D products.  On a
 # 2-vCPU VM (CPython 3.11) the running powers took about 75 ns a product,
 # so each side of the trace check took 5 ms at D = 181.
 PYTHON_OPS = 1 << 16
@@ -152,8 +153,10 @@ def _parse_lgrid(text):
         raise GridError(f"invalid L grid {text!r}: need max > min >= 0, steps >= 2")
     if steps > MAX_L_STEPS:
         raise GridError(f"L grid {text!r} has more than {MAX_L_STEPS} steps")
-    span = hi - lo
-    return [lo + span * i / (steps - 1) for i in range(steps)]
+    # point i is lo + i step, lo = a/b and step = (hi - lo)/(steps - 1) = c/d,
+    # written over the one denominator b d: one Fraction per point
+    (a, b), (c, d) = lo.as_integer_ratio(), ((hi - lo) / (steps - 1)).as_integer_ratio()
+    return [Fraction(a * d + i * c * b, b * d) for i in range(steps)]
 
 
 def _series_order(K):
@@ -319,7 +322,7 @@ def cmd_numvar(args):
     if args.K is not None and args.method != "fourier":
         raise ValueError(f"--K is for --method fourier, not {args.method}")
     _use("diophantine", "spectrum", "statistics")
-    rows = []
+    # one route per method: its tag, and L -> (value, truncation bound)
     if args.method == "direct":
         # --D alone selects the D-level block, whose statistics are those of
         # every (a, N) with gcd(a, N) = D
@@ -331,8 +334,7 @@ def cmd_numvar(args):
                 raise ValueError(f"--D {args.D} disagrees with gcd(a, N) = {app.D}")
             spec = eigenphases(app)
         D = spec.app.D
-        for L in Ls:
-            rows.append((L, number_variance_direct(spec, L), "direct-exact", D, None))
+        method, route = "direct-exact", lambda L: (number_variance_direct(spec, L), None)
     else:
         if args.a is not None or args.N is not None:
             raise ValueError(f"--method {args.method} takes --D, not --a or --N")
@@ -340,18 +342,16 @@ def cmd_numvar(args):
             raise ValueError(f"--method {args.method} requires --D")
         D = args.D
         if args.method == "closed":
-            for L in Ls:
-                rows.append((L, number_variance_closed(D, L), "closed-form", D, None))
+            method, route = "closed-form", lambda L: (number_variance_closed(D, L), None)
         else:
             K = _series_order(args.K)
-            for L in Ls:
-                v, b = number_variance_fourier(D, L, K)
-                rows.append((L, v, f"fourier(K={K})", D, b))
-    if args.poisson:
-        for L in Ls:
-            rows.append((L, L, "poisson", D, None))
+            method, route = f"fourier(K={K})", lambda L: number_variance_fourier(D, L, K)
+    # every row is made here, before _emit opens --out: a route's error
+    # (exit 3 for closed at an unsupported D) leaves stdout empty
     fields = ("L", "value", "method", "D", "truncation_bound")
-    rows = [(float(L), float(v), m, d, b) for L, v, m, d, b in rows]
+    rows = [(float(L), float(v), method, D, b) for L, (v, b) in zip(Ls, map(route, Ls))]
+    if args.poisson:
+        rows += [(float(L), float(L), "poisson", D, None) for L in Ls]
     _emit(args, _table(fields, rows), _json(lambda: _records(fields, rows)))
     return 0
 
@@ -451,9 +451,10 @@ def cmd_verify(args):
     eigenphase formula's z_r = e(t_r / 6D) (spectrum.cycle_products),
     within delta = cycle_tolerance(N, M).  trace-formula compares the
     lattice traces Tr U^(kM) = M sum_r c_r^k with the trace formula's
-    M sum_r z_r^k at k = 1..min(2D, PYTHON_OPS // D) only, so that each
-    side makes at most PYTHON_OPS complex products.  Nothing beyond that is
-    lost: |x^k - y^k| <= k |x - y| max(|x|, |y|)^(k-1), so if every
+    M sum_r z_r^k at k = 1..max(1, min(2D, PYTHON_OPS // D)) only, so that
+    each side makes at most PYTHON_OPS complex products, or D products (k = 1
+    only) above D = PYTHON_OPS.  Nothing beyond that is lost:
+    |x^k - y^k| <= k |x - y| max(|x|, |y|)^(k-1), so if every
     |c_r - z_r| <= delta, then at every k
 
         |M sum_r c_r^k - M sum_r z_r^k| <= M D k delta (1 + delta)^(k-1),
@@ -480,7 +481,7 @@ def cmd_verify(args):
     worst = max(range(len(cycles)), key=lambda r: _rank(cycles[r]))
     # the trace formula, on the M-lattice: a trace missing from one side is a NaN
     spec = eigenphases(app)
-    n = min(2 * D, PYTHON_OPS // D) * M
+    n = max(1, min(2 * D, PYTHON_OPS // D)) * M
     pairs = zip_longest(trace_powers(U, n), power_sums(spec, n), fillvalue=math.nan)
     # every statistic of (a, N) is that of its D-level block
     block = reduced_spectrum(D)

@@ -119,21 +119,22 @@ def _weight_error(N):
     bounds a radix-2 FFT of length N by ||fl(F g) - F g||_2 <= log2(N) eta
     ||F g||_2 / (1 - log2(N) eta), eta = mu + gamma_4 (sqrt(2) + mu),
     with mu the error of the twiddle factors and gamma_4 = 4u / (1 - 4u).
-    spectrum._root computes each twiddle to about the unit roundoff
-    u = 2^-53, so mu = u and, to first order in u, eta = c u with
-    c = 1 + 4 sqrt(2).  Every |(F g)_m| is near 1, so ||F g||_2 is near
-    sqrt(N), and the model spreads the error evenly over the N outputs:
-    each is off by at most c u log2(N).  Taken entrywise, the normwise
-    bound allows sqrt(N) times that, which at N = 16384 is above
-    verify's unitarity tolerance.
+    The model takes mu = u, the unit roundoff u = 2^-53, for the twiddles
+    of spectrum._root.  That is a model, not a bound: _root's bound is
+    5 u, and its error read up to 1.856 u (at j = 31, n = 83).  With
+    mu = u, to first order in u, eta = c u with c = 1 + 4 sqrt(2).  Every
+    |(F g)_m| is near 1, so ||F g||_2 is near sqrt(N), and the model
+    spreads the error evenly over the N outputs: each is off by at most
+    c u log2(N).  Taken entrywise, the normwise bound allows sqrt(N) times
+    that, which at N = 16384 is above verify's unitarity tolerance.
 
     The same e bounds each weight against the exact chirp e(-m^2/N), that
     is against F applied to the exact column.  Each entry of the computed
-    g is within nu |g_n| of the exact one, nu = (2 + sqrt(5)) u: u for the
-    root (_root), u for sqrt(N) and eps / sqrt(N) together, and sqrt(5) u
-    for their complex product.  F / sqrt(N) is unitary, so the column's
-    error adds at most nu ||F g||_2 normwise, nu per weight under the
-    model.  The radix-2 transform's first stage has the twiddle 1 only: its
+    g is within nu |g_n| of the exact one, nu = (2 + sqrt(5)) u: mu = u
+    for the root (_root), u for sqrt(N) and eps / sqrt(N) together, and
+    sqrt(5) u for their complex product.  F / sqrt(N) is unitary, so the
+    column's error adds at most nu ||F g||_2 normwise, nu per weight under
+    the model.  The radix-2 transform's first stage has the twiddle 1 only: its
     products are exact, and it rounds by at most u where the model charges
     eta, which leaves 4 sqrt(2) u > nu for the column, so c stands.
 
@@ -164,11 +165,10 @@ def cycle_tolerance(N, M):
     sqrt(5) u (Brent, Percival and Zimmermann, "Error bounds on complex
     floating-point multiplication", Math. Comp. 76 (2007) 1469-1481), so
     the computed c_r is within (1 + e)^M (1 + sqrt(5) u)^(M - 1) - 1 of the
-    exact product.  The exact side e(t_r / 6D) comes from spectrum._root:
-    its angle, at most pi/4 in modulus, takes three roundings
-    (3 pi u / 4), and its cosine and sine one ulp each (2 u), so it is
-    within 5 u.  delta is the sum, with no fitted constant; the
-    powers are summed as logarithms, since 1 + e rounds e away.
+    exact product.  The exact side e(t_r / 6D) comes from spectrum._root,
+    within 5 u of it (_root's bound).  delta is the sum, with no fitted
+    constant; the powers are summed as logarithms, since 1 + e rounds e
+    away.
     """
     u = 2.0**-53
     e = _weight_error(N)
@@ -325,7 +325,7 @@ def trace_powers(U, n_max):
     for verify --a 1: 1.4e-9, 1.4e-8 and 2.1e-8 at N = 4096, 8192 and
     16384, and 7.6e-5 at N = 2^20.  verify's tolerance 1e-9 N grows only as
     N (1.6e-5 at N = 16384, a margin of 790x), and verify compares at most
-    cli.PYTHON_OPS // D of the lattice traces (cli.cmd_verify).
+    max(1, cli.PYTHON_OPS // D) of the lattice traces (cli.cmd_verify).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -182,16 +182,17 @@ def power_sums(spec, n_max):
     its exact integer phase) and repeated hist[u] times: the loop of
     propagator.trace_powers (_lattice_traces) over these D values in place
     of the cycle products, D products for each of the n_max // M values of
-    k.  verify asks for at most cli.PYTHON_OPS // D values of k, so at most
-    cli.PYTHON_OPS products, and compares them with the numeric traces.
+    k.  verify asks for at most max(1, cli.PYTHON_OPS // D) values of k, so
+    at most max(D, cli.PYTHON_OPS) products, and compares them with the
+    numeric traces.
 
     Error model, with no fitted constant.  Each root is within 5 u of its
-    exact value (u = 2^-53; cycle_tolerance's reading of _root).  The
-    running product's k - 1 products after the first (the first, by the
-    integer 1, is exact) each add a relative sqrt(5) u (Brent, Percival and
-    Zimmermann), so each computed z_r^k is within P_k - 1 of the exact
-    power, P_k = (1 + 5 u)^k (1 + sqrt(5) u)^(k-1), and of modulus at most
-    P_k.  The sum of the D powers adds at most
+    exact value (u = 2^-53; _root's bound).  The running product's k - 1
+    products after the first (the first, by the integer 1, is exact) each
+    add a relative sqrt(5) u (Brent, Percival and Zimmermann), so each
+    computed z_r^k is within P_k - 1 of the exact power,
+    P_k = (1 + 5 u)^k (1 + sqrt(5) u)^(k-1), and of modulus at most P_k.
+    The sum of the D powers adds at most
     gamma_(D-1) = (D - 1) u / (1 - (D - 1) u) times the sum of their moduli
     (recursive summation, the real and the imaginary parts alike), and the
     product by M, exact as a double, a relative u.  So each returned value
@@ -246,13 +247,19 @@ _QUARTER_TURNS = (1, 1j, -1, -1j)
 
 
 def _root(j, n):
-    """e(j/n) for an integer j in [0, n), to about the unit roundoff.
+    """e(j/n) for an integer j in [0, n), within 5 u of it (u = 2^-53).
 
     e(j/n) = i^q e(r / 4n) with q = round(4j/n) and r = 4j - q n in
-    [-n/2, n/2): the angle pi r / 2n handed to cmath.exp is at most pi/4
-    in modulus, so it rounds by under a unit roundoff, and the quarter
-    turn i^q is exact.  j is an exact integer residue, so no phase
-    accumulates.
+    [-n/2, n/2): the quarter turn i^q is exact, and the angle pi r / 2n
+    handed to cmath.exp is at most pi/4 in modulus.  j is an exact integer
+    residue, so no phase accumulates.
+
+    The bound: the angle takes three roundings (math.pi, the product by r
+    and the quotient by 2n), each a relative u at most, so it is within
+    3 pi u / 4 of pi r / 2n; its cosine and sine are within one ulp each
+    (2 u).  So the root is within 3 pi u / 4 + 2 u < 5 u of e(j/n).  Over
+    every j for n < 200 the largest error read 1.856 u (at j = 31, n = 83),
+    against e(j/n) at 120 bits (test_root_within_its_bound).
     """
     q = (8 * j + n) // (2 * n)
     return cmath.exp(1j * (math.pi * (4 * j - q * n) / (2 * n))) * _QUARTER_TURNS[q % 4]

@@ -424,6 +424,26 @@ MUTANTS = [
         "abs(exact - exact)",
         [CLI + "test_verify_wrong_block_fails_spacing_law"],
     ),
+    # each grid point is one Fraction over the common denominator b d
+    (
+        "cli.py",
+        "a * d + i * c * b, b * d",
+        "a * d + i * c, b * d",
+        [CLI + "test_lgrid_points_are_exact"],
+    ),
+    (
+        "cli.py",
+        "i * c * b, b * d)",
+        "i * c * b, d)",
+        [CLI + "test_lgrid_points_are_exact"],
+    ),
+    # above D = PYTHON_OPS, trace-formula still compares k = 1
+    (
+        "cli.py",
+        "max(1, min(2 * D, PYTHON_OPS // D))",
+        "min(2 * D, PYTHON_OPS // D)",
+        [CLI + "test_verify_compares_at_least_one_trace"],
+    ),
     # exit codes
     (
         "statistics.py",

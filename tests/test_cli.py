@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -171,6 +172,37 @@ def test_numvar_json(capsys):
     rows = json.loads(out)
     assert rows[0]["method"] == "fourier(K=500)"
     assert rows[0]["truncation_bound"] > 0
+
+
+@pytest.mark.parametrize(
+    "grid", ["0:6:7", "1/3:17/3:9", "0.1:5.7:333", "1e-7:0.1:3", "2:3:2", "0:1e300:5", "7/3"]
+)
+def test_lgrid_points_are_exact(grid):
+    # each point is one Fraction over the common denominator of lo and the
+    # step, and equals lo + (hi - lo) i / (steps - 1) exactly
+    if ":" in grid:
+        lo, hi, steps = grid.split(":")
+        lo, hi, steps = Fraction(lo), Fraction(hi), int(steps)
+        expected = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    else:
+        expected = [Fraction(grid)]
+    assert cli._parse_lgrid(grid) == expected
+
+
+def test_numvar_makes_each_row_once():
+    # numvar holds the grid and one list of rows, each made once as floats:
+    # no exact row list beside them.  At 20000 steps the traced peak read
+    # 302-310 B a step, against 451-458 B with the exact rows kept too
+    # (CPython 3.11); the bound lies between the two
+    argv = ["numvar", "--D", "3", "--L", "0:6:20000", "--method", "closed", "--out", os.devnull]
+    assert cli.main(argv) == 0  # imports and first-use caches stay out of the peak
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 20000 <= 360
 
 
 def test_exit_code_unsupported_closed_form(capsys):
@@ -606,6 +638,18 @@ def test_verify_gate_boundary(capsys, monkeypatch):
     assert (code, err) == (1, "FAIL: unitarity\n")
     first = json.loads(out)["checks"][0]
     assert (first["ok"], first["residual"]) == (False, above)
+
+
+def test_verify_compares_at_least_one_trace(capsys, monkeypatch):
+    # above D = PYTHON_OPS, PYTHON_OPS // D is 0; trace-formula still
+    # compares k = 1 (D products a side) and verify writes its report
+    monkeypatch.setattr(cli, "PYTHON_OPS", 8)
+    code, out, err = run(capsys, "verify", "--a", "0", "--N", "9")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] is True and all(c["ok"] for c in report["checks"])
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["trace-formula"]["detail"] == "n = kM, k = 1..1"
 
 
 @pytest.mark.parametrize("name", ["trace-formula", "numvar-direct-vs-fourier"])

@@ -12,6 +12,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -253,6 +254,24 @@ def test_power_sums_within_their_error_model(a, N):
     slack = power_sums_fft_error(spec)
     for k, (x, y) in enumerate(zip(sums, oracle), 1):
         assert abs(x - y) <= power_sums_error(D, M, k) + slack, (k, abs(x - y))
+
+
+def test_root_within_its_bound():
+    # _root's docstring bounds each root within 5 u of e(j/n): every j for
+    # n < 200, and 500 seeded j at the orders verify reads (6D for the level
+    # roots, 4N for the column, the FFT lengths).  The reference is taken at
+    # 120 bits inside workprec, which leaves the global mp.dps alone
+    u = 2.0**-53
+    rnd = random.Random(1)
+    cases = [(j, n) for n in range(1, 200) for j in range(n)]
+    for n in (6 * 181, 4 * 4093, 2 * 16381, 32768, 6 * 16384, 4 * 16383):
+        cases += [(rnd.randrange(n), n) for _ in range(500)]
+    with mpmath.workprec(120):
+        worst = max(
+            abs(mpmath.mpc(spectrum._root(j, n)) - mpmath.expjpi(mpmath.mpf(2 * j) / n))
+            for j, n in cases
+        )
+    assert worst <= 5 * u, float(worst / u)
 
 
 def test_spectrum_csv():
