@@ -9,13 +9,16 @@ unlabeled.
 Every CSV and JSON table but spectrum's comes from one (fields, rows) form.
 _table writes the CSV: an optional "# comment" line, the header, and one
 line per row, each cell through %s (an int or str as itself, a Fraction as
-p/q, a float as its repr) and a None cell as an empty cell, TABLE_BLOCK
-lines to a write.  The JSON is the list of records dict(zip(fields, row))
-(_records), a None cell as null.
+p/q, a float as its repr) and a None cell as an empty cell.  The JSON is
+the list of records dict(zip(fields, row)) (_records), a None cell as null.
+verify's JSON report and witness's text are not tables.  Both forms go out
+through one block writer, _blocks, TABLE_BLOCK pieces to a write: _table's
+lines, as its rows are read (figure1's rows are made as they are written),
+and _json's chunks from json.JSONEncoder(indent=2).iterencode, so no JSON
+document exists as one string.
 spectrum writes its own rows (module spectrum): it streams N rows made in
-blocks from one period, and its JSON is a template of json.dumps's layout,
-because at N = 10^6 the table cannot be built as N records.  verify's JSON
-report and witness's text are not tables.
+blocks from one period, and its JSON is a template of that encoder's layout,
+because at N = 10^6 the table cannot be built as N records.
 
 Exit codes.  A refused input's code comes from its error type: main returns
 the exit_code of the ValueError a command raised (GridError 4,
@@ -53,7 +56,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 
 import skewtorus
 
@@ -94,9 +97,11 @@ DEFAULT_FOURIER_K = 10_000
 # Family size of approx --D and witness without --count.
 DEFAULT_COUNT = 3
 # Size caps (module docstring); each value takes a few seconds and well under
-# 200 MB: numvar --method closed over 100000 steps (1.0 s at 42 MB peak RSS
-# on a 2-vCPU VM, median of 10 runs), orbit over 10^6 points, the series over
-# 10^6 terms (its phase table holds up to K + 1 floats).
+# 200 MB.  Over 100000 steps (peak RSS, 2-vCPU VM, median of 10 runs):
+# numvar --method closed 1.0 s at 42 MB as CSV and 1.6 s at 61 MB as JSON
+# (95 MB with --poisson), figure1 3.1 s at 29 MB as CSV and 3.8 s at 76 MB
+# as JSON.  orbit over 10^6 points, the series over 10^6 terms (its phase
+# table holds up to K + 1 floats).
 MAX_L_STEPS = 100_000
 MAX_ORBIT_T = 1_000_000
 MAX_FOURIER_K = 1_000_000
@@ -120,7 +125,8 @@ MAX_VERIFY_N = 16384
 # 2-vCPU VM (CPython 3.11) the running powers took about 75 ns a product,
 # so each side of the trace check took 5 ms at D = 181.
 PYTHON_OPS = 1 << 16
-# Lines per write of a _table CSV: a few hundred KB of text at most.
+# Pieces per write of _blocks (CSV lines, or JSON encoder chunks): a few
+# hundred KB of text at most.
 TABLE_BLOCK = 4096
 
 
@@ -195,41 +201,54 @@ def _failed(lines):
     return 1 if lines else 0
 
 
+def _blocks(out, pieces):
+    """Write an iterator of strings to out, TABLE_BLOCK pieces to a write.
+
+    An unbuffered stdout (python -u, PYTHONUNBUFFERED) then gets one write
+    call per block, not one per piece, and no more than a block of the
+    output exists as one string.
+    """
+    for block in iter(lambda: "".join(islice(pieces, TABLE_BLOCK)), ""):
+        out.write(block)
+
+
 def _json(payload):
     """A JSON writer of payload(); payload() and json load only when it runs.
 
-    The JSON is strict (RFC 8259): a NaN or an infinity raises ValueError
-    rather than being written as the bare token NaN or Infinity.
+    The document is JSONEncoder(indent=2).encode(payload()) + "\n" to the
+    byte: with an indent, encode joins the chunks of this same pure-Python
+    iterencode, and here they go out through _blocks instead, so the
+    document never exists as one string.  The JSON is strict (RFC 8259): a
+    NaN or an infinity raises ValueError when the encoder reaches it, after
+    the blocks before it have gone out.  No payload that a command makes
+    holds one, since verify's residuals pass through _largest.
     """
 
     def write(out):
         import json
 
-        out.write(json.dumps(payload(), indent=2, allow_nan=False) + "\n")
+        encoder = json.JSONEncoder(indent=2, allow_nan=False)
+        _blocks(out, chain(encoder.iterencode(payload()), ["\n"]))
 
     return write
 
 
 def _table(fields, rows, comment=None):
-    """The CSV writer of a table of row tuples; rows may be a generator.
-
-    The lines go out TABLE_BLOCK at a time, so an unbuffered stdout
-    (python -u, PYTHONUNBUFFERED) makes one write call per block, not one
-    per row.
-    """
+    """The CSV writer of a table of row tuples; rows may be a generator, read once."""
     template = ",".join(["%s"] * len(fields)) + "\n"
 
     def write(out):
         if comment is not None:
             out.write(f"# {comment}\n")
         out.write(",".join(fields) + "\n")
-        lines = (
-            template
-            % (tuple("" if cell is None else cell for cell in row) if None in row else row)
-            for row in rows
+        _blocks(
+            out,
+            (
+                template
+                % (tuple("" if cell is None else cell for cell in row) if None in row else row)
+                for row in rows
+            ),
         )
-        for block in iter(lambda: "".join(islice(lines, TABLE_BLOCK)), ""):
-            out.write(block)
 
     return write
 
@@ -367,12 +386,7 @@ def cmd_figure1(args):
     _use("spectrum", "statistics")
     K = _series_order(args.K)
     blocks = {D: reduced_spectrum(D) for D in FIGURE_DS}
-    fields = ("L", *(f"D{D}" for D in FIGURE_DS))
-    rows = [
-        (float(L), *(float(number_variance_direct(blocks[D], L)) for D in FIGURE_DS))
-        for L in Ls
-    ]
-
+    # the spot checks read no row, so a failed one makes no row at all
     spots = {
         D: _series_gaps(D, [(L, number_variance_direct(blocks[D], L)) for L in FIGURE_SPOT_LS], K)
         for D in (8, 9)
@@ -388,6 +402,12 @@ def cmd_figure1(args):
     bounds = {D: bound for D, (_, bound) in spots.items()}
     spot_worst = max(max(gaps) for gaps, _ in spots.values())
 
+    fields = ("L", *(f"D{D}" for D in FIGURE_DS))
+    # made once, as _table or _records reads them
+    rows = (
+        (float(L), *(float(number_variance_direct(blocks[D], L)) for D in FIGURE_DS))
+        for L in Ls
+    )
     meta = (
         "D1,D2,D3,D6,D8,D9: direct-exact on the D-level block; "
         f"fourier(K={K}) spot checks, truncation bound D8<={bounds[8]!r}, "

@@ -272,8 +272,8 @@ SPECTRUM_FIELDS = ("eta", "l", "numerator", "denominator", "decimal")
 # raised the peak RSS by about 20 MB.
 SPECTRUM_BLOCK = 1 << 12
 # One line per level, with den and the decimal's tail filled in once per
-# binade of q: %s of a Python int is the text json.dumps writes for it, and
-# the JSON line is one record in json.dumps(indent=2)'s layout.
+# binade of q: %s of a Python int is the text json's encoder writes for it,
+# and the JSON line is one record in the layout of JSONEncoder(indent=2).
 _CSV_LINE = "%s,%s,%s,{den},%s{tail}\n"
 _JSON_LINE = (
     '  {{\n    "eta": %s,\n    "l": %s,\n    "numerator": %s,\n'
@@ -338,7 +338,7 @@ def spectrum_to_csv(spec, out):
 def spectrum_to_json(spec, out):
     """Write the levels as a JSON list of records, one per row, to a file object.
 
-    The bytes are json.dumps(records, indent=2) + "\n" for the records of
+    The bytes are JSONEncoder(indent=2).encode(records) + "\n" for the records of
     (eta, l, numerator, denominator, decimal); a spectrum has at least one
     level.
     """

@@ -234,7 +234,8 @@ def number_variance_fourier(D, L, K):
     holds min(P, K + 1) floats, one per residue the series reaches.
 
     The coefficients and the bound are floats, so a D whose 2 D^2 is past
-    the float range (D above about 9.48e153) is refused before any table.
+    the float range (D above about 9.48e153) is refused before any table,
+    and so is an L whose period P is: the phase divides by P as a float.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
@@ -242,10 +243,12 @@ def number_variance_fourier(D, L, K):
         raise ValueError(f"D={D} is too large: 2 D^2 exceeds the float range")
     if K < 1:
         raise ValueError("K must be >= 1")
-    ks = range(1, K + 1)
-    g2 = [_gauss_sum_sq(D, r) for r in range(min(D, K + 1))]
     L = Fraction(L)
     P = D * L.denominator
+    if P > sys.float_info.max:
+        raise ValueError(f"D={D} times the denominator of L={float(L)!r} exceeds the float range")
+    ks = range(1, K + 1)
+    g2 = [_gauss_sum_sq(D, r) for r in range(min(D, K + 1))]
     num = L.numerator % P
     coef = [
         math.sin(math.pi * (j * num % P) / P) ** 2 * g2[j % D]

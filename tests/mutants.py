@@ -417,6 +417,19 @@ MUTANTS = [
         "allow_nan=True",
         [CLI + "test_json_writer_refuses_non_finite_floats"],
     ),
+    # one block writer: TABLE_BLOCK pieces to a write, JSON closed by a newline
+    (
+        "cli.py",
+        "islice(pieces, TABLE_BLOCK)",
+        "islice(pieces, 1)",
+        [CLI + "test_table_writes_whole_blocks", CLI + "test_json_writes_whole_blocks"],
+    ),
+    (
+        "cli.py",
+        'iterencode(payload()), ["\\n"])',
+        "iterencode(payload()))",
+        [CLI + "test_json_writes_the_bytes_of_json_dumps"],
+    ),
     # each direct value is computed once and shared by the block and series checks
     (
         "cli.py",
@@ -510,6 +523,13 @@ MUTANTS = [
         '        raise ValueError(f"D={D} is too large: 2 D^2 exceeds the float range")\n',
         "",
         [CLI + "test_exit_code_table", CLI + "test_fourier_admits_d_within_the_float_range"],
+    ),
+    (
+        "statistics.py",
+        "    if P > sys.float_info.max:\n"
+        '        raise ValueError(f"D={D} times the denominator of L={float(L)!r} exceeds the float range")\n',
+        "",
+        [CLI + "test_fourier_refuses_a_period_past_the_float_range"],
     ),
     # the package exports only what a command or a demo uses
     (

@@ -189,12 +189,9 @@ def test_lgrid_points_are_exact(grid):
     assert cli._parse_lgrid(grid) == expected
 
 
-def test_numvar_makes_each_row_once():
-    # numvar holds the grid and one list of rows, each made once as floats:
-    # no exact row list beside them.  At 20000 steps the traced peak read
-    # 302-310 B a step, against 451-458 B with the exact rows kept too
-    # (CPython 3.11); the bound lies between the two
-    argv = ["numvar", "--D", "3", "--L", "0:6:20000", "--method", "closed", "--out", os.devnull]
+def _peak_per_step(*argv, steps=20000):
+    """The traced peak of a command over a grid of steps, in bytes a step."""
+    argv = [*argv, "--out", os.devnull]
     assert cli.main(argv) == 0  # imports and first-use caches stay out of the peak
     tracemalloc.start()
     try:
@@ -202,7 +199,36 @@ def test_numvar_makes_each_row_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 20000 <= 360
+    return peak / steps
+
+
+def test_numvar_makes_each_row_once():
+    # numvar holds the grid and one list of rows, each made once as floats:
+    # no exact row list beside them.  At 20000 steps the traced peak read
+    # 302-310 B a step, against 451-458 B with the exact rows kept too
+    # (CPython 3.11); the bound lies between the two
+    argv = ["numvar", "--D", "3", "--L", "0:6:20000", "--method", "closed"]
+    assert _peak_per_step(*argv) <= 360
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["figure1", "--L", "0:9:20000"], 300),
+        (["figure1", "--L", "0:9:20000", "--format", "json"], 900),
+        (
+            ["numvar", "--D", "3", "--L", "0:6:20000", "--method", "closed", "--format", "json"],
+            700,
+        ),
+    ],
+    ids=["figure1-csv", "figure1-json", "numvar-closed-json"],
+)
+def test_dense_grid_output_streams(argv, bound):
+    # figure1 holds no row list, and no JSON document exists as one string.
+    # At 20000 steps the traced peak read 215, 582 and 452 B a step, against
+    # 478, 2170 and 1490 B with figure1's rows listed and the JSON made by
+    # json.dumps (CPython 3.11 only); each bound lies between the two
+    assert _peak_per_step(*argv) <= bound
 
 
 def test_exit_code_unsupported_closed_form(capsys):
@@ -377,6 +403,18 @@ def test_figure1_spot_checks_cover_their_ls(capsys, monkeypatch):
     assert meta["truncation_bounds"] == {f"D{D}": _tail_bound(D, 1000) for D in (8, 9)}
 
 
+def test_figure1_failed_spot_check_makes_no_row(capsys, monkeypatch):
+    # the spot checks run first and read no row: when one fails, the direct
+    # route has run at FIGURE_SPOT_LS only, never at a grid L
+    calls = _record_series_checks(monkeypatch)
+    monkeypatch.setattr(cli, "number_variance_fourier", lambda D, L, K: (math.nan, 1.0))
+    code, out, err = run(capsys, "figure1", "--L", "1/3:2/3:2")
+    assert (code, out) == (1, "") and err.startswith("FAIL: spot check D=8")
+    assert sorted(calls["direct"]) == sorted(
+        (D, L) for D in (8, 9) for L in cli.FIGURE_SPOT_LS
+    )
+
+
 def test_witness_reports_both_laws(capsys):
     code, out, _ = run(capsys, "witness", "--count", "2")
     assert code == 0
@@ -474,21 +512,35 @@ def test_table_csv(fields, rows, text):
     assert buf.getvalue() == text
 
 
+class _Writes(list):
+    """A file object that keeps each write as one item."""
+
+    write = list.append
+
+
 @pytest.mark.parametrize("count", [0, 1, 4, 5, 9])
 def test_table_writes_whole_blocks(monkeypatch, count):
     # one write for the header and one per TABLE_BLOCK lines, the last
     # block short; the bytes are the lines one per row
     monkeypatch.setattr(cli, "TABLE_BLOCK", 4)
     rows = [(t, t / 8, None if t % 3 else Fraction(t, 3)) for t in range(count)]
-
-    class Writes(list):
-        write = list.append
-
-    out = Writes()
+    out = _Writes()
     cli._table(("t", "p", "q"), iter(rows))(out)
     lines = [f"{t},{p!r},{'' if q is None else q}\n" for t, p, q in rows]
     assert out[0] == "t,p,q\n"
     assert out[1:] == ["".join(lines[i : i + 4]) for i in range(0, count, 4)]
+
+
+def test_json_writes_whole_blocks(monkeypatch):
+    # the encoder's chunks go out TABLE_BLOCK to a write, the closing
+    # newline last, the last block short
+    monkeypatch.setattr(cli, "TABLE_BLOCK", 4)
+    payload = [{"i": i, "x": i / 8} for i in range(10)]
+    out = _Writes()
+    cli._json(lambda: payload)(out)
+    chunks = [*json.JSONEncoder(indent=2).iterencode(payload), "\n"]
+    assert len(out) > 1
+    assert out == ["".join(chunks[i : i + 4]) for i in range(0, len(chunks), 4)]
 
 
 def test_table_none_is_an_empty_cell_and_null(capsys):
@@ -763,6 +815,30 @@ def test_json_writer_refuses_non_finite_floats():
             cli._json(lambda: {"residual": value})(io.StringIO())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "approx --D 3 --format json",
+        "approx --D 3 --count 0 --format json",
+        "numvar --D 3 --L 0:6:13 --method closed --poisson --format json",
+        "figure1 --L 0:9:7 --K 1000 --format json",
+        "verify --a 3 --N 9",
+    ],
+    ids=["records", "empty", "numvar", "figure1", "verify"],
+)
+def test_json_writes_the_bytes_of_json_dumps(capsys, monkeypatch, argv):
+    # each payload shape the commands make: a records list, the empty list,
+    # figure1's {meta, rows} and the verify report
+    payloads = []
+    writer = cli._json
+    monkeypatch.setattr(
+        cli, "_json", lambda payload: writer(lambda: payloads.append(payload()) or payloads[-1])
+    )
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
 @pytest.mark.parametrize("a, N", [(3, 9), (24, 16)])
 def test_verify_series_check_covers_its_ls(capsys, monkeypatch, a, N):
     # verify reads the spectrum and its block at L in {1/2, 1, 3/2, 7/3}, and
@@ -996,6 +1072,19 @@ def test_fourier_admits_d_within_the_float_range(capsys):
         assert math.isfinite(float(value)) and math.isfinite(float(bound)), D
     code, out, err = run(capsys, *argv, str(largest + 1))
     assert (code, out) == (2, "") and err.endswith("2 D^2 exceeds the float range\n")
+
+
+def test_fourier_refuses_a_period_past_the_float_range(capsys):
+    # the phase divides by the period P = D * denominator(L) as a float: at
+    # L = 2^-1023, D = 1 gives P = 2^1023 and runs, D = 2 is refused, as is
+    # D = 3 at L = 1e-310, before any table rather than in an OverflowError
+    tiny = f"1/{2**1023}"
+    argv = ("numvar", "--method", "fourier", "--K", "10")
+    for D, L in (("2", tiny), ("3", "1e-310"), ("3", "0:1e-310:3")):
+        code, out, err = run(capsys, *argv, "--D", D, "--L", L)
+        assert (code, out) == (2, "") and err.endswith("exceeds the float range\n"), (D, L)
+    code, out, err = run(capsys, *argv, "--D", "1", "--L", tiny)
+    assert (code, err) == (0, "") and out.count("\n") == 2
 
 
 def test_period_cap_boundary(capsys, monkeypatch):
